@@ -294,14 +294,13 @@ def kernel(a: farray, n: int): float = {
   let m = Mini.Front.find_function p "kernel" in
   let n = 200_000 in
   let a = Array.init n (fun i -> float_of_int (i land 255)) in
-  let boxed =
-    Lancet.Compiler.compile_method ~typed:false rt m
-      [| Lancet.Compiler.Dyn; Lancet.Compiler.Dyn |]
+  (* one staged graph, handed to each backend directly *)
+  let g =
+    Lancet.Compiler.stage rt m [| Lancet.Compiler.Dyn; Lancet.Compiler.Dyn |]
   in
-  let typed =
-    Lancet.Compiler.compile_method ~typed:true rt m
-      [| Lancet.Compiler.Dyn; Lancet.Compiler.Dyn |]
-  in
+  let hooks = Lms.Closure_backend.default_hooks rt in
+  let boxed = Lms.Closure_backend.compile ~hooks g in
+  let typed = Lms.Typed_backend.compile ~hooks g in
   let args = [| Vm.Types.Farr a; Int n |] in
   if not (Vm.Value.equal (boxed args) (typed args)) then
     failwith "backend results differ";
@@ -592,104 +591,114 @@ let tiered () =
   pr "\nwrote BENCH_tiered.json\n"
 
 (* ------------------------------------------------------------------ *)
+(* Disabled-checkpoint gate, shared by the obs, profiler, forensics,
+   irtrace, chaos and governor checkpoints                              *)
+
+(* The loop body every gate times: cheap and allocation-free. *)
+let gate_acc = ref 0
+let gate_body i = gate_acc := (!gate_acc + (i * 31)) land 0xFFFFFF
+
+let gate_bare iters =
+  for i = 1 to iters do
+    gate_body i
+  done
+
+let gate_iters = 2_000_000
+
+(* Wall time per iteration of one [f gate_iters] run, in ns. *)
+let ns_per_iter f =
+  let t0 = Unix.gettimeofday () in
+  f gate_iters;
+  (Unix.gettimeofday () -. t0) /. float_of_int gate_iters *. 1e9
+
+(* Cost of one disabled checkpoint, in ns per iteration: [guarded] is
+   [gate_bare] with the checkpoint added to the loop.  The two arms run as
+   many short trials, interleaved, flipping which arm runs first, and the
+   reading is the difference of the per-arm minima: a switch in host speed
+   then lands on both arms instead of on the difference.  The reading is
+   signed; noise can make it negative.  Beside the clock, an exact check:
+   a guarded run must allocate no minor words, so a checkpoint that builds
+   its payload before the guard fails whatever the timing says. *)
+let checkpoint_gate ~name ~budget_ns guarded =
+  let w0 = Gc.minor_words () in
+  guarded gate_iters;
+  let words = Gc.minor_words () -. w0 in
+  if words <> 0. then
+    failwith
+      (Printf.sprintf "%s allocated %.0f minor words while disabled" name
+         words);
+  let bare = ref infinity and guard = ref infinity in
+  let trial best f = best := Float.min !best (ns_per_iter f) in
+  for k = 1 to 41 do
+    if k land 1 = 0 then begin
+      trial bare gate_bare;
+      trial guard guarded
+    end
+    else begin
+      trial guard guarded;
+      trial bare gate_bare
+    end
+  done;
+  let ns = !guard -. !bare in
+  if ns > budget_ns then
+    failwith
+      (Printf.sprintf "%s costs %.2fns while disabled (> %gns budget)" name
+         ns budget_ns);
+  ns
+
+(* ------------------------------------------------------------------ *)
 (* Observability: emit-site overhead and trace smoke test               *)
 
-(* Cost of one guarded emit site (`if !Obs.enabled then Obs.emit ...`),
-   measured against the same loop without the site.  With no sink attached
-   the site must be a single load+branch; with a ring sink it pays for a
-   timestamp and an array store. *)
-let obs_overhead ~iters =
-  let acc = ref 0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let body i = acc := (!acc + (i * 31)) land 0xFFFFFF in
-  let baseline =
-    time (fun () ->
-        for i = 1 to iters do
-          body i
-        done)
-  in
-  let emit_loop () =
-    for i = 1 to iters do
-      body i;
-      if !Obs.enabled then
-        Obs.emit (Obs.Interp_call { meth = "bench"; mid = 0; calls = i; backedges = 0 })
-    done
-  in
-  let no_sink = time emit_loop in
-  let ring = Obs.Ring.create ~capacity:4096 () in
-  let with_ring = Obs.with_sink (Obs.Ring.sink ring) (fun () -> time emit_loop) in
-  ignore !acc;
-  let per_ns t = (t -. baseline) /. float_of_int iters *. 1e9 in
-  (per_ns no_sink, per_ns with_ring, Obs.Ring.seen ring)
+(* One guarded emit site (`if !Obs.enabled then Obs.emit ...`) per
+   iteration.  With no sink attached the site must be a single
+   load+branch; with a ring sink it pays for a timestamp and an array
+   store.  The 15ns budget is an order of magnitude above a load+branch, so
+   it trips only if an emit site allocates or calls out with no sink. *)
+let obs_site iters =
+  for i = 1 to iters do
+    gate_body i;
+    if !Obs.enabled then
+      Obs.emit
+        (Obs.Interp_call { meth = "bench"; mid = 0; calls = i; backedges = 0 })
+  done
 
-(* Hard guard on the disabled fast path: the bound is an order of magnitude
-   above the real cost of a load+branch, so it only trips if an emit site
-   accidentally allocates or calls out when no sink is attached. *)
-let obs_guard ~iters =
-  let no_sink_ns, _, _ = obs_overhead ~iters in
-  if no_sink_ns > 15.0 then
-    failwith
-      (Printf.sprintf "obs: disabled emit site costs %.1fns (> 15ns budget)"
-         no_sink_ns)
+let obs_gate () =
+  checkpoint_gate ~name:"obs emit site" ~budget_ns:15.0 obs_site
 
 let obs_bench () =
   header "Observability: emit-site overhead (no sink vs ring buffer)";
-  let iters = 20_000_000 in
-  let no_sink_ns, ring_ns, seen = obs_overhead ~iters in
+  let no_sink_ns = obs_gate () in
+  let ring = Obs.Ring.create ~capacity:4096 () in
+  let ring_ns =
+    Obs.with_sink (Obs.Ring.sink ring) (fun () -> ns_per_iter obs_site)
+    -. ns_per_iter gate_bare
+  in
   pr "\n%-28s %10.2f ns/site\n" "no sink (single branch)" no_sink_ns;
-  pr "%-28s %10.2f ns/site  (%d events)\n" "ring-buffer sink" ring_ns seen;
-  obs_guard ~iters:2_000_000;
+  pr "%-28s %10.2f ns/site  (%d events)\n" "ring-buffer sink" ring_ns
+    (Obs.Ring.seen ring);
   let oc = open_out "BENCH_obs.json" in
   output_string oc
     (Printf.sprintf
        "{\n  \"iters\": %d,\n  \"no_sink_ns_per_emit\": %.3f,\n  \
         \"ring_ns_per_emit\": %.3f\n}\n"
-       iters no_sink_ns ring_ns);
+       gate_iters no_sink_ns ring_ns);
   close_out oc;
   pr "\nwrote BENCH_obs.json\n"
 
 (* ------------------------------------------------------------------ *)
 (* Sampling profiler: disabled-checkpoint overhead and run overhead     *)
 
-(* Cost of the interpreter's per-step profiler checkpoint
-   (`if !Obs.sampling && Obs.sample_due () then ...`) with sampling off,
-   measured against the same loop without the checkpoint.  This is the
-   price every bytecode step pays when nobody is profiling, so it is held
-   to the same budget as the no-sink emit site (PR-2 bound). *)
-let profile_overhead ~iters =
-  let acc = ref 0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let body i = acc := (!acc + (i * 31)) land 0xFFFFFF in
-  let baseline =
-    time (fun () ->
-        for i = 1 to iters do
-          body i
-        done)
-  in
-  let disabled =
-    time (fun () ->
-        for i = 1 to iters do
-          body i;
-          if !Obs.sampling && Obs.sample_due () then body (-i)
-        done)
-  in
-  ignore !acc;
-  (disabled -. baseline) /. float_of_int iters *. 1e9
-
-let profile_guard ~iters =
-  let ns = profile_overhead ~iters in
-  if ns > 15.0 then
-    failwith
-      (Printf.sprintf
-         "profiler: disabled checkpoint costs %.1fns (> 15ns budget)" ns)
+(* The interpreter's per-step profiler checkpoint
+   (`if !Obs.sampling && Obs.sample_due () then ...`) with sampling off.
+   Every bytecode step pays it when nobody is profiling, so it is held to
+   the same budget as the no-sink emit site. *)
+let profile_gate () =
+  checkpoint_gate ~name:"profiler checkpoint" ~budget_ns:15.0
+    (fun iters ->
+      for i = 1 to iters do
+        gate_body i;
+        if !Obs.sampling && Obs.sample_due () then gate_body (-i)
+      done)
 
 (* The tiered kmeans workload with and without the sampling profiler
    attached: end-to-end overhead of profiling a real run. *)
@@ -732,10 +741,8 @@ let profile_kmeans ~interval_ms =
 
 let profile_bench () =
   header "Sampling profiler: checkpoint overhead and run overhead";
-  let iters = 20_000_000 in
-  let ns = profile_overhead ~iters in
+  let ns = profile_gate () in
   pr "\n%-36s %10.2f ns/step\n" "disabled checkpoint (sampling off)" ns;
-  profile_guard ~iters:2_000_000;
   let interval_ms = 1.0 in
   let ms_off, ms_on, prof = profile_kmeans ~interval_ms in
   pr "%-36s %10.1f ms\n" "tiered kmeans, profiler off" ms_off;
@@ -751,7 +758,7 @@ let profile_bench () =
         \"budget_ns\": 15.0,\n  \"kmeans_ms_profiler_off\": %.3f,\n  \
         \"kmeans_ms_profiler_on\": %.3f,\n  \"interval_ms\": %.3f,\n  \
         \"samples\": %d,\n  \"coverage\": %.3f\n}\n"
-       iters ns ms_off ms_on interval_ms prof.Profiler.samples
+       gate_iters ns ms_off ms_on interval_ms prof.Profiler.samples
        (Profiler.coverage prof));
   close_out oc;
   pr "\nwrote BENCH_profile.json\n"
@@ -759,180 +766,85 @@ let profile_bench () =
 (* ------------------------------------------------------------------ *)
 (* Decision forensics: disabled-journal checkpoint overhead            *)
 
-(* Cost of one journal checkpoint (`if !Forensics.on then Forensics.record
-   ...`) with the journal disabled.  The sites sit on tiering slow paths
-   (promotion, install, deopt, queue traffic) but the budget is deliberately
-   brutal — < 1ns over the bare loop — because the disabled path must be a
-   single load+branch: the action payload is allocated under the guard,
-   never before it.  Both loops are timed several times and the minima are
-   compared, so scheduler noise cannot trip the gate. *)
-let forensics_overhead ~iters =
-  Forensics.disable ();
-  let acc = ref 0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let body i = acc := (!acc + (i * 31)) land 0xFFFFFF in
-  let baseline () =
-    for i = 1 to iters do
-      body i
-    done
-  in
-  let guarded () =
-    for i = 1 to iters do
-      body i;
-      if !Forensics.on then
-        Forensics.record ~mid:0 ~meth:"bench" (Forensics.Install { gen = i })
-    done
-  in
-  let min_of f =
-    ignore (time f);
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t = time f in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  let b = min_of baseline in
-  let g = min_of guarded in
-  ignore !acc;
-  Float.max 0. ((g -. b) /. float_of_int iters *. 1e9)
+(* One journal checkpoint (`if !Forensics.on then Forensics.record ...`)
+   per iteration.  The sites sit on tiering slow paths (promotion, install,
+   deopt, queue traffic) but the budget is deliberately brutal — < 1ns
+   over the bare loop — because the disabled path must be a single
+   load+branch: the action payload is allocated under the guard, never
+   before it. *)
+let forensics_site iters =
+  for i = 1 to iters do
+    gate_body i;
+    if !Forensics.on then
+      Forensics.record ~mid:0 ~meth:"bench" (Forensics.Install { gen = i })
+  done
 
-let forensics_guard ~iters =
-  let ns = forensics_overhead ~iters in
-  if ns > 1.0 then
-    failwith
-      (Printf.sprintf
-         "forensics: disabled journal checkpoint costs %.2fns (> 1ns budget)"
-         ns)
+let forensics_gate () =
+  Forensics.disable ();
+  checkpoint_gate ~name:"forensics journal checkpoint" ~budget_ns:1.0
+    forensics_site
 
 let forensics_bench () =
   header "Decision forensics: journal checkpoint overhead";
-  let iters = 20_000_000 in
-  let off_ns = forensics_overhead ~iters in
+  let off_ns = forensics_gate () in
   pr "\n%-36s %10.2f ns/site\n" "journal disabled (single branch)" off_ns;
   let cap = 4096 in
   Forensics.enable ~capacity:cap ();
-  let acc = ref 0 in
-  let body i = acc := (!acc + (i * 31)) land 0xFFFFFF in
-  let rec_iters = 2_000_000 in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to rec_iters do
-    body i;
-    if !Forensics.on then
-      Forensics.record ~mid:0 ~meth:"bench" (Forensics.Install { gen = i })
-  done;
-  let on_total = Unix.gettimeofday () -. t0 in
-  ignore !acc;
+  let on_ns = ns_per_iter forensics_site in
   let recorded = Forensics.seen () in
   Forensics.disable ();
-  let on_ns = on_total /. float_of_int rec_iters *. 1e9 in
   pr "%-36s %10.2f ns/site  (%d recorded, cap %d)\n"
     "journal enabled (bounded ring)" on_ns recorded cap;
-  forensics_guard ~iters:2_000_000;
   let oc = open_out "BENCH_forensics.json" in
   output_string oc
     (Printf.sprintf
        "{\n  \"iters\": %d,\n  \"disabled_checkpoint_ns_per_site\": %.3f,\n  \
         \"budget_ns\": 1.0,\n  \"enabled_record_ns_per_site\": %.3f,\n  \
         \"recorded\": %d,\n  \"capacity\": %d\n}\n"
-       iters off_ns on_ns recorded cap);
+       gate_iters off_ns on_ns recorded cap);
   close_out oc;
   pr "\nwrote BENCH_forensics.json\n"
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline introspection: disabled-checkpoint overhead                 *)
 
-(* Cost of one IR-trace checkpoint (`if !Irtrace.on then ...`) with tracing
-   disabled.  The sites sit inside the staging emit path, the DCE filter
-   and both backends' guard-lowering loops — hotter code than the journal's
-   tiering slow paths — so the same brutal budget applies: < 1ns over the
-   bare loop, a single load+branch, with the miss payload allocated only
-   under the guard. *)
-let irtrace_overhead ~iters =
-  Irtrace.disable ();
-  let acc = ref 0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let body i = acc := (!acc + (i * 31)) land 0xFFFFFF in
-  let baseline () =
-    for i = 1 to iters do
-      body i
-    done
-  in
-  let guarded () =
-    for i = 1 to iters do
-      body i;
-      if !Irtrace.on then
-        Irtrace.record_miss ~phase:"stage" ~mid:0 ~pc:i ~line:1
-          (Irtrace.Cse_effect_barrier { op = "bench" })
-    done
-  in
-  let min_of f =
-    ignore (time f);
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t = time f in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  let b = min_of baseline in
-  let g = min_of guarded in
-  ignore !acc;
-  Float.max 0. ((g -. b) /. float_of_int iters *. 1e9)
-
-(* The budget leaves ~1ns of headroom over the measured single
-   load+branch cost: a regression that hoists the miss payload out of the
-   guard costs tens of ns, so 2ns still catches it while staying clear of
-   scheduler/timer noise on loaded machines. *)
-let irtrace_guard ~iters =
-  let ns = irtrace_overhead ~iters in
-  if ns > 2.0 then
-    failwith
-      (Printf.sprintf
-         "irtrace: disabled IR-trace checkpoint costs %.2fns (> 2ns budget)"
-         ns)
-
-let irtrace_bench () =
-  header "Pipeline introspection: IR-trace checkpoint overhead";
-  let iters = 20_000_000 in
-  let off_ns = irtrace_overhead ~iters in
-  pr "\n%-36s %10.2f ns/site\n" "irtrace disabled (single branch)" off_ns;
-  (* enabled cost of the miss recorder: sites dedup by (mid, pc, reason),
-     so steady-state records are a hash probe plus a counter bump *)
-  Irtrace.enable ();
-  let acc = ref 0 in
-  let body i = acc := (!acc + (i * 31)) land 0xFFFFFF in
-  let rec_iters = 2_000_000 in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to rec_iters do
-    body i;
+(* One IR-trace checkpoint (`if !Irtrace.on then ...`) per iteration.  The
+   sites sit inside the staging emit path, the DCE filter and the backends'
+   guard-lowering analysis — hotter code than the journal's tiering slow
+   paths — so the disabled form must stay a single load+branch with the
+   miss payload allocated only under the guard.  The budget leaves ~1ns of
+   headroom over that cost: a payload hoisted out of the guard costs tens
+   of ns.  Enabled, sites dedup by (mid, pc, reason), so steady-state
+   records are a hash probe plus a counter bump. *)
+let irtrace_site iters =
+  for i = 1 to iters do
+    gate_body i;
     if !Irtrace.on then
       Irtrace.record_miss ~phase:"stage" ~mid:0 ~pc:(i land 63) ~line:1
         (Irtrace.Cse_effect_barrier { op = "bench" })
-  done;
-  let on_total = Unix.gettimeofday () -. t0 in
-  ignore !acc;
+  done
+
+let irtrace_gate () =
+  Irtrace.disable ();
+  checkpoint_gate ~name:"irtrace checkpoint" ~budget_ns:2.0 irtrace_site
+
+let irtrace_bench () =
+  header "Pipeline introspection: IR-trace checkpoint overhead";
+  let off_ns = irtrace_gate () in
+  pr "\n%-36s %10.2f ns/site\n" "irtrace disabled (single branch)" off_ns;
+  Irtrace.enable ();
+  let on_ns = ns_per_iter irtrace_site in
   let sites = List.length (Irtrace.misses ()) in
   Irtrace.disable ();
-  let on_ns = on_total /. float_of_int rec_iters *. 1e9 in
   pr "%-36s %10.2f ns/site  (%d deduped sites)\n"
     "irtrace enabled (dedup counter)" on_ns sites;
-  irtrace_guard ~iters:20_000_000;
   let oc = open_out "BENCH_irtrace.json" in
   output_string oc
     (Printf.sprintf
        "{\n  \"iters\": %d,\n  \"disabled_checkpoint_ns_per_site\": %.3f,\n  \
         \"budget_ns\": 2.0,\n  \"enabled_record_ns_per_site\": %.3f,\n  \
         \"deduped_sites\": %d\n}\n"
-       iters off_ns on_ns sites);
+       gate_iters off_ns on_ns sites);
   close_out oc;
   pr "\nwrote BENCH_irtrace.json\n"
 
@@ -1534,99 +1446,36 @@ let warmup ~small () =
 (* ------------------------------------------------------------------ *)
 (* Chaos engineering: disabled-checkpoint overhead + seeded fault soak  *)
 
-(* Cost of one disabled chaos checkpoint (`if !Chaos.on && Chaos.fire
-   ...`).  The sites sit on the compile queue, the install path and the
-   interpreter's invoke path, so the disabled form must stay a single
-   load+branch — same brutal < 1ns budget as the other always-compiled
-   checkpoints, minima of repeated runs so scheduler noise cannot trip
-   the gate. *)
-let chaos_overhead ~iters =
+(* One disabled chaos checkpoint (`if !Chaos.on && Chaos.fire ...`) per
+   iteration.  The sites sit on the compile queue, the install path and
+   the interpreter's invoke path, so the disabled form must stay a single
+   load+branch: the same < 1ns budget as the other always-compiled
+   checkpoints. *)
+let chaos_gate () =
   Chaos.disable ();
-  let acc = ref 0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let body i = acc := (!acc + (i * 31)) land 0xFFFFFF in
-  let baseline () =
-    for i = 1 to iters do
-      body i
-    done
-  in
-  let guarded () =
-    for i = 1 to iters do
-      body i;
-      if !Chaos.on && Chaos.fire Chaos.compile_crash then acc := !acc lxor 1
-    done
-  in
-  let min_of f =
-    ignore (time f);
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t = time f in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  let b = min_of baseline in
-  let g = min_of guarded in
-  ignore !acc;
-  Float.max 0. ((g -. b) /. float_of_int iters *. 1e9)
+  checkpoint_gate ~name:"chaos injection checkpoint" ~budget_ns:1.0
+    (fun iters ->
+      for i = 1 to iters do
+        gate_body i;
+        if !Chaos.on && Chaos.fire Chaos.compile_crash then
+          gate_acc := !gate_acc lxor 1
+      done)
 
-let chaos_guard ~iters =
-  let ns = chaos_overhead ~iters in
-  if ns > 1.0 then
-    failwith
-      (Printf.sprintf
-         "chaos: disabled injection checkpoint costs %.2fns (> 1ns budget)" ns)
-
-(* Cost of the governor's promotion checkpoint when no governor is
-   attached: the promotion path pays one mutable-field load plus an
-   option match.  Same budget. *)
-let governor_overhead ~iters =
+(* The governor's promotion checkpoint when no governor is attached: the
+   promotion path pays one mutable-field load plus an option match.  Same
+   budget. *)
+let governor_gate () =
   let rt = Vm.Natives.boot ~tiering:true () in
   let t = rt.tiering in
   t.t_promote_gate <- None;
-  let acc = ref 0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let body i = acc := (!acc + (i * 31)) land 0xFFFFFF in
-  let baseline () =
-    for i = 1 to iters do
-      body i
-    done
-  in
-  let guarded () =
-    for i = 1 to iters do
-      body i;
-      match t.t_promote_gate with None -> () | Some _ -> acc := !acc lxor 1
-    done
-  in
-  let min_of f =
-    ignore (time f);
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t = time f in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  let b = min_of baseline in
-  let g = min_of guarded in
-  ignore !acc;
-  Float.max 0. ((g -. b) /. float_of_int iters *. 1e9)
-
-let governor_guard ~iters =
-  let ns = governor_overhead ~iters in
-  if ns > 1.0 then
-    failwith
-      (Printf.sprintf
-         "governor: detached promotion checkpoint costs %.2fns (> 1ns budget)"
-         ns)
+  checkpoint_gate ~name:"governor promotion checkpoint"
+    ~budget_ns:1.0 (fun iters ->
+      for i = 1 to iters do
+        gate_body i;
+        match t.t_promote_gate with
+        | None -> ()
+        | Some _ -> gate_acc := !gate_acc lxor 1
+      done)
 
 (* The soak workload mixes several methods so faults land on different
    mids: a hot loop, a speculation that deopts periodically, and a cheap
@@ -1730,9 +1579,8 @@ let chaos_soak ?(quiet = false) ~seeds ~calls () =
 
 let chaos_bench () =
   header "Chaos engineering: checkpoint overhead + seeded fault soak";
-  let iters = 20_000_000 in
-  let chaos_ns = chaos_overhead ~iters in
-  let gov_ns = governor_overhead ~iters in
+  let chaos_ns = chaos_gate () in
+  let gov_ns = governor_gate () in
   pr "\n%-36s %10.2f ns/site\n" "chaos disabled (single branch)" chaos_ns;
   pr "%-36s %10.2f ns/site\n" "governor detached (option load)" gov_ns;
   pr "\nsoak: checksum vs pure interpreter under seeded faults\n";
@@ -1810,12 +1658,18 @@ let tier_check () =
   trace_smoke ();
   bgjit_check ();
   dispatch_check ();
-  obs_guard ~iters:2_000_000;
-  profile_guard ~iters:2_000_000;
-  forensics_guard ~iters:2_000_000;
-  irtrace_guard ~iters:20_000_000;
-  chaos_guard ~iters:2_000_000;
-  governor_guard ~iters:2_000_000;
+  List.iter
+    (fun (name, gate) ->
+      pr "check %-18s ok  (%+.2f ns/site, no allocation)\n" (name ^ " gate")
+        (gate ()))
+    [
+      ("obs", obs_gate);
+      ("profile", profile_gate);
+      ("forensics", forensics_gate);
+      ("irtrace", irtrace_gate);
+      ("chaos", chaos_gate);
+      ("governor", governor_gate);
+    ];
   ignore (chaos_soak ~quiet:true ~seeds:[ 42 ] ~calls:120 ());
   pr "check chaos soak        ok  (seed 42)\n";
   warmup ~small:true ();

@@ -1810,71 +1810,37 @@ let () =
                 Vm.Interp.resume rt frame))
       | _ -> None)
 
+let count_compiles = ref 0 (* graphs handed to a backend, every tier *)
 let count_deopts = ref 0
 let count_recompiles = ref 0
 
-let compile_graph rt (g : Ir.graph) ~(recompile : unit -> unit) :
-    value array -> value =
-  let base = Lms.Closure_backend.default_hooks rt in
-  let hooks =
-    {
-      base with
-      Lms.Closure_backend.on_exit =
-        (fun se vals ->
-          incr count_deopts;
-          (match se.Ir.se_kind with
-          | `Recompile ->
-            incr count_recompiles;
-            recompile ()
-          | `Interpret -> ());
-          Vm.Interp.resume rt (reconstruct_frames se vals));
-    }
-  in
-  Lms.Closure_backend.compile ~hooks g
-
-(* typed-kernel compilation with transparent fallback to the boxed backend *)
-let compile_graph_typed rt (g : Ir.graph) ~(recompile : unit -> unit) :
-    value array -> value =
-  let base = Lms.Closure_backend.default_hooks rt in
-  let hooks =
-    {
-      base with
-      Lms.Closure_backend.on_exit =
-        (fun se vals ->
-          incr count_deopts;
-          (match se.Ir.se_kind with
-          | `Recompile ->
-            incr count_recompiles;
-            recompile ()
-          | `Interpret -> ());
-          Vm.Interp.resume rt (reconstruct_frames se vals));
-    }
-  in
+(* The one backend-selection step, for explicit and tiered compiles alike:
+   runtime hooks with the caller's side-exit handler, the unboxed kernel
+   backend first, the closure backend when the graph needs something the
+   kernel backend cannot lower.  Returns the entry point, the backend that
+   ran and the fallback reason. *)
+let compile_graph rt (g : Ir.graph)
+    ~(on_exit : Ir.side_exit -> value array -> value) :
+    (value array -> value) * string * string option =
+  incr count_compiles;
+  let hooks = { (Lms.Closure_backend.default_hooks rt) with on_exit } in
   match Lms.Typed_backend.compile ~hooks g with
-  | fn ->
-    incr Lms.Typed_backend.count_typed;
-    fn
+  | fn -> (fn, "typed", None)
   | exception Lms.Typed_backend.Fallback reason ->
-    incr Lms.Typed_backend.count_fallback;
-    Lms.Typed_backend.last_fallback := reason;
-    Lms.Closure_backend.compile ~hooks g
+    (Lms.Closure_backend.compile ~hooks g, "closure", Some reason)
 
-(* graph of the most recent [compile_value], for tests and tooling *)
+(* graph of the most recent [compile_method], for tests and tooling *)
 let last_graph : Ir.graph option ref = ref None
 
-(* Wrap a tier-0 graph build (the explicit [Lancet.compile] /
-   [compile_method] entry points; the tiered path has its own accounting in
-   [Tiering]) with Compile_start/Compile_end events.  Backend choice and
-   fallback reason are recovered from the typed-backend counters. *)
-let obs_compile0 (m : meth) (build : unit -> 'a) : 'a =
+(* Compile_start/Compile_end around one graph build of [m] at [tier] (0:
+   explicit, 1: tiered).  [build] returns [compile_graph]'s result, which
+   names the backend that ran and its fallback reason. *)
+let with_compile_events ~tier (m : meth) build =
   if not !Obs.enabled then build ()
   else begin
     let meth = Vm.Runtime.meth_label m and mid = m.mid in
-    Obs.emit
-      (Obs.Compile_start { meth; mid; tier = 0; worker = Obs.worker_id () });
+    Obs.emit (Obs.Compile_start { meth; mid; tier; worker = Obs.worker_id () });
     let t0 = Obs.now () in
-    let ty0 = !Lms.Typed_backend.count_typed in
-    let fb0 = !Lms.Typed_backend.count_fallback in
     let emit_end backend fallback =
       let nodes_in, nodes_out = !last_node_counts in
       Obs.emit
@@ -1882,7 +1848,7 @@ let obs_compile0 (m : meth) (build : unit -> 'a) : 'a =
            {
              ci_meth = meth;
              ci_mid = mid;
-             ci_tier = 0;
+             ci_tier = tier;
              ci_worker = Obs.worker_id ();
              ci_backend = backend;
              ci_fallback = fallback;
@@ -1892,22 +1858,44 @@ let obs_compile0 (m : meth) (build : unit -> 'a) : 'a =
            })
     in
     match build () with
-    | v ->
-      let fell = !Lms.Typed_backend.count_fallback > fb0 in
-      let backend =
-        if !Lms.Typed_backend.count_typed > ty0 then "typed" else "closure"
-      in
-      emit_end backend
-        (if fell then Some !Lms.Typed_backend.last_fallback else None);
-      v
+    | (_, backend, fallback) as r ->
+      emit_end backend fallback;
+      r
     | exception e ->
       emit_end "failed" None;
       raise e
   end
 
+(* Compile an arbitrary method with an argument specification; returns a
+   function over the dynamic arguments.  A [`Recompile] side exit (the
+   [stable]/[fastpath] macros) restages with the current values frozen and
+   swaps the new code into the same cell, so the returned entry point stays
+   valid across any number of rebuilds. *)
+let compile_method ?(opts = default_options) rt (m : meth)
+    (spec : arg_spec array) : value array -> value =
+  let cell = ref (fun _ -> Null) in
+  let rec build () =
+    let fn, _, _ =
+      with_compile_events ~tier:0 m (fun () ->
+          let g = stage ~opts rt m spec in
+          last_graph := Some g;
+          compile_graph rt g ~on_exit:(fun se vals ->
+              incr count_deopts;
+              (match se.Ir.se_kind with
+              | `Recompile ->
+                incr count_recompiles;
+                build ()
+              | `Interpret -> ());
+              Vm.Interp.resume rt (reconstruct_frames se vals)))
+    in
+    cell := fn
+  in
+  build ();
+  fun args -> !cell args
+
 (* The user-facing [Lancet.compile]: compile a closure object with respect
-   to its captured state.  Returns a CompiledFn whose body can be swapped by
-   recompilation (the [stable]/[fastpath] path). *)
+   to its captured state.  Returns a CompiledFn over [compile_method]'s
+   entry point. *)
 let compile_value ?(opts = default_options) rt (v : value) : value =
   match v with
   | Obj o -> (
@@ -1919,29 +1907,5 @@ let compile_value ?(opts = default_options) rt (v : value) : value =
         Array.init (apply.mnargs + 1) (fun i ->
             if i = 0 then Static_value v else Dyn)
       in
-      let cell = ref (fun _ -> Null) in
-      let rec build () =
-        obs_compile0 apply (fun () ->
-            let g = stage ~opts rt apply spec in
-            last_graph := Some g;
-            cell := compile_graph rt g ~recompile:(fun () -> build ()))
-      in
-      build ();
-      Vm.Natives.make_compiled_fn rt (fun args -> !cell args))
+      Vm.Natives.make_compiled_fn rt (compile_method ~opts rt apply spec))
   | _ -> vm_error "Lancet.compile: not a closure object"
-
-(* Compile an arbitrary method with an argument specification; returns a
-   function over the dynamic arguments.  [typed] selects the unboxed kernel
-   backend (with automatic fallback). *)
-let compile_method ?(opts = default_options) ?(typed = false) rt (m : meth)
-    (spec : arg_spec array) : value array -> value =
-  let backend = if typed then compile_graph_typed else compile_graph in
-  let cell = ref (fun _ -> Null) in
-  obs_compile0 m (fun () ->
-      let g = stage ~opts rt m spec in
-      last_graph := Some g;
-      cell :=
-        backend rt g ~recompile:(fun () ->
-            let g' = stage ~opts rt m spec in
-            cell := backend rt g' ~recompile:(fun () -> ())));
-  fun args -> !cell args

@@ -1,21 +1,22 @@
 (* Tier 1 of the tiered execution engine: the [jit_hook] installed into the
    VM runtime.  When the interpreter promotes a hot bytecode method, this
    module stages it through the Lancet pipeline (all arguments dynamic),
-   compiles the optimized graph with the closure backend and returns the
-   entry point that [Runtime.tier_install] places in the code cache.
+   compiles the optimized graph through [Compiler.compile_graph] (the same
+   backend selection as explicit compiles) and returns the entry point
+   that [Runtime.tier_install] places in the code cache.
 
    Deoptimization: side exits in the compiled code reconstruct interpreter
    frames and resume interpretation (OSR-out), counting into
    [rt.tiering.t_deopts].  [`Recompile] exits (the [stable]/[fastpath]
    macros) additionally bump the method's cache generation and rebuild the
    graph with the current values frozen before resuming — the same
-   cell-swapping scheme as [Compiler.compile_value], so the cached entry
+   cell-swapping scheme as [Compiler.compile_method], so the cached entry
    point stays valid across recompiles.
 
    Observability: every graph build — initial promotion and on-exit
    recompile alike — goes through [build], which is the single place that
-   counts [t_compiles] and emits [Compile_start]/[Compile_end] (backend
-   chosen, typed-backend fallback reason, IR node counts, wall time).  Side
+   counts [t_compiles]; it emits [Compile_start]/[Compile_end] through
+   [Compiler.with_compile_events], as explicit compiles do.  Side
    exits emit [Deopt] with the bytecode pc of the innermost frame, and the
    installed entry point samples its own execution time into [Exec_sample]
    events when a sink is attached. *)
@@ -77,187 +78,142 @@ let compile_method_dyn rt (m : meth) :
       v
     end
   in
-  let rec build () : string list * int =
+  (* side exits of the installed code: deopt accounting, the governor's
+     breaker, and the [`Recompile] / failed-devirt remediation *)
+  let rec on_exit se vals =
+    let t = rt.tiering in
+    t.t_deopts <- t.t_deopts + 1;
+    let se_pc =
+      match se.Lms.Ir.se_frames with
+      | fd :: _ -> fd.Lms.Ir.fd_pc
+      | [] -> -1
+    in
+    let se_line =
+      match se.Lms.Ir.se_frames with
+      | fd :: _ -> Vm.Runtime.line_at fd.Lms.Ir.fd_meth fd.Lms.Ir.fd_pc
+      | [] -> 0
+    in
+    if !Forensics.on then
+      Forensics.record ~mid:m.mid ~meth:label
+        ~cause:
+          (Forensics.Guard { tag = se.Lms.Ir.se_tag; pc = se_pc; line = se_line })
+        (Forensics.Deopt
+           {
+             tag = se.Lms.Ir.se_tag;
+             pc = se_pc;
+             line = se_line;
+             recompile =
+               (match se.Lms.Ir.se_kind with
+               | `Recompile -> true
+               | `Interpret -> false);
+           });
+    if !Obs.enabled then
+      Obs.emit
+        (Obs.Deopt
+           {
+             meth = label;
+             mid = m.mid;
+             kind =
+               (match se.Lms.Ir.se_kind with
+               | `Interpret -> Obs.Interpret
+               | `Recompile -> Obs.Recompile);
+             tag = se.Lms.Ir.se_tag;
+             (* the innermost frame's own pc/line table: with inlining the
+                deopt site may sit in a callee *)
+             pc = se_pc;
+             line = se_line;
+           });
+    (* the governor's circuit breaker sees every deopt; when it acts (demote
+       to interpreter, blacklist) the normal remediation below is skipped —
+       re-enqueueing a recompile would defeat the backoff *)
+    let governed =
+      match t.t_on_deopt with
+      | Some f -> f m se.Lms.Ir.se_tag se_pc se_line
+      | None -> false
+    in
+    (match se.Lms.Ir.se_kind with
+    | _ when governed -> ()
+    | `Recompile -> (
+      Vm.Runtime.tier_invalidate
+        ~why:(Forensics.Recompile_exit { tag = se.Lms.Ir.se_tag })
+        rt m;
+      (* With background compilation installed, the rebuild goes through
+         the compile queue: the mutator resumes in the interpreter
+         immediately and a worker publishes the new code at the bumped
+         generation.  Synchronous mode rebuilds in place. *)
+      match rt.tiering.t_bg_recompile with
+      | Some enqueue -> enqueue m
+      | None -> (
+        (* the rebuild runs on the mutator, so the hierarchy cannot shift
+           under it: register deps and install *)
+        match build () with
+        | deps', _ -> Vm.Runtime.tier_install ~deps:deps' rt m entry
+        | exception _ -> m.mtier <- Tier_blacklisted))
+    | `Interpret ->
+      let tag = se.Lms.Ir.se_tag in
+      if String.length tag > 7 && String.equal (String.sub tag 0 7) "devirt:"
+      then begin
+        if !Obs.enabled then
+          Obs.emit
+            (Obs.Devirt_guard_fail
+               {
+                 meth = label;
+                 mid = m.mid;
+                 pc =
+                   (match se.Lms.Ir.se_frames with
+                   | fd :: _ -> fd.Lms.Ir.fd_pc
+                   | [] -> -1);
+                 target = String.sub tag 7 (String.length tag - 7);
+               });
+        incr devirt_fails;
+        (* repeated misses: speculation is now slower than generic dispatch,
+           so invalidate; the hot method re-promotes against the retrained
+           inline cache *)
+        if !devirt_fails >= 2 then
+          Vm.Runtime.tier_invalidate
+            ~why:
+              (Forensics.Devirt_miss
+                 {
+                   target = String.sub tag 7 (String.length tag - 7);
+                   fails = !devirt_fails;
+                 })
+            rt m
+      end);
+    Vm.Interp.resume rt (C.reconstruct_frames se vals)
+  and build () : string list * int =
     (* the hierarchy epoch read must precede staging: if [add_method] lands
        mid-compile the epoch comparison at install time catches it *)
     let epoch0 = Vm.Runtime.hier_epoch rt in
     let deps = ref [] in
-    let obs = !Obs.enabled in
-    if obs then
-      Obs.emit
-        (Obs.Compile_start
-           { meth = label; mid = m.mid; tier = 1; worker = Obs.worker_id () });
-    (* the journal wants compile wall time too, so the clock runs whenever
-       either consumer is on *)
-    let t0 = if obs || !Forensics.on then Obs.now () else 0.0 in
-    let emit_end backend fallback =
-      if !Obs.enabled then begin
-        let nodes_in, nodes_out = !C.last_node_counts in
-        Obs.emit
-          (Obs.Compile_end
-             {
-               ci_meth = label;
-               ci_mid = m.mid;
-               ci_tier = 1;
-               ci_worker = Obs.worker_id ();
-               ci_backend = backend;
-               ci_fallback = fallback;
-               ci_nodes_in = nodes_in;
-               ci_nodes_out = nodes_out;
-               ci_ms = (Obs.now () -. t0) *. 1000.;
-             })
-      end
+    (* the journal wants compile wall time too *)
+    let t0 = if !Forensics.on then Obs.now () else 0.0 in
+    let fn, backend, _ =
+      C.with_compile_events ~tier:1 m (fun () ->
+          let g = C.stage ~opts ~deps rt m spec in
+          (* the optimized graph's structural fingerprint feeds two
+             consumers: the decision journal (`lancet why` renders it and
+             flags recompiles that produced identical code) and the profile
+             subsystem, which records it for --profile-out and validates
+             warm compiles against the recorded one for --profile-in *)
+          if !Forensics.on || Persist.active () then begin
+            let fp = Lms.Snapshot.fingerprint g in
+            if !Forensics.on then
+              Forensics.record ~mid:m.mid ~meth:label
+                (Forensics.Ir_fingerprint
+                   { phase = Phases.name Phases.Dce; fp });
+            Persist.on_fingerprint ~mid:m.mid ~meth:label ~fp
+          end;
+          C.compile_graph rt g ~on_exit)
     in
-    match
-      let g = C.stage ~opts ~deps rt m spec in
-      (* the optimized graph's structural fingerprint feeds two consumers:
-         the decision journal (`lancet why` renders it and flags recompiles
-         that produced identical code) and the profile subsystem, which
-         records it for --profile-out and validates warm compiles against
-         the recorded one for --profile-in *)
-      if !Forensics.on || Persist.active () then begin
-        let fp = Lms.Snapshot.fingerprint g in
-        if !Forensics.on then
-          Forensics.record ~mid:m.mid ~meth:label
-            (Forensics.Ir_fingerprint { phase = Phases.name Phases.Dce; fp });
-        Persist.on_fingerprint ~mid:m.mid ~meth:label ~fp
-      end;
-      let base = Lms.Closure_backend.default_hooks rt in
-      let hooks =
-        {
-          base with
-          Lms.Closure_backend.on_exit =
-            (fun se vals ->
-              let t = rt.tiering in
-              t.t_deopts <- t.t_deopts + 1;
-              let se_pc =
-                match se.Lms.Ir.se_frames with
-                | fd :: _ -> fd.Lms.Ir.fd_pc
-                | [] -> -1
-              in
-              let se_line =
-                match se.Lms.Ir.se_frames with
-                | fd :: _ ->
-                  Vm.Runtime.line_at fd.Lms.Ir.fd_meth fd.Lms.Ir.fd_pc
-                | [] -> 0
-              in
-              if !Forensics.on then
-                Forensics.record ~mid:m.mid ~meth:label
-                  ~cause:
-                    (Forensics.Guard
-                       { tag = se.Lms.Ir.se_tag; pc = se_pc; line = se_line })
-                  (Forensics.Deopt
-                     {
-                       tag = se.Lms.Ir.se_tag;
-                       pc = se_pc;
-                       line = se_line;
-                       recompile =
-                         (match se.Lms.Ir.se_kind with
-                         | `Recompile -> true
-                         | `Interpret -> false);
-                     });
-              if !Obs.enabled then
-                Obs.emit
-                  (Obs.Deopt
-                     {
-                       meth = label;
-                       mid = m.mid;
-                       kind =
-                         (match se.Lms.Ir.se_kind with
-                         | `Interpret -> Obs.Interpret
-                         | `Recompile -> Obs.Recompile);
-                       tag = se.Lms.Ir.se_tag;
-                       (* the innermost frame's own pc/line table: with
-                          inlining the deopt site may sit in a callee *)
-                       pc = se_pc;
-                       line = se_line;
-                     });
-              (* the governor's circuit breaker sees every deopt; when it
-                 acts (demote to interpreter, blacklist) the normal
-                 remediation below is skipped — re-enqueueing a recompile
-                 would defeat the backoff *)
-              let governed =
-                match t.t_on_deopt with
-                | Some f -> f m se.Lms.Ir.se_tag se_pc se_line
-                | None -> false
-              in
-              (match se.Lms.Ir.se_kind with
-              | _ when governed -> ()
-              | `Recompile -> (
-                Vm.Runtime.tier_invalidate
-                  ~why:(Forensics.Recompile_exit { tag = se.Lms.Ir.se_tag })
-                  rt m;
-                (* With background compilation installed, the rebuild goes
-                   through the compile queue: the mutator resumes in the
-                   interpreter immediately and a worker publishes the new
-                   code at the bumped generation.  Synchronous mode rebuilds
-                   in place, as before. *)
-                match rt.tiering.t_bg_recompile with
-                | Some enqueue -> enqueue m
-                | None -> (
-                  (* the rebuild runs on the mutator, so the hierarchy
-                     cannot shift under it: register deps and install *)
-                  match build () with
-                  | deps', _ -> Vm.Runtime.tier_install ~deps:deps' rt m entry
-                  | exception _ -> m.mtier <- Tier_blacklisted))
-              | `Interpret ->
-                let tag = se.Lms.Ir.se_tag in
-                if
-                  String.length tag > 7 && String.equal (String.sub tag 0 7)
-                    "devirt:"
-                then begin
-                  if !Obs.enabled then
-                    Obs.emit
-                      (Obs.Devirt_guard_fail
-                         {
-                           meth = label;
-                           mid = m.mid;
-                           pc =
-                             (match se.Lms.Ir.se_frames with
-                             | fd :: _ -> fd.Lms.Ir.fd_pc
-                             | [] -> -1);
-                           target =
-                             String.sub tag 7 (String.length tag - 7);
-                         });
-                  incr devirt_fails;
-                  (* repeated misses: speculation is now slower than generic
-                     dispatch, so invalidate; the hot method re-promotes
-                     against the retrained inline cache *)
-                  if !devirt_fails >= 2 then
-                    Vm.Runtime.tier_invalidate
-                      ~why:
-                        (Forensics.Devirt_miss
-                           {
-                             target = String.sub tag 7 (String.length tag - 7);
-                             fails = !devirt_fails;
-                           })
-                      rt m
-                end);
-              Vm.Interp.resume rt (C.reconstruct_frames se vals));
-        }
-      in
-      (* prefer the unboxed kernel backend (hot loops are why we are here);
-         it raises [Fallback] on graphs it cannot handle *)
-      match Lms.Typed_backend.compile ~hooks g with
-      | fn -> (fn, "typed", None)
-      | exception Lms.Typed_backend.Fallback reason ->
-        (Lms.Closure_backend.compile ~hooks g, "closure", Some reason)
-    with
-    | fn, backend, fallback ->
-      cell := fn;
-      devirt_fails := 0;
-      (* the one place compiles are counted: initial promotions and on-exit
-         recompiles share this path (satellite fix for the old asymmetry) *)
-      rt.tiering.t_compiles <- rt.tiering.t_compiles + 1;
-      emit_end backend fallback;
-      if !Forensics.on then
-        Forensics.record ~mid:m.mid ~meth:label
-          (Forensics.Compile_done
-             { backend; ms = (Obs.now () -. t0) *. 1000. });
-      (!deps, epoch0)
-    | exception e ->
-      emit_end "failed" None;
-      raise e
+    cell := fn;
+    devirt_fails := 0;
+    (* the one place compiles are counted: initial promotions and on-exit
+       recompiles share this path *)
+    rt.tiering.t_compiles <- rt.tiering.t_compiles + 1;
+    if !Forensics.on then
+      Forensics.record ~mid:m.mid ~meth:label
+        (Forensics.Compile_done { backend; ms = (Obs.now () -. t0) *. 1000. });
+    (!deps, epoch0)
   in
   match build () with
   | deps, epoch0 -> Some (entry, deps, epoch0)

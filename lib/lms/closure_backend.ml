@@ -53,11 +53,8 @@ let default_hooks rt =
         Vm.Types.vm_error "unhandled side exit %s" se.se_tag);
   }
 
-let count_compiled = ref 0 (* statistics: graphs compiled *)
-
 let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   let open Vm.Types in
-  incr count_compiled;
   let hooks = match hooks with Some h -> h | None -> failwith "hooks required" in
   let rt = hooks.rt in
   let blocks = reachable_blocks g in
@@ -95,119 +92,32 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       fun r -> r.(i)
   in
   let getters args = Array.map getter args in
-  (* Branch-condition fusion: a comparison whose only consumer is its own
-     block's Br — and a ClassId feeding such a comparison — is compiled
-     into the branch closure itself instead of becoming a step.  This
-     avoids the intermediate slot write and the boxing of the bool (and of
-     the class id), which matters for devirtualization guards: the guard
-     becomes a bare compare-and-branch on top of the unguarded direct
-     call.  Restricted to same-block single-use nodes so evaluation order
-     of the pure condition only moves within its original block. *)
-  let uses = Hashtbl.create 64 in
-  let defined_in = Hashtbl.create 64 in
-  let add_use s =
-    Hashtbl.replace uses s (1 + Option.value ~default:0 (Hashtbl.find_opt uses s))
+  (* lowering of the fused branch-condition shapes: int and class-id
+     operands are compared unboxed, the bool is never materialized *)
+  let fusion = Guard_fusion.analyse ~backend:"closure" g blocks in
+  let fused = fusion.Guard_fusion.fused in
+  let int_operand : Guard_fusion.operand -> env -> int = function
+    | Sym s ->
+      let gtr = getter s in
+      fun r -> Vm.Value.to_int (gtr r)
+    | Class_id s ->
+      let a = getter s in
+      fun r -> (match a r with Obj o -> o.Vm.Types.ocls.Vm.Types.cid | _ -> -1)
   in
-  let add_target (t : target) = Array.iter add_use t.targs in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun n ->
-          Hashtbl.replace defined_in n.id b.bid;
-          Array.iter add_use n.args)
-        (body_in_order b);
-      match b.term with
-      | Ir.Ret s -> add_use s
-      | Jump t -> add_target t
-      | Br (c, t1, t2) ->
-        add_use c;
-        add_target t1;
-        add_target t2
-      | Exit se ->
-        List.iter
-          (fun fd ->
-            Array.iter add_use fd.fd_locals;
-            Array.iter add_use fd.fd_stack)
-          se.se_frames
-      | Unreachable _ -> ())
-    blocks;
-  let fused = Hashtbl.create 8 in
-  let fused_conds : (int, env -> bool) Hashtbl.t = Hashtbl.create 8 in
-  let fusable bid s =
-    Hashtbl.find_opt uses s = Some 1 && Hashtbl.find_opt defined_in s = Some bid
+  let fused_cond : Guard_fusion.cond -> env -> bool = function
+    | Int_cmp (cc, x, y) ->
+      let a = int_operand x and b = int_operand y in
+      fun r -> Vm.Value.cond_apply cc (a r) (b r)
+    | Float_cmp (cc, x, y) ->
+      let a = getter x and b = getter y in
+      fun r ->
+        Vm.Value.fcond_apply cc
+          (Vm.Value.to_float (a r))
+          (Vm.Value.to_float (b r))
+    | Null_test x ->
+      let a = getter x in
+      fun r -> (match a r with Null -> true | _ -> false)
   in
-  List.iter
-    (fun b ->
-      match b.term with
-      | Br (c, _, _) when fusable b.bid c -> (
-        let n = node g c in
-        let int_arg s =
-          let m = node g s in
-          match m.op with
-          | ClassId when fusable b.bid s ->
-            let a = getter m.args.(0) in
-            Hashtbl.replace fused s ();
-            fun r ->
-              (match a r with
-              | Obj o -> o.Vm.Types.ocls.Vm.Types.cid
-              | _ -> -1)
-          | _ ->
-            let gtr = getter s in
-            fun r -> Vm.Value.to_int (gtr r)
-        in
-        match n.op with
-        | Icmp cc ->
-          let a = int_arg n.args.(0) and b' = int_arg n.args.(1) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid (fun r ->
-              Vm.Value.cond_apply cc (a r) (b' r))
-        | Fcmp cc ->
-          let a = getter n.args.(0) and b' = getter n.args.(1) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid (fun r ->
-              Vm.Value.fcond_apply cc
-                (Vm.Value.to_float (a r))
-                (Vm.Value.to_float (b' r)))
-        | IsNull ->
-          let a = getter n.args.(0) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid (fun r ->
-              match a r with Null -> true | _ -> false)
-        | _ -> ())
-      | _ -> ())
-    blocks;
-  (* Irtrace: report branch compares that could not fuse (the condition is
-     either consumed more than once or defined in another block), then
-     snapshot the post-guard-lowering shape with fused nodes eliminated. *)
-  if !Irtrace.on then begin
-    List.iter
-      (fun b ->
-        match b.term with
-        | Br (c, _, _) when not (Hashtbl.mem fused c) -> (
-          let n = node g c in
-          let record (n : Ir.node) why =
-            match n.prov with
-            | Some p ->
-              Irtrace.record_miss
-                ~phase:(Phases.name (Phases.Guards "closure"))
-                ~mid:p.pv_mid ~pc:p.pv_pc ~line:p.pv_line
-                (Irtrace.Guard_fusion_declined { cond = Ir.op_tag n.op; why })
-            | None -> ()
-          in
-          match n.op with
-          | Icmp _ | Fcmp _ | IsNull ->
-            record n
-              (if Hashtbl.find_opt defined_in c <> Some b.bid then "cross-block"
-               else "multi-use")
-          | _ -> (
-            match Snapshot.materialized_cond g b.bid c with
-            | Some cmp -> record cmp "materialized-bool"
-            | None -> ()))
-        | _ -> ())
-      blocks;
-    Snapshot.take g (Phases.Guards "closure") ~exclude:(Hashtbl.mem fused)
-      ~meta:[ ("fused", string_of_int (Hashtbl.length fused)) ]
-  end;
   (* one closure per node *)
   let compile_node n : (env -> unit) option =
     if Hashtbl.mem fused n.id then None
@@ -436,8 +346,8 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     | Jump t -> arm t
     | Br (c, t1, t2) ->
       let cond =
-        match Hashtbl.find_opt fused_conds b.bid with
-        | Some f -> f
+        match Hashtbl.find_opt fusion.conds b.bid with
+        | Some fc -> fused_cond fc
         | None ->
           let cv = getter c in
           fun r -> Vm.Value.truthy (cv r)

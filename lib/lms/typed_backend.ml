@@ -21,17 +21,13 @@ type regs = {
   vals : Vm.Types.value array;
 }
 
+(* raised during compilation when a node cannot be handled; callers fall
+   back to the boxed backend *)
 exception Fallback of string
 
 (* raised by a spliced guard step on the miss path, after running the side
    exit and storing its result; the kernel entry catches it *)
 exception Guard_miss
-
-let count_typed = ref 0
-let count_fallback = ref 0
-let last_fallback = ref ""
-(* raised during compilation when a node cannot be handled; callers fall
-   back to the boxed backend *)
 
 let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   let open Vm.Types in
@@ -140,136 +136,38 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       | _ -> None)
     | Bytecode _ -> None
   in
-  (* Branch-condition fusion, as in the boxed backend: a comparison whose
-     only consumer is its own block's Br — and a ClassId feeding such a
-     comparison — compiles into the branch closure instead of becoming a
-     step, so a devirtualization guard is a bare compare-and-branch.
-     Same-block single-use only, which keeps the pure condition's
-     evaluation inside its original block. *)
-  let uses = Hashtbl.create 64 in
-  let defined_in = Hashtbl.create 64 in
-  let add_use s =
-    Hashtbl.replace uses s (1 + Option.value ~default:0 (Hashtbl.find_opt uses s))
+  (* lowering of the fused branch-condition shapes into the int/float
+     lanes; classid(x) == const, the devirtualization guard, keeps its
+     receiver getter and constant apart so the guard-splicing pass below
+     can build a single-closure guard for it *)
+  let fusion = Guard_fusion.analyse ~backend:"typed" g blocks in
+  let fused = fusion.Guard_fusion.fused in
+  let cid_eq : Guard_fusion.cond -> ((regs -> value) * int) option = function
+    | Int_cmp (Vm.Types.Eq, Class_id x, Sym k) -> (
+      match (node g k).op with Konst (Int k) -> Some (get_val x, k) | _ -> None)
+    | _ -> None
   in
-  let add_target (t : target) = Array.iter add_use t.targs in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun n ->
-          Hashtbl.replace defined_in n.id b.bid;
-          Array.iter add_use n.args)
-        (body_in_order b);
-      match b.term with
-      | Ir.Ret s -> add_use s
-      | Jump t -> add_target t
-      | Br (c, t1, t2) ->
-        add_use c;
-        add_target t1;
-        add_target t2
-      | Exit se ->
-        List.iter
-          (fun fd ->
-            Array.iter add_use fd.fd_locals;
-            Array.iter add_use fd.fd_stack)
-          se.se_frames
-      | Unreachable _ -> ())
-    blocks;
-  let fused = Hashtbl.create 8 in
-  (* a fused condition keeps its shape so the guard-splicing pass below can
-     build a single-closure guard for the devirtualization pattern *)
-  let fused_conds
-      : (int, [ `Gen of regs -> bool | `Cid_eq of (regs -> value) * int ])
-        Hashtbl.t =
-    Hashtbl.create 8
+  let int_operand : Guard_fusion.operand -> regs -> int = function
+    | Sym s -> get_int s
+    | Class_id s ->
+      let a = get_val s in
+      fun r -> (match a r with Obj o -> o.Vm.Types.ocls.Vm.Types.cid | _ -> -1)
   in
-  let fusable bid s =
-    Hashtbl.find_opt uses s = Some 1 && Hashtbl.find_opt defined_in s = Some bid
+  let fused_cond (fc : Guard_fusion.cond) : regs -> bool =
+    match (cid_eq fc, fc) with
+    | Some (a, k), _ ->
+      fun r ->
+        (match a r with Obj o -> o.Vm.Types.ocls.Vm.Types.cid | _ -> -1) = k
+    | None, Int_cmp (cc, x, y) ->
+      let a = int_operand x and b = int_operand y in
+      fun r -> Vm.Value.cond_apply cc (a r) (b r)
+    | None, Float_cmp (cc, x, y) ->
+      let a = get_float x and b = get_float y in
+      fun r -> Vm.Value.fcond_apply cc (a r) (b r)
+    | None, Null_test x ->
+      let a = get_val x in
+      fun r -> (match a r with Null -> true | _ -> false)
   in
-  List.iter
-    (fun b ->
-      match b.term with
-      | Br (c, _, _) when fusable b.bid c -> (
-        let n = node g c in
-        let int_arg s =
-          let m = node g s in
-          match m.op with
-          | ClassId when fusable b.bid s ->
-            let a = get_val m.args.(0) in
-            Hashtbl.replace fused s ();
-            fun r ->
-              (match a r with
-              | Obj o -> o.Vm.Types.ocls.Vm.Types.cid
-              | _ -> -1)
-          | _ -> get_int s
-        in
-        match n.op with
-        | Icmp Vm.Types.Eq
-          when (match (node g n.args.(0)).op with
-               | ClassId -> fusable b.bid n.args.(0)
-               | _ -> false)
-               && (match (node g n.args.(1)).op with
-                  | Konst (Int _) -> true
-                  | _ -> false) ->
-          (* the devirtualization guard shape, classid(x) == const: one
-             closure, no nested calls *)
-          let m = node g n.args.(0) in
-          let a = get_val m.args.(0) in
-          let k =
-            match (node g n.args.(1)).op with
-            | Konst (Int k) -> k
-            | _ -> assert false
-          in
-          Hashtbl.replace fused m.id ();
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid (`Cid_eq (a, k))
-        | Icmp cc ->
-          let a = int_arg n.args.(0) and b' = int_arg n.args.(1) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid
-            (`Gen (fun r -> Vm.Value.cond_apply cc (a r) (b' r)))
-        | Fcmp cc ->
-          let a = get_float n.args.(0) and b' = get_float n.args.(1) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid
-            (`Gen (fun r -> Vm.Value.fcond_apply cc (a r) (b' r)))
-        | IsNull ->
-          let a = get_val n.args.(0) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid
-            (`Gen (fun r -> match a r with Null -> true | _ -> false))
-        | _ -> ())
-      | _ -> ())
-    blocks;
-  (* Irtrace: report branch compares that could not fuse, and snapshot the
-     post-guard-lowering shape with fused nodes eliminated. *)
-  if !Irtrace.on then begin
-    List.iter
-      (fun b ->
-        match b.term with
-        | Br (c, _, _) when not (Hashtbl.mem fused c) -> (
-          let n = node g c in
-          let record (n : Ir.node) why =
-            match n.prov with
-            | Some p ->
-              Irtrace.record_miss ~phase:(Phases.name (Phases.Guards "typed"))
-                ~mid:p.pv_mid ~pc:p.pv_pc ~line:p.pv_line
-                (Irtrace.Guard_fusion_declined { cond = Ir.op_tag n.op; why })
-            | None -> ()
-          in
-          match n.op with
-          | Icmp _ | Fcmp _ | IsNull ->
-            record n
-              (if Hashtbl.find_opt defined_in c <> Some b.bid then "cross-block"
-               else "multi-use")
-          | _ -> (
-            match Snapshot.materialized_cond g b.bid c with
-            | Some cmp -> record cmp "materialized-bool"
-            | None -> ()))
-        | _ -> ())
-      blocks;
-    Snapshot.take g (Phases.Guards "typed") ~exclude:(Hashtbl.mem fused)
-      ~meta:[ ("fused", string_of_int (Hashtbl.length fused)) ]
-  end;
   let compile_node n : (regs -> unit) option =
     if Hashtbl.mem fused n.id then None
     else
@@ -529,11 +427,8 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     | _ -> None
   in
   let branch_cond (b : block) c : regs -> bool =
-    match Hashtbl.find_opt fused_conds b.bid with
-    | Some (`Gen f) -> f
-    | Some (`Cid_eq (a, k)) ->
-      fun r ->
-        (match a r with Obj o -> o.Vm.Types.ocls.Vm.Types.cid | _ -> -1) = k
+    match Hashtbl.find_opt fusion.conds b.bid with
+    | Some fc -> fused_cond fc
     | None ->
       let cv = get_int c in
       fun r -> cv r <> 0
@@ -560,8 +455,11 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       (* the devirtualization shape gets a single-closure guard: receiver
          slot -> class-id compare, no nested calls on the hit path *)
       let guard =
-        match (Hashtbl.find_opt fused_conds b.bid, Array.length t1.targs) with
-        | Some (`Cid_eq (a, k)), 0 ->
+        match
+          ( Option.bind (Hashtbl.find_opt fusion.conds b.bid) cid_eq,
+            Array.length t1.targs )
+        with
+        | Some (a, k), 0 ->
           fun r ->
             (match a r with
             | Obj o when o.Vm.Types.ocls.Vm.Types.cid = k -> ()
@@ -675,10 +573,3 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
 let compile ?hooks (g : graph) =
   Obs.span ~cat:Phases.cat_jit (Phases.span_backend "typed") (fun () ->
       compile ?hooks g)
-
-(* Compile with typed lanes; transparently fall back to the boxed backend if
-   the graph uses features the typed backend does not support. *)
-let compile_or_fallback ?hooks (g : graph) =
-  match compile ?hooks g with
-  | fn -> fn
-  | exception Fallback _ -> Closure_backend.compile ?hooks g

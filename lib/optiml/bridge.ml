@@ -36,7 +36,7 @@ let compiled_apply rt (clo : value) : value array -> value =
           let spec =
             Array.init (apply.mnargs + 1) (fun _ -> Lancet.Compiler.Dyn)
           in
-          Lancet.Compiler.compile_method ~typed:true rt apply spec
+          Lancet.Compiler.compile_method rt apply spec
         | Native _ -> fun args -> Vm.Interp.call rt apply args
       in
       Hashtbl.replace closure_cache cls.cid fn;

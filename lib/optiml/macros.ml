@@ -38,7 +38,7 @@ let total_score_macro ctx (args : C.rep array) : C.macro_result =
     | _ -> Lancet.Errors.compile_error "total_score: receiver not static"
   in
   let score_compiled =
-    C.compile_method ~typed:true rt score_m [| C.Static_value recv_v; C.Dyn |]
+    C.compile_method rt score_m [| C.Static_value recv_v; C.Dyn |]
   in
   let score_fn = Vm.Natives.make_compiled_fn rt score_compiled in
   delite_node ctx "total_score" [| names; C.lift_const ctx score_fn |]

@@ -160,14 +160,14 @@ let test_calc_jit () =
   let reference x y =
     Vm.Value.to_int (Mini.Front.call p "calc" [| Int x; Int y |])
   in
-  let c0 = !Lms.Closure_backend.count_compiled in
+  let c0 = !Lancet.Compiler.count_compiles in
   check_int "calcJIT(3, 5)" (reference 3 5) (call 3 5);
-  let c1 = !Lms.Closure_backend.count_compiled in
+  let c1 = !Lancet.Compiler.count_compiles in
   check_bool "first call compiled" true (c1 > c0);
   check_int "calcJIT(3, 9) cache hit" (reference 3 9) (call 3 9);
-  check_int "no recompilation on hit" c1 !Lms.Closure_backend.count_compiled;
+  check_int "no recompilation on hit" c1 !Lancet.Compiler.count_compiles;
   check_int "calcJIT(7, 2) new entry" (reference 7 2) (call 7 2);
-  check_bool "second x compiled" true (!Lms.Closure_backend.count_compiled > c1)
+  check_bool "second x compiled" true (!Lancet.Compiler.count_compiles > c1)
 
 let test_calc_hot () =
   let rt, p = Extras.boot_code_cache () in
@@ -178,14 +178,14 @@ let test_calc_hot () =
   let reference x y =
     Vm.Value.to_int (Mini.Front.call p "calc" [| Int x; Int y |])
   in
-  let c0 = !Lms.Closure_backend.count_compiled in
+  let c0 = !Lancet.Compiler.count_compiles in
   check_int "cold 1" (reference 5 1) (call 5 1);
   check_int "cold 2" (reference 5 2) (call 5 2);
   check_int "below threshold: no compilation" c0
-    !Lms.Closure_backend.count_compiled;
+    !Lancet.Compiler.count_compiles;
   check_int "hot 3" (reference 5 3) (call 5 3);
   check_bool "compiled at threshold" true
-    (!Lms.Closure_backend.count_compiled > c0);
+    (!Lancet.Compiler.count_compiles > c0);
   check_int "hot 4" (reference 5 4) (call 5 4)
 
 (* ---- stable search tree (Sec. 3.2) ---- *)

@@ -282,6 +282,70 @@ let test_why_fingerprint () =
             (contains report "identical to previous compile")))
 
 (* ------------------------------------------------------------------ *)
+(* Both backends fuse the same nodes                                    *)
+
+(* get_of's call site only ever sees Pt, and Pt2's override rules out CHA,
+   so feedback devirtualization plants a ClassId guard *)
+let devirt_src =
+  {|class Pt { var x: int
+  def init(x: int): unit = { this.x = x }
+  def get(): int = this.x }
+class Pt2 extends Pt { def get(): int = this.x * 2 }
+def get_of(p: Pt): int = p.get()
+def main(): int = {
+  val p = new Pt(7);
+  var s = 0;
+  for (i <- 0 until 20) { s = s + get_of(p) };
+  s
+}
+|}
+
+(* One staged graph, handed to each backend: the guards:typed and
+   guards:closure snapshots must agree on the fused count and on the
+   fingerprint of what remains. *)
+let test_guards_fuse_alike () =
+  with_irtrace (fun () ->
+      let check_alike rt p name =
+        let m = Mini.Front.find_function p name in
+        let g =
+          Lancet.Compiler.stage
+            ~opts:{ Lancet.Compiler.default_options with feedback = true }
+            rt m [| Lancet.Compiler.Dyn |]
+        in
+        let hooks = Lms.Closure_backend.default_hooks rt in
+        let (_ : Vm.Types.value array -> Vm.Types.value) =
+          Lms.Typed_backend.compile ~hooks g
+        in
+        let (_ : Vm.Types.value array -> Vm.Types.value) =
+          Lms.Closure_backend.compile ~hooks g
+        in
+        let sns =
+          List.filter
+            (fun sn -> sn.Irtrace.sn_mid = m.mid)
+            (Irtrace.snapshots ())
+        in
+        let typed = find_phase sns "guards:typed" in
+        let closure = find_phase sns "guards:closure" in
+        let fused sn = List.assoc "fused" sn.Irtrace.sn_meta in
+        check_string (name ^ ": fused count") (fused typed) (fused closure);
+        check_string (name ^ ": fingerprint") typed.Irtrace.sn_fp
+          closure.Irtrace.sn_fp;
+        (find_phase sns "stage", int_of_string (fused typed))
+      in
+      let rt = Lancet.Api.boot () in
+      let p = Mini.Front.load rt devirt_src in
+      ignore (Mini.Front.call p "main" [||]);
+      let stage, fused = check_alike rt p "get_of" in
+      check_bool "devirt guard staged" true
+        (List.mem_assoc "classid" stage.Irtrace.sn_ops);
+      check_int "classid and compare fused into the guard" 2 fused;
+      let coach =
+        In_channel.with_open_bin "../examples/coach.mini" In_channel.input_all
+      in
+      let p = Mini.Front.load ~file:"coach.mini" rt coach in
+      ignore (check_alike rt p "clamp"))
+
+(* ------------------------------------------------------------------ *)
 (* Disabled mode records nothing                                        *)
 
 let test_disabled_records_nothing () =
@@ -301,6 +365,7 @@ let suite =
       test_fingerprint_stable_across_recompile;
     Alcotest.test_case "fingerprint-bg" `Quick test_fingerprint_stable_bg;
     Alcotest.test_case "why-fingerprint" `Quick test_why_fingerprint;
+    Alcotest.test_case "guards-fuse-alike" `Quick test_guards_fuse_alike;
     Alcotest.test_case "disabled-records-nothing" `Quick
       test_disabled_records_nothing;
   ]

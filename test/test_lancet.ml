@@ -257,6 +257,49 @@ def make(): (int) -> int = fun (x: int) =>
   check_value "recompiled result" (Int 9) (call [| Int 10 |]);
   check_int "no new deopt" d !C.count_deopts
 
+(* Every [stable] change rebuilds once, however many came before: after
+   mode 1 -> 2 -> 1, steady calls run compiled code with no side exits.
+   [compile_method] and [compile_value] share the rebuild cell. *)
+let test_stable_rebuilds_repeatedly () =
+  let rt, p =
+    load
+      {|
+var mode: int = 1
+def make(): (int) -> int = fun (x: int) =>
+  if (Lancet.stable(fun () => mode == 1)) x + 1 else x - 1
+|}
+  in
+  let clo = Mini.Front.call p "make" [||] in
+  let apply =
+    match clo with
+    | Obj o -> Vm.Classfile.resolve_virtual o.ocls "apply"
+    | _ -> Alcotest.fail "not a closure"
+  in
+  let via_method = C.compile_method rt apply [| C.Static_value clo; C.Dyn |] in
+  let via_value = C.compile_value rt clo in
+  List.iter
+    (fun (name, call) ->
+      let expect mode v =
+        Vm.Runtime.set_global rt 0 (Int mode);
+        check_value (name ^ " result") (Int v) (call 10)
+      in
+      let r0 = !C.count_recompiles in
+      expect 1 11;
+      expect 2 9;
+      expect 1 11;
+      check_int (name ^ ": one rebuild per flip") (r0 + 2) !C.count_recompiles;
+      let d0 = !C.count_deopts in
+      for _ = 1 to 5 do
+        expect 1 11
+      done;
+      check_int (name ^ ": steady calls stay compiled") d0 !C.count_deopts;
+      check_int (name ^ ": no further rebuilds") (r0 + 2) !C.count_recompiles)
+    [
+      ("compile_method", fun x -> via_method [| Int x |]);
+      ( "compile_value",
+        fun x -> Vm.Interp.call_closure rt via_value [| Int x |] );
+    ]
+
 let test_inline_never_directive () =
   let h =
     load
@@ -383,6 +426,8 @@ let suite =
     Alcotest.test_case "speculate-deopt" `Quick test_speculate;
     Alcotest.test_case "slowpath" `Quick test_slowpath_diverges_branch;
     Alcotest.test_case "stable-recompile" `Quick test_stable_recompiles;
+    Alcotest.test_case "stable-rebuilds-repeatedly" `Quick
+      test_stable_rebuilds_repeatedly;
     Alcotest.test_case "inline-never" `Quick test_inline_never_directive;
     Alcotest.test_case "at-scope" `Quick test_at_scope;
     Alcotest.test_case "check-no-alloc-pass" `Quick test_check_no_alloc_pass;
@@ -582,7 +627,8 @@ let test_ntimes_gated_unroll () =
   check_bool "fully unrolled" false
     (Util.contains_sub s2 "jump" || Util.contains_sub s2 "ntimes")
 
-(* typed backend == boxed backend on random programs *)
+(* typed backend == boxed backend == interpreter on random programs: both
+   backends compile the same staged graph *)
 let prop_typed_equals_boxed =
   QCheck.Test.make ~name:"typed backend == boxed backend" ~count:80
     (QCheck.make ~print:(fun s -> s) gen_mini_stmts)
@@ -594,12 +640,15 @@ let prop_typed_equals_boxed =
       let rt = Lancet.Api.boot () in
       let p = Mini.Front.load rt src in
       let m = Mini.Front.find_function p "f" in
-      let spec = [| C.Dyn; C.Dyn |] in
-      let boxed = C.compile_method ~typed:false rt m spec in
-      let typed = C.compile_method ~typed:true rt m spec in
+      let g = C.stage rt m [| C.Dyn; C.Dyn |] in
+      let hooks = Lms.Closure_backend.default_hooks rt in
+      let boxed = Lms.Closure_backend.compile ~hooks g in
+      let typed = Lms.Typed_backend.compile ~hooks g in
       List.for_all
         (fun (a, b) ->
-          Vm.Value.equal (boxed [| Int a; Int b |]) (typed [| Int a; Int b |]))
+          let args = [| Int a; Int b |] in
+          let interp = Vm.Interp.call rt m args in
+          Vm.Value.equal interp (boxed args) && Vm.Value.equal interp (typed args))
         [ (0, 0); (3, -7); (11, 5) ])
 
 let suite =

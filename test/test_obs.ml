@@ -317,6 +317,40 @@ let test_disasm_mark () =
   check_bool "marker present" true (Vm.Strutil.contains marked "=>");
   check_bool "marker at pc 2" true (Vm.Strutil.contains marked "=>    2:")
 
+(* An explicit compile's Compile_end names the backend that compiled its
+   own graph.  OptiML name score with accelerator macros: the macro for
+   ArrayOps.total_score compiles ArrayOps.score (typed) while the outer
+   thunk is still staging, and the thunk's graph holds a Delite extension
+   op, so it falls back to the closure backend. *)
+let test_tier0_backend_label () =
+  let sizes = { Optiml.Harness.default_sizes with Optiml.Harness.ns_n = 50 } in
+  let evs =
+    record (fun () ->
+        ignore
+          (Optiml.Harness.run Optiml.Harness.Namescore
+             (Optiml.Harness.Lancet_delite Delite.Exec.Seq) sizes))
+  in
+  let ends =
+    List.filter_map
+      (function Obs.Compile_end c when c.Obs.ci_tier = 0 -> Some c | _ -> None)
+      evs
+  in
+  let find what p =
+    match List.find_opt (fun c -> p c.Obs.ci_meth) ends with
+    | Some c -> c
+    | None -> Alcotest.failf "no tier-0 compile-end for %s" what
+  in
+  let score = find "ArrayOps.score" (String.equal "ArrayOps.score") in
+  check_string "nested compile backend" "typed" score.Obs.ci_backend;
+  let outer =
+    find "the thunk" (fun l ->
+        String.starts_with ~prefix:"Fn$" l
+        && String.ends_with ~suffix:".apply" l)
+  in
+  check_string "outer compile backend" "closure" outer.Obs.ci_backend;
+  check_bool "outer compile fallback reason" true
+    (outer.Obs.ci_fallback = Some "extension op in typed kernel")
+
 let suite =
   [
     Alcotest.test_case "ring-wraparound" `Quick test_ring_wraparound;
@@ -330,4 +364,5 @@ let suite =
     Alcotest.test_case "spans" `Quick test_spans;
     Alcotest.test_case "json-validator" `Quick test_json_validator;
     Alcotest.test_case "disasm-mark" `Quick test_disasm_mark;
+    Alcotest.test_case "tier0-backend-label" `Quick test_tier0_backend_label;
   ]
