@@ -278,19 +278,21 @@ let ablate_tree () =
   pr "interpreted recursive walk:           %8.2f ms\n" (t_interp *. 1000.);
   pr "static vs generic factor:             %8.1fx\n" (t_generic /. t_static)
 
-let ablate_backend () =
-  header "Ablation: typed (unboxed) vs boxed kernel backend";
-  let rt = Lancet.Api.boot () in
-  let p =
-    Mini.Front.load rt
-      {|
+(* the float reduction of the backend ablation and the typed-kernel
+   allocation gate *)
+let reduction_src =
+  {|
 def kernel(a: farray, n: int): float = {
   var acc = 0.0;
   for (i <- 0 until n) { acc = acc + a[i] * a[i] - 0.5 };
   acc
 }
 |}
-  in
+
+let ablate_backend () =
+  header "Ablation: typed (unboxed) vs boxed kernel backend";
+  let rt = Lancet.Api.boot () in
+  let p = Mini.Front.load rt reduction_src in
   let m = Mini.Front.find_function p "kernel" in
   let n = 200_000 in
   let a = Array.init n (fun i -> float_of_int (i land 255)) in
@@ -1634,6 +1636,50 @@ let chaos_soak_ci () =
      ^ " (journal in chaos-journal.txt)");
     exit 1
 
+(* ------------------------------------------------------------------ *)
+(* Typed kernels: no allocation per loop iteration                      *)
+
+(* A typed kernel boxes only at calls, side exits and its return, so one
+   call allocates the same minor words whatever its trip count.  The float
+   reduction of the backend ablation and k-means' [sqdist] are compiled with
+   [Lms.Typed_backend.compile] and each called once untimed first, so that
+   the register file exists before the measured calls. *)
+let typed_alloc_gate () =
+  let rt = Lancet.Api.boot () in
+  let p = Mini.Front.load rt (reduction_src ^ tiered_kmeans_src) in
+  let kernel name =
+    let m = Mini.Front.find_function p name in
+    let g =
+      Lancet.Compiler.stage rt m (Array.make m.mnargs Lancet.Compiler.Dyn)
+    in
+    Lms.Typed_backend.compile ~hooks:(Lms.Closure_backend.default_hooks rt) g
+  in
+  let words f args =
+    ignore (f args);
+    let w0 = Gc.minor_words () in
+    ignore (f args);
+    Gc.minor_words () -. w0
+  in
+  let a = Farr (Array.init 100_000 (fun i -> float_of_int (i land 255))) in
+  let same name var short long run =
+    let ws = run short and wl = run long in
+    if ws <> wl then
+      failwith
+        (Printf.sprintf
+           "typed %s allocated %.0f minor words at %s=%d and %.0f at %s=%d"
+           name ws var short wl var long);
+    Printf.sprintf "%s %.0f words at %s=%d and %d" name ws var short long
+  in
+  let reduction = kernel "kernel" and sqdist = kernel "sqdist" in
+  let r =
+    same "reduction" "n" 100 100_000 (fun n -> words reduction [| a; Int n |])
+  in
+  let s =
+    same "sqdist" "d" 10 10_000 (fun d ->
+        words sqdist [| a; a; Int 0; Int 1; Int d |])
+  in
+  pr "check %-18s ok  (%s; %s)\n" "typed alloc gate" r s
+
 (* Fast correctness gate (runs under the dune [runtest] alias): same
    workloads at small sizes, results must match the interpreter and the
    tiered counters must move; no timing assertions, so it cannot flake. *)
@@ -1658,6 +1704,7 @@ let tier_check () =
   trace_smoke ();
   bgjit_check ();
   dispatch_check ();
+  typed_alloc_gate ();
   List.iter
     (fun (name, gate) ->
       pr "check %-18s ok  (%+.2f ns/site, no allocation)\n" (name ^ " gate")

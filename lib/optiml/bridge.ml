@@ -19,14 +19,23 @@ let note (t : Delite.Exec.timing) = op_seconds := !op_seconds +. t.modeled
 (* ---- closure compilation cache ---- *)
 
 (* Closures passed to Delite ops are Lancet-compiled once per closure class
-   (receiver dynamic, so per-iteration closures reuse the same code). *)
-let closure_cache : (int, value array -> value) Hashtbl.t = Hashtbl.create 16
+   (receiver dynamic, so per-iteration closures reuse the same code).  The
+   cache is keyed by the class record itself: class ids repeat across
+   runtimes, and an entry lives no longer than its class. *)
+module Class_table = Ephemeron.K1.Make (struct
+  type t = cls
+
+  let equal = ( == )
+  let hash c = c.cid
+end)
+
+let closure_cache : (value array -> value) Class_table.t = Class_table.create 16
 
 let compiled_apply rt (clo : value) : value array -> value =
   match clo with
   | Obj o -> (
     let cls = o.ocls in
-    match Hashtbl.find_opt closure_cache cls.cid with
+    match Class_table.find_opt closure_cache cls with
     | Some fn -> fun args -> fn args
     | None ->
       let apply = Vm.Classfile.resolve_virtual cls "apply" in
@@ -39,7 +48,7 @@ let compiled_apply rt (clo : value) : value array -> value =
           Lancet.Compiler.compile_method rt apply spec
         | Native _ -> fun args -> Vm.Interp.call rt apply args
       in
-      Hashtbl.replace closure_cache cls.cid fn;
+      Class_table.replace closure_cache cls fn;
       fn)
   | _ -> vm_error "Delite bridge: not a closure"
 

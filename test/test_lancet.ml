@@ -651,6 +651,109 @@ let prop_typed_equals_boxed =
           Vm.Value.equal interp (boxed args) && Vm.Value.equal interp (typed args))
         [ (0, 0); (3, -7); (11, 5) ])
 
+(* The float variant: float arithmetic mixing float and int literals, int
+   to float conversions, float compares in [if] and [while], and loads and
+   stores on a 4-element farray. *)
+let gen_mini_float_stmts =
+  QCheck.Gen.(
+    let flit = oneofl [ "0.5"; "1.25"; "2.0"; "(-1.5)"; "3.0" ] in
+    let ilit = map string_of_int (int_range (-4) 4) in
+    let rec fexp k =
+      if k <= 0 then
+        oneof
+          [
+            flit;
+            oneofl [ "a"; "b"; "c"; "r"; "i2f(k)" ];
+            map (Printf.sprintf "xs[%d]") (int_range 0 3);
+          ]
+      else
+        frequency
+          [
+            (2, fexp 0);
+            ( 3,
+              map3
+                (Printf.sprintf "(%s %s %s)")
+                (fexp (k / 2))
+                (oneofl [ "+"; "-"; "*" ])
+                (fexp (k / 2)) );
+            ( 1,
+              map3
+                (Printf.sprintf "(%s %s %s)")
+                (fexp (k / 2))
+                (oneofl [ "+"; "*" ])
+                ilit );
+          ]
+    in
+    let cmp = oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
+    let rec gen_stm k =
+      let assign =
+        oneof
+          [
+            map2 (Printf.sprintf "%s = %s") (oneofl [ "c"; "r" ]) (fexp 2);
+            map2 (Printf.sprintf "xs[%d] = %s") (int_range 0 3) (fexp 2);
+            map2 (Printf.sprintf "k = k %s %s") (oneofl [ "+"; "-"; "*" ])
+              (oneof [ ilit; return "m" ]);
+          ]
+      in
+      if k <= 0 then assign
+      else
+        frequency
+          [
+            (3, assign);
+            (2, map2 (Printf.sprintf "%s; %s") (gen_stm (k / 2)) (gen_stm (k / 2)));
+            ( 2,
+              let* x = fexp 1 and* op = cmp and* y = fexp 1 in
+              map2
+                (Printf.sprintf "if (%s %s %s) { %s } else { %s }" x op y)
+                (gen_stm (k / 2)) (gen_stm (k / 2)) );
+            ( 1,
+              map2
+                (fun bound body ->
+                  incr fresh_loop;
+                  let v = Printf.sprintf "w%d" !fresh_loop in
+                  Printf.sprintf
+                    "var %s = 0.0; while (%s < %s) { %s; %s = %s + 1.0 }" v v
+                    bound body v v)
+                (oneofl [ "0.5"; "2.5"; "4.0" ])
+                (gen_stm (k / 3)) );
+          ]
+    in
+    sized (fun k -> gen_stm (min k 12)))
+
+let prop_typed_equals_boxed_float =
+  QCheck.Test.make ~name:"typed backend == boxed backend (floats)" ~count:80
+    (QCheck.make ~print:(fun s -> s) gen_mini_float_stmts)
+    (fun stmts ->
+      let src =
+        Printf.sprintf
+          "def f(a: float, b: float, m: int, xs: farray): float = { var c = \
+           0.0; var r = 0.0; var k = m; %s; r + i2f(k) }"
+          stmts
+      in
+      let rt = Lancet.Api.boot () in
+      let p = Mini.Front.load rt src in
+      let m = Mini.Front.find_function p "f" in
+      let g = C.stage rt m [| C.Dyn; C.Dyn; C.Dyn; C.Dyn |] in
+      let hooks = Lms.Closure_backend.default_hooks rt in
+      let boxed = Lms.Closure_backend.compile ~hooks g in
+      let typed = Lms.Typed_backend.compile ~hooks g in
+      (* the result and the array after the call, floats bit for bit *)
+      let run f (a, b, k) =
+        let xs = [| 1.0; -2.0; 0.5; 4.0 |] in
+        (f [| Float a; Float b; Int k; Farr xs |], xs)
+      in
+      let same (v, xs) (v', xs') =
+        (match (v, v') with
+        | Float x, Float y -> Float.equal x y
+        | _ -> Vm.Value.equal v v')
+        && Array.for_all2 Float.equal xs xs'
+      in
+      List.for_all
+        (fun args ->
+          let interp = run (Vm.Interp.call rt m) args in
+          same interp (run boxed args) && same interp (run typed args))
+        [ (0.5, -1.25, 3); (2.0, 0.0, -2); (-3.5, 1.5, 7) ])
+
 let suite =
   suite
   @ [
@@ -663,6 +766,7 @@ let suite =
       Alcotest.test_case "taint-branch" `Quick test_taint_branch;
       Alcotest.test_case "ntimes-gated-unroll" `Quick test_ntimes_gated_unroll;
       QCheck_alcotest.to_alcotest prop_typed_equals_boxed;
+      QCheck_alcotest.to_alcotest prop_typed_equals_boxed_float;
     ]
 
 (* deoptimization stress: random programs with speculation guards that fail

@@ -85,6 +85,15 @@ let test_loop () =
   check_int "sum 10" 45 (Vm.Value.to_int (fn [| Int 10 |]));
   check_int "sum 0" 0 (Vm.Value.to_int (fn [| Int 0 |]))
 
+(* Both execution backends on one graph: the closure backend's uniform
+   boxed registers and the typed backend's int/float/value lanes. *)
+let backends g =
+  let hooks = Closure_backend.default_hooks rt in
+  [
+    ("closure", Closure_backend.compile ~hooks g);
+    ("typed", Typed_backend.compile ~hooks g);
+  ]
+
 let test_loop_swap () =
   (* rotating loop params exercises the parallel-copy path: fib-ish *)
   let b = Builder.create ~name:"swap" ~nparams:1 () in
@@ -106,8 +115,112 @@ let test_loop_swap () =
   Builder.jump b head [| bb; s; i' |];
   Builder.switch_to b exit;
   Builder.ret b a;
-  let fn = Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
-  check_int "fib 10" 55 (Vm.Value.to_int (fn [| Int 10 |]))
+  List.iter
+    (fun (name, fn) ->
+      let fib k = Vm.Value.to_int (fn [| Vm.Types.Int k |]) in
+      check_int (name ^ ": fib 10") 55 (fib 10);
+      check_int (name ^ ": fib 0") 0 (fib 0))
+    (backends g)
+
+let test_loop_swap_float () =
+  (* a float-lane rotation (x, y, z) <- (y, z, x): the last move reads the
+     slot the first one wrote, so only a parallel copy gets it right *)
+  let b = Builder.create ~name:"frot" ~nparams:1 () in
+  let g = Builder.graph b in
+  let n = Builder.param b 0 Ir.Tint in
+  let f v = Builder.const b (Vm.Types.Float v) in
+  let head = Builder.new_block b in
+  Builder.jump b head [| f 1.0; f 2.0; f 3.0; Builder.int b 0 |];
+  let x = Ir.add_block_param g head Ir.Tfloat in
+  let y = Ir.add_block_param g head Ir.Tfloat in
+  let z = Ir.add_block_param g head Ir.Tfloat in
+  let i = Ir.add_block_param g head Ir.Tint in
+  Builder.switch_to b head;
+  let c = Builder.icmp b Vm.Types.Lt i n in
+  let body = Builder.new_block b and exit = Builder.new_block b in
+  Builder.br b c (body, [||]) (exit, [||]);
+  Builder.switch_to b body;
+  let i' = Builder.iop b Vm.Types.Add i (Builder.int b 1) in
+  Builder.jump b head [| y; z; x; i' |];
+  Builder.switch_to b exit;
+  let fop op a b' = Builder.emit b (Ir.Fop op) [| a; b' |] Ir.Tfloat in
+  let digit d v = fop Vm.Types.FMul d (f v) in
+  let xy = fop Vm.Types.FAdd (digit x 100.0) (digit y 10.0) in
+  Builder.ret b (fop Vm.Types.FAdd xy z);
+  List.iter
+    (fun (name, fn) ->
+      List.iter
+        (fun (k, want) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d rotations give %g" name k want)
+            true
+            (Vm.Value.equal (Vm.Types.Float want) (fn [| Vm.Types.Int k |])))
+        [ (0, 123.0); (4, 231.0); (5, 312.0) ])
+    (backends g)
+
+let test_jump_constants () =
+  (* a join entered by two jumps whose arguments are all constants, one
+     per lane *)
+  let b = Builder.create ~name:"kjoin" ~nparams:1 () in
+  let g = Builder.graph b in
+  let x = Builder.param b 0 Ir.Tint in
+  let c = Builder.icmp b Vm.Types.Lt x (Builder.int b 0) in
+  let neg = Builder.new_block b and pos = Builder.new_block b in
+  let join = Builder.new_block b in
+  Builder.br b c (neg, [||]) (pos, [||]);
+  Builder.switch_to b neg;
+  let consts k f tag =
+    [| Builder.int b k; Builder.const b (Float f); Builder.const b (Str tag) |]
+  in
+  Builder.jump b join (consts (-1) 0.5 "neg");
+  Builder.switch_to b pos;
+  Builder.jump b join (consts 2 2.5 "pos");
+  let k = Ir.add_block_param g join Ir.Tint in
+  let f = Ir.add_block_param g join Ir.Tfloat in
+  let tag = Ir.add_block_param g join Ir.Tstr in
+  Builder.switch_to b join;
+  let kf = Builder.emit b Ir.I2f [| k |] Ir.Tfloat in
+  let prod = Builder.emit b (Ir.Fop Vm.Types.FMul) [| kf; f |] Ir.Tfloat in
+  let arr = Builder.emit b Ir.Newarr [| Builder.int b 2 |] Ir.Tarr in
+  let _ = Builder.emit b Ir.Astore [| arr; Builder.int b 0; prod |] Ir.Tunit in
+  let _ = Builder.emit b Ir.Astore [| arr; Builder.int b 1; tag |] Ir.Tunit in
+  Builder.ret b arr;
+  List.iter
+    (fun (name, fn) ->
+      List.iter
+        (fun (x, want) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: x = %d" name x)
+            true
+            (Vm.Value.equal (Vm.Types.Arr want) (fn [| Vm.Types.Int x |])))
+        [
+          (-3, [| Vm.Types.Float (-0.5); Str "neg" |]);
+          (4, [| Vm.Types.Float 5.0; Str "pos" |]);
+        ])
+    (backends g)
+
+let test_typed_two_domains () =
+  (* one typed kernel called from two domains at once: each call must get
+     its own result back *)
+  let b = Builder.create ~name:"triple" ~nparams:1 () in
+  let x = Builder.param b 0 Ir.Tint in
+  Builder.ret b (Builder.iop b Vm.Types.Mul x (Builder.int b 3));
+  let fn =
+    Typed_backend.compile ~hooks:(Closure_backend.default_hooks rt)
+      (Builder.graph b)
+  in
+  let run base () =
+    let bad = ref 0 in
+    for i = 1 to 20_000 do
+      if Vm.Value.to_int (fn [| Vm.Types.Int (base + i) |]) <> 3 * (base + i)
+      then incr bad
+    done;
+    !bad
+  in
+  let other = Domain.spawn (run 1_000_000) in
+  let here = run 0 () in
+  check_int "wrong results, this domain" 0 here;
+  check_int "wrong results, other domain" 0 (Domain.join other)
 
 let test_heap_ops () =
   let cls =
@@ -301,6 +414,9 @@ let suite =
     Alcotest.test_case "branch-join" `Quick test_branch_join;
     Alcotest.test_case "loop" `Quick test_loop;
     Alcotest.test_case "loop-param-rotation" `Quick test_loop_swap;
+    Alcotest.test_case "loop-param-rotation-float" `Quick test_loop_swap_float;
+    Alcotest.test_case "jump-constants" `Quick test_jump_constants;
+    Alcotest.test_case "typed-two-domains" `Quick test_typed_two_domains;
     Alcotest.test_case "heap-ops" `Quick test_heap_ops;
     Alcotest.test_case "pretty" `Quick test_pretty;
     Alcotest.test_case "toy-interp" `Quick test_toy_interp;

@@ -232,6 +232,24 @@ let prop_fusion =
       let unfused = Vec.eval_unfused pipe in
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-9) fused unfused)
 
+(* Closure classes of two runtimes can share a class id; the bridge must
+   still run each runtime's own code. *)
+let test_bridge_cache_per_runtime () =
+  let closure body =
+    let rt = Lancet.Api.boot () in
+    let p =
+      Mini.Front.load rt
+        ("def mk(): (float) -> float = fun (x: float) => " ^ body)
+    in
+    (rt, Mini.Front.call p "mk" [||])
+  in
+  let rt1, c1 = closure "x + 1.0" and rt2, c2 = closure "x * 10.0" in
+  let cid = function Vm.Types.Obj o -> o.ocls.cid | _ -> -1 in
+  Alcotest.(check int) "same class id" (cid c1) (cid c2);
+  let call rt c = Vm.Value.to_float (Optiml.Bridge.call1 rt c (Float 1.0)) in
+  check_float "first runtime: x + 1.0" 2.0 (call rt1 c1);
+  check_float "second runtime: x * 10.0" 10.0 (call rt2 c2)
+
 let suite =
   [
     Alcotest.test_case "scalar-eval" `Quick test_scalar_eval_fixed;
@@ -248,6 +266,8 @@ let suite =
     Alcotest.test_case "logreg-configs" `Slow test_logreg_configs;
     Alcotest.test_case "namescore-configs" `Slow test_namescore_configs;
     Alcotest.test_case "macro-in-graph" `Quick test_macro_in_graph;
+    Alcotest.test_case "bridge-cache-per-runtime" `Quick
+      test_bridge_cache_per_runtime;
     QCheck_alcotest.to_alcotest prop_fusion;
   ]
 
