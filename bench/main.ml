@@ -1680,6 +1680,56 @@ let typed_alloc_gate () =
   in
   pr "check %-18s ok  (%s; %s)\n" "typed alloc gate" r s
 
+(* OSR gate (part of [check]): perfbench's loop-once program, one call of
+   a 40k-iteration loop under --tiered at the default threshold, must
+   return the interpreter's checksum, build exactly one OSR graph and
+   interpret at most a fifth of the bytecodes a pure-interpreter run does. *)
+let osr_loop_src =
+  {|
+class Shape {
+  var w: int
+  def init(w: int): unit = { this.w = w }
+  def area(x: int): int = this.w + x
+}
+class Circle extends Shape { def area(x: int): int = this.w * 3 + x }
+class Square extends Shape { def area(x: int): int = this.w * 5 - x }
+class Tri extends Shape { def area(x: int): int = (this.w + x) / 2 }
+def run(xs: array[int], n: int): int = {
+  val shapes = new array[Shape](3);
+  shapes[0] = new Circle(3);
+  shapes[1] = new Square(5);
+  shapes[2] = new Tri(7);
+  val len = xs.length;
+  var acc = 0;
+  for (i <- 0 until n) {
+    val x = xs[i % len];
+    xs[i % len] = (x * 31 + i) % 1000;
+    acc = (acc + shapes[x % 3].area(x)) % 1000003
+  };
+  acc
+}
+|}
+
+let osr_gate () =
+  let run rt =
+    let p = Mini.Front.load rt osr_loop_src in
+    let xs = Arr (Array.init 256 (fun i -> Int (i * 7919 mod 1000))) in
+    (Mini.Front.call p "run" [| xs; Int 40_000 |], rt)
+  in
+  let vi, plain = run (Vm.Natives.boot ()) in
+  let vt, rt = run (Lancet.Api.boot ~tiering:true ()) in
+  if not (Vm.Value.equal vi vt) then failwith "osr gate: checksum mismatch";
+  let n = rt.tiering.t_osr_compiles in
+  if n <> 1 then
+    failwith (Printf.sprintf "osr gate: %d OSR compiles, expected 1" n);
+  let share = float_of_int rt.interp_steps /. float_of_int plain.interp_steps in
+  if share > 0.2 then
+    failwith
+      (Printf.sprintf "osr gate: interpreted %d of %d steps (%.0f%% > 20%%)"
+         rt.interp_steps plain.interp_steps (100. *. share));
+  pr "check %-18s ok  (1 OSR compile, interpreted %d of %d steps, %.0f%%)\n"
+    "osr gate" rt.interp_steps plain.interp_steps (100. *. share)
+
 (* Fast correctness gate (runs under the dune [runtest] alias): same
    workloads at small sizes, results must match the interpreter and the
    tiered counters must move; no timing assertions, so it cannot flake. *)
@@ -1704,6 +1754,7 @@ let tier_check () =
   trace_smoke ();
   bgjit_check ();
   dispatch_check ();
+  osr_gate ();
   typed_alloc_gate ();
   List.iter
     (fun (name, gate) ->

@@ -27,6 +27,14 @@
       over the PR-3 line tables).  Worker domains never let an exception
       escape: failure means "keep interpreting", not "kill the VM".
 
+   OSR requests (the runtime's [t_osr] hook, replaced by [install]) travel
+   the same queue.  The worker runs the synchronous OSR hook [install]
+   replaced, which publishes the code into the requesting frame's cell;
+   the mutator keeps interpreting and enters the code at the first back
+   edge to the header after that.  Nothing is installed, so no generation
+   stamp is involved; a request the queue cannot take publishes
+   [Osr_failed] and the frame runs on in the interpreter.
+
    Observability: [Compile_enqueue]/[Compile_dequeue] events carry the queue
    depth (the Chrome sink renders a queue-depth counter track), compiles run
    with [Obs.set_worker] so Compile_start/Compile_end land on per-worker
@@ -46,16 +54,21 @@ type stats = {
                                 timed-out shutdown *)
 }
 
+type job =
+  | Promote of meth
+  | Osr of { meth : meth; pc : int; locals : value array; cell : osr_state Atomic.t }
+
 type t = {
   rt : runtime;
   compile : runtime -> meth -> ((value array -> value) * string list * int) option;
   (* entry point, devirtualization deps, hierarchy epoch at compile start *)
   capacity : int;
-  queue : meth Queue.t;
+  queue : job Queue.t;
   pending : (int, unit) Hashtbl.t; (* mids queued, not yet picked up *)
   inflight : (int, float) Hashtbl.t;
-  (* mid -> dequeue timestamp ([Obs.now] clock) for every compile a worker
-     is running now; the governor's watchdog reads the ages *)
+  (* mid -> dequeue timestamp ([Obs.now] clock) for every promotion compile
+     a worker is running now; the governor's watchdog reads the ages *)
+  mutable osr_running : int; (* OSR compiles a worker is running now *)
   lock : Mutex.t; (* guards queue/pending/inflight/stats/stop *)
   nonempty : Condition.t; (* signaled on enqueue and shutdown *)
   idle : Condition.t; (* signaled when the pool goes quiescent *)
@@ -65,6 +78,9 @@ type t = {
   alive : int Atomic.t; (* workers that have not exited their loop yet *)
   mutable domains : unit Domain.t list;
   mutable saved_hook : (runtime -> meth -> jit_result) option;
+  mutable saved_osr :
+    (meth -> int -> value array -> osr_state Atomic.t -> unit) option;
+    (* the synchronous OSR compile, run by the workers *)
 }
 
 let locked t f =
@@ -79,8 +95,13 @@ let locked t f =
 
 let stats t = t.stats
 
+(* Nothing queued, nothing compiling (caller holds the lock). *)
+let is_idle t =
+  Queue.is_empty t.queue && Hashtbl.length t.inflight = 0 && t.osr_running = 0
+
 let pending t =
-  locked t (fun () -> Queue.length t.queue + Hashtbl.length t.inflight)
+  locked t (fun () ->
+      Queue.length t.queue + Hashtbl.length t.inflight + t.osr_running)
 
 (* [(mid, age_seconds)] of every compile currently running on a worker;
    the governor's watchdog decides which are overdue. *)
@@ -101,6 +122,12 @@ let stats_string t =
 (* ------------------------------------------------------------------ *)
 (* Enqueue (mutator side)                                              *)
 
+(* Saturation, shutdown or forced saturation (caller holds the lock). *)
+let full t =
+  t.stop
+  || Queue.length t.queue >= t.capacity
+  || (!Chaos.on && Chaos.fire Chaos.queue_full)
+
 (* All tier-state writes happen inside the queue lock: a worker can only
    dequeue (and later blacklist/install/retire) a request strictly after
    the enqueue's critical section, so its terminal [mtier] write can never
@@ -115,11 +142,7 @@ let enqueue ?(why = Forensics.Unattributed) t (m : meth) =
           m.mtier <- Tier_compiling;
           (`Coalesced, 0)
         end
-        else if
-          t.stop
-          || Queue.length t.queue >= t.capacity
-          || (!Chaos.on && Chaos.fire Chaos.queue_full)
-        then begin
+        else if full t then begin
           t.stats.s_dropped <- t.stats.s_dropped + 1;
           (* saturation (or shutdown, or forced saturation): back to cold,
              so the method stays interpretable and a later promotion
@@ -130,7 +153,7 @@ let enqueue ?(why = Forensics.Unattributed) t (m : meth) =
         else begin
           t.stats.s_enqueued <- t.stats.s_enqueued + 1;
           Hashtbl.replace t.pending m.mid ();
-          Queue.add m t.queue;
+          Queue.add (Promote m) t.queue;
           (* the queued request owns the tier state until it terminates *)
           m.mtier <- Tier_compiling;
           Condition.signal t.nonempty;
@@ -158,6 +181,30 @@ let enqueue ?(why = Forensics.Unattributed) t (m : meth) =
         Forensics.Drop
   | `Coalesced -> ());
   r
+
+(* An OSR request: the frame's locals are copied, as the mutator goes on
+   writing them while the worker reads their kinds. *)
+let enqueue_osr t (m : meth) pc locals cell =
+  let dropped =
+    locked t (fun () ->
+        if full t then begin
+          t.stats.s_dropped <- t.stats.s_dropped + 1;
+          true
+        end
+        else begin
+          t.stats.s_enqueued <- t.stats.s_enqueued + 1;
+          Queue.add (Osr { meth = m; pc; locals = Array.copy locals; cell }) t.queue;
+          Condition.signal t.nonempty;
+          false
+        end)
+  in
+  if dropped then begin
+    Atomic.set cell Osr_failed;
+    if !Forensics.on then
+      Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
+        ~cause:(Forensics.Queue_full { capacity = t.capacity })
+        Forensics.Drop
+  end
 
 let jit_hook t (_rt : runtime) (m : meth) : jit_result =
   match m.mcode with
@@ -262,8 +309,18 @@ let process t wid (m : meth) =
           Hashtbl.mem t.pending m.mid || Hashtbl.mem t.inflight m.mid
         in
         if (not newer) && m.mtier = Tier_compiling then m.mtier <- Tier_cold);
-      if Queue.is_empty t.queue && Hashtbl.length t.inflight = 0 then
-        Condition.broadcast t.idle)
+      if is_idle t then Condition.broadcast t.idle)
+
+(* Run an OSR compile through the synchronous hook, which publishes into
+   the frame's cell. *)
+let process_osr t ~meth ~pc ~locals ~cell =
+  (match t.saved_osr with
+  | Some compile -> (
+    try compile meth pc locals cell with _ -> Atomic.set cell Osr_failed)
+  | None -> Atomic.set cell Osr_failed);
+  locked t (fun () ->
+      t.osr_running <- t.osr_running - 1;
+      if is_idle t then Condition.broadcast t.idle)
 
 let rec worker_loop t wid =
   let job =
@@ -274,18 +331,24 @@ let rec worker_loop t wid =
         (* on shutdown, finish whatever is queued before exiting: no
            request is ever lost or left stuck in [Tier_compiling] *)
         match Queue.take_opt t.queue with
-        | Some m ->
+        | Some (Promote m as job) ->
           Hashtbl.remove t.pending m.mid;
           (* [add], not [replace]: the same mid can be in flight on two
              workers at once (requeued while compiling), and each holds
              its own binding — [Hashtbl.length] counts both *)
           Hashtbl.add t.inflight m.mid (Obs.now ());
-          Some (m, Queue.length t.queue)
+          Some (job, Queue.length t.queue)
+        | Some (Osr _ as job) ->
+          t.osr_running <- t.osr_running + 1;
+          Some (job, Queue.length t.queue)
         | None -> None)
   in
   match job with
   | None -> () (* stop requested and queue drained *)
-  | Some (m, depth) ->
+  | Some (Osr { meth; pc; locals; cell }, _) ->
+    process_osr t ~meth ~pc ~locals ~cell;
+    worker_loop t wid
+  | Some (Promote m, depth) ->
     if !Obs.enabled then
       Obs.emit
         (Obs.Compile_dequeue
@@ -316,6 +379,7 @@ let create ?threads ?queue ?log ~compile rt =
       queue = Queue.create ();
       pending = Hashtbl.create 64;
       inflight = Hashtbl.create 8;
+      osr_running = 0;
       lock = Mutex.create ();
       nonempty = Condition.create ();
       idle = Condition.create ();
@@ -337,6 +401,7 @@ let create ?threads ?queue ?log ~compile rt =
       alive = Atomic.make 0;
       domains = [];
       saved_hook = None;
+      saved_osr = None;
     }
   in
   Atomic.set t.alive threads;
@@ -353,6 +418,8 @@ let create ?threads ?queue ?log ~compile rt =
 let install t =
   t.saved_hook <- t.rt.jit_hook;
   t.rt.jit_hook <- Some (fun rt m -> jit_hook t rt m);
+  t.saved_osr <- t.rt.tiering.t_osr;
+  if Option.is_some t.saved_osr then t.rt.tiering.t_osr <- Some (enqueue_osr t);
   t.rt.tiering.t_bg_recompile <-
     Some
       (fun m ->
@@ -360,15 +427,13 @@ let install t =
           (enqueue t m
              ~why:(Forensics.Recompile_exit { tag = "deopt-recompile" })))
 
-let quiescent t =
-  locked t (fun () ->
-      Queue.is_empty t.queue && Hashtbl.length t.inflight = 0)
+let quiescent t = locked t (fun () -> is_idle t)
 
 let drain ?timeout_ms t =
   match timeout_ms with
   | None ->
     locked t (fun () ->
-        while not (Queue.is_empty t.queue && Hashtbl.length t.inflight = 0) do
+        while not (is_idle t) do
           Condition.wait t.idle t.lock
         done)
   | Some ms ->
@@ -387,7 +452,8 @@ let restore_hooks t =
   (* restore synchronous compilation for whatever runs after the pool *)
   if t.rt.tiering.t_bg_recompile <> None then begin
     t.rt.tiering.t_bg_recompile <- None;
-    t.rt.jit_hook <- t.saved_hook
+    t.rt.jit_hook <- t.saved_hook;
+    t.rt.tiering.t_osr <- t.saved_osr
   end
 
 (* Stop the pool.  Without [timeout_ms] this is the original unconditional
@@ -420,15 +486,20 @@ let shutdown ?timeout_ms t =
          rest hostage, and the mutator must never wait on it *)
       let leftovers =
         locked t (fun () ->
-            let ms = List.of_seq (Queue.to_seq t.queue) in
+            let jobs = List.of_seq (Queue.to_seq t.queue) in
             Queue.clear t.queue;
-            List.iter
-              (fun (m : meth) ->
-                Hashtbl.remove t.pending m.mid;
+            List.filter_map
+              (fun job ->
                 t.stats.s_abandoned <- t.stats.s_abandoned + 1;
-                if m.mtier = Tier_compiling then m.mtier <- Tier_cold)
-              ms;
-            ms)
+                match job with
+                | Promote m ->
+                  Hashtbl.remove t.pending m.mid;
+                  if m.mtier = Tier_compiling then m.mtier <- Tier_cold;
+                  Some m
+                | Osr o ->
+                  Atomic.set o.cell Osr_failed;
+                  None)
+              jobs)
       in
       let n = List.length leftovers in
       if !Forensics.on && n > 0 then begin

@@ -103,7 +103,6 @@ type ctx = {
   opts : options;
   avals : (rep, Absval.t) Hashtbl.t;
   taints : (rep, unit) Hashtbl.t;
-  macros : (string, macro) Hashtbl.t;
   mutable heap : heap;
   mutable frame : sframe;
   mutable next_vid : int;
@@ -129,19 +128,12 @@ and reset_scope = {
   rs_aborts : (rep * snap) list ref; (* values delivered by shift's body *)
 }
 
-(* Per-runtime macro registries (the paper's Lancet.install). *)
-let registries : (runtime * (string, macro) Hashtbl.t) list ref = ref []
-
-let registry_of rt =
-  match List.find_opt (fun (r, _) -> r == rt) !registries with
-  | Some (_, h) -> h
-  | None ->
-    let h = Hashtbl.create 32 in
-    registries := (rt, h) :: !registries;
-    h
+(* Macros live in their runtime's table (the paper's Lancet.install), so a
+   dropped runtime takes its macros with it. *)
+type Vm.Types.macro += Macro of macro
 
 let register_macro rt ~cls ~name fn =
-  Hashtbl.replace (registry_of rt) (cls ^ "." ^ name) fn
+  Hashtbl.replace rt.macros (cls ^ "." ^ name) (Macro fn)
 
 (* ------------------------------------------------------------------ *)
 (* evalA / constants / taint                                           *)
@@ -1044,8 +1036,9 @@ and run_loop ctx ~stop ~cfg h : [ `Arrived | `Dead ] =
             if i < nloc then bs.s_locals.(i) else bs.s_stack.(i - nloc)
           in
           (let bty = (Ir.node (B.graph ctx.bld) br).Ir.ty in
+           (* hints only widen, to Tany at most, so the rounds end *)
            match Hashtbl.find_opt ty_hints i with
-           | Some t when t = bty -> ()
+           | Some t when t = bty || t = Ir.Tany -> ()
            | Some _ ->
              Hashtbl.replace ty_hints i Ir.Tany;
              if List.mem i !param_slots then ty_dirty := true
@@ -1498,8 +1491,8 @@ and do_dispatch_chain ctx name argc args entries :
 
 and do_call ctx (m : meth) args : [ `Ok | `Dead | `Done of [ `Arrived | `Dead ] ] =
   let full = m.mowner.cname ^ "." ^ m.mname in
-  match Hashtbl.find_opt ctx.macros full with
-  | Some macro -> (
+  match Hashtbl.find_opt ctx.rt.macros full with
+  | Some (Macro macro) -> (
     if !Obs.enabled then
       Obs.emit
         (Obs.Macro_expand
@@ -1509,7 +1502,7 @@ and do_call ctx (m : meth) args : [ `Ok | `Dead | `Done of [ `Arrived | `Dead ] 
       push ctx r;
       `Ok
     | Diverge -> `Dead)
-  | None -> (
+  | _ -> (
     match m.mcode with
     | Native _ -> (
       match try_fold_native ctx m args with
@@ -1593,14 +1586,16 @@ and do_call ctx (m : meth) args : [ `Ok | `Dead | `Done of [ `Arrived | `Dead ] 
 and exec_method ctx (m : meth) (args : rep array) : macro_result =
   exec_in_frame ctx ~parent:(Some ctx.frame) m args
 
-and exec_in_frame ctx ~parent (m : meth) (args : rep array) : macro_result =
+(* Run [m] from [pc] with [args] in its first local slots, to every return. *)
+and exec_in_frame ?(pc = 0) ctx ~parent (m : meth) (args : rep array) :
+    macro_result =
   let null_rep = lift_const ctx Null in
   let locals = Array.make (max m.mnlocals (Array.length args)) null_rep in
   Array.blit args 0 locals 0 (Array.length args);
   let f =
     {
       sf_meth = m;
-      sf_pc = 0;
+      sf_pc = pc;
       sf_locals = locals;
       sf_stack = Array.make (m.mmaxstack + 4) null_rep;
       sf_sp = 0;
@@ -1655,6 +1650,26 @@ and funR ctx (frep : rep) : rep array -> macro_result =
 
 type arg_spec = Dyn | Static_value of value
 
+(* An OSR entry: staging starts at the loop header [e_pc] instead of the
+   method start, and the graph takes one parameter per local of the
+   interpreter frame, typed from the value the frame held when it asked.
+   Ints go to the int lane, floats to the float lane, anything else stays
+   boxed; so loop-carried ints and floats are not boxed on every jump. *)
+type entry = { e_pc : int; e_kinds : Ir.ty array }
+
+let kind_of = function Int _ -> Ir.Tint | Float _ -> Ir.Tfloat | _ -> Ir.Tany
+
+let entry_at ~pc (locals : value array) =
+  { e_pc = pc; e_kinds = Array.map kind_of locals }
+
+(* Whether a frame's [locals] fit code staged for [e]: each int or float
+   parameter gets a value of its kind. *)
+let admits e (locals : value array) =
+  Array.length locals = Array.length e.e_kinds
+  && Array.for_all2
+       (fun k v -> k = Ir.Tany || kind_of v = k)
+       e.e_kinds locals
+
 let make_ctx ?(opts = default_options) rt nparams =
   let bld = B.create ~name:opts.name ~nparams () in
   let dummy_meth_frame m =
@@ -1676,7 +1691,6 @@ let make_ctx ?(opts = default_options) rt nparams =
       opts;
       avals = Hashtbl.create 256;
       taints = Hashtbl.create 16;
-      macros = registry_of rt;
       heap = empty_heap;
       frame = Obj.magic ();
       next_vid = 0;
@@ -1702,36 +1716,61 @@ let make_ctx ?(opts = default_options) rt nparams =
    dead-code elimination).  Read by [Tiering] to fill [Compile_end] events. *)
 let last_node_counts = ref (0, 0)
 
-(* "dsd" = dyn,static,dyn — the specialization key rendered for Irtrace. *)
-let spec_string (spec : arg_spec array) =
-  String.concat ""
-    (Array.to_list
-       (Array.map (function Dyn -> "d" | Static_value _ -> "s") spec))
+(* "dsd" = dyn,static,dyn — the specialization key rendered for Irtrace;
+   an OSR entry renders as "@pc:" and its parameter kinds, "@12:iid". *)
+let spec_string ?entry (spec : arg_spec array) =
+  match entry with
+  | Some e ->
+    Printf.sprintf "@%d:%s" e.e_pc
+      (String.concat ""
+         (Array.to_list
+            (Array.map
+               (function Ir.Tint -> "i" | Ir.Tfloat -> "f" | _ -> "d")
+               e.e_kinds)))
+  | None ->
+    String.concat ""
+      (Array.to_list
+         (Array.map (function Dyn -> "d" | Static_value _ -> "s") spec))
 
-let stage ?(opts = default_options) ?deps rt (m : meth) (spec : arg_spec array)
-    : Ir.graph =
+(* [spec] gives the arguments of a method-entry compile; with [entry] the
+   graph's parameters are the frame's locals instead and [spec] is unused. *)
+let stage ?(opts = default_options) ?deps ?entry rt (m : meth)
+    (spec : arg_spec array) : Ir.graph =
   Obs.span ~cat:Phases.cat_jit (Phases.span_stage opts.name) (fun () ->
       if !Irtrace.on then
         Irtrace.begin_compile ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-          ~spec:(spec_string spec);
+          ~spec:(spec_string ?entry spec);
       let ndyn =
-        Array.fold_left (fun n s -> match s with Dyn -> n + 1 | _ -> n) 0 spec
+        match entry with
+        | Some e -> Array.length e.e_kinds
+        | None ->
+          Array.fold_left
+            (fun n s -> match s with Dyn -> n + 1 | _ -> n)
+            0 spec
       in
       let ctx, dummy = make_ctx ~opts rt ndyn in
       ctx.frame <- dummy m;
-      let next_param = ref 0 in
       let args =
-        Array.map
-          (fun s ->
-            match s with
-            | Dyn ->
-              let p = B.param ctx.bld !next_param Ir.Tany in
-              incr next_param;
-              p
-            | Static_value v -> lift_const ctx v)
-          spec
+        match entry with
+        | Some e ->
+          if not (Bcfg.is_loop_header (Bcfg.of_method m) e.e_pc) then
+            Errors.compile_error "OSR entry @pc %d of %s is not a loop header"
+              e.e_pc m.mname;
+          Array.mapi (fun i k -> B.param ctx.bld i k) e.e_kinds
+        | None ->
+          let next_param = ref 0 in
+          Array.map
+            (fun s ->
+              match s with
+              | Dyn ->
+                let p = B.param ctx.bld !next_param Ir.Tany in
+                incr next_param;
+                p
+              | Static_value v -> lift_const ctx v)
+            spec
       in
-      (match exec_in_frame ctx ~parent:None m args with
+      let pc = Option.map (fun e -> e.e_pc) entry in
+      (match exec_in_frame ?pc ctx ~parent:None m args with
       | Val r ->
         let r = resolve_materialized ctx r in
         if not (B.in_dead_code ctx.bld) then B.terminate ctx.bld (Ir.Ret r)
@@ -1833,12 +1872,14 @@ let compile_graph rt (g : Ir.graph)
 let last_graph : Ir.graph option ref = ref None
 
 (* Compile_start/Compile_end around one graph build of [m] at [tier] (0:
-   explicit, 1: tiered).  [build] returns [compile_graph]'s result, which
-   names the backend that ran and its fallback reason. *)
-let with_compile_events ~tier (m : meth) build =
+   explicit, 1: tiered), labelled [label] (default "Cls.name").  [build]
+   returns [compile_graph]'s result, which names the backend that ran and
+   its fallback reason. *)
+let with_compile_events ~tier ?label (m : meth) build =
   if not !Obs.enabled then build ()
   else begin
-    let meth = Vm.Runtime.meth_label m and mid = m.mid in
+    let meth = Option.value label ~default:(Vm.Runtime.meth_label m)
+    and mid = m.mid in
     Obs.emit (Obs.Compile_start { meth; mid; tier; worker = Obs.worker_id () });
     let t0 = Obs.now () in
     let emit_end backend fallback =

@@ -1,8 +1,9 @@
 (* `lancet explain`: annotate a Mini source listing with what the JIT did to
    it — tier promotions, compilations (backend, node counts, time), deopt
-   sites and, when a profiler ran, per-line residency.  A collector sink
-   records events keyed by method id / (method id, pc); rendering resolves
-   ids back to source lines through the methods' line tables. *)
+   sites, OSR entries at loop headers and, when a profiler ran, per-line
+   residency.  A collector sink records events keyed by method id /
+   (method id, pc); rendering resolves ids back to source lines through the
+   methods' line tables. *)
 
 type compile_rec = {
   xc_backend : string;
@@ -22,10 +23,18 @@ type deopt_rec = {
   mutable xd_count : int;
 }
 
+type osr_rec = {
+  xo_label : string;
+  xo_line : int;
+  xo_steps : int; (* own steps at the first entry *)
+  mutable xo_count : int;
+}
+
 type t = {
   promotes : (int, promote_rec) Hashtbl.t; (* mid -> first promotion *)
   compiles : (int, compile_rec list ref) Hashtbl.t; (* mid -> in order *)
   deopts : (int * int, deopt_rec) Hashtbl.t; (* (mid, pc) -> site *)
+  osr : (int * int, osr_rec) Hashtbl.t; (* (mid, header pc) -> entries *)
 }
 
 let create () =
@@ -33,6 +42,7 @@ let create () =
     promotes = Hashtbl.create 16;
     compiles = Hashtbl.create 16;
     deopts = Hashtbl.create 16;
+    osr = Hashtbl.create 4;
   }
 
 let on_event t (ev : Obs.event) =
@@ -66,6 +76,12 @@ let on_event t (ev : Obs.event) =
       Hashtbl.replace t.deopts (mid, pc)
         { xd_label = meth; xd_tag = tag; xd_kind = kind; xd_line = line;
           xd_count = 1 })
+  | Obs.Osr_entry { mid; meth; pc; line; steps } -> (
+    match Hashtbl.find_opt t.osr (mid, pc) with
+    | Some o -> o.xo_count <- o.xo_count + 1
+    | None ->
+      Hashtbl.replace t.osr (mid, pc)
+        { xo_label = meth; xo_line = line; xo_steps = steps; xo_count = 1 })
   | _ -> ()
 
 let sink t =
@@ -191,6 +207,14 @@ let render ?(timings = true) ?(ir = false) ?profiler t rt ~src =
         (Printf.sprintf "%s: deopt x%d @pc %d (%s, %s)%s" d.xd_label d.xd_count
            pc d.xd_tag (kind_word d.xd_kind) causes))
     deopt_sites;
+  (* OSR entries, at their loop header's line *)
+  Hashtbl.fold (fun k o acc -> (k, o) :: acc) t.osr []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun ((_, pc), (o : osr_rec)) ->
+         add_at o.xo_line
+           (Printf.sprintf "%s: OSR entry x%d at loop header @pc %d (after %d \
+                            own steps)"
+              o.xo_label o.xo_count pc o.xo_steps));
   (* inline-cache sites, stable order: by (mid, pc).  State is read live
      from the runtime (the sites ARE the profile), not replayed from
      events, so this shows where each site ended up: mono:Cls, poly:{A,B}

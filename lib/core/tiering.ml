@@ -19,7 +19,14 @@
    [Compiler.with_compile_events], as explicit compiles do.  Side
    exits emit [Deopt] with the bytecode pc of the innermost frame, and the
    installed entry point samples its own execution time into [Exec_sample]
-   events when a sink is attached. *)
+   events when a sink is attached.
+
+   OSR-in: [osr], the runtime's [t_osr] hook, builds the rest of a method
+   from a loop header for one interpreter activation through the same
+   [compile_method_dyn], staged from the header ([Compiler.entry]).  The
+   code belongs to that activation: it is never installed, so nothing has
+   to invalidate it, and its side exits resume the interpreter as any tier-1
+   exit does. *)
 
 open Vm.Types
 module C = Compiler
@@ -27,15 +34,21 @@ module C = Compiler
 (* Hot methods are compiled fully dynamically: every parameter (receiver
    included) becomes a graph parameter, so one compilation serves every call
    site.  Specialization still happens inside: constants, virtual objects
-   and JIT macros in the method body all fold as usual. *)
-let compile_method_dyn rt (m : meth) :
-    ((value array -> value) * string list * int) option =
+   and JIT macros in the method body all fold as usual.  With [entry] the
+   graph starts at a loop header and takes the frame's locals (OSR).
+   Returns the entry point, the devirtualization dependencies and the
+   hierarchy epoch the compile started from, or the compile error. *)
+let compile_method_dyn ?entry rt (m : meth) :
+    ((value array -> value) * string list * int, string) result =
   let nslots = m.mnargs + if m.mstatic then 0 else 1 in
   let spec = Array.make (max nslots 0) C.Dyn in
   let label = Vm.Runtime.meth_label m in
-  let opts =
-    { C.default_options with C.name = "tier:" ^ label; C.feedback = true }
+  let name =
+    match entry with
+    | None -> "tier:" ^ label
+    | Some e -> Printf.sprintf "osr:%s@%d" label e.C.e_pc
   in
+  let opts = { C.default_options with C.name; C.feedback = true } in
   let cell = ref (fun _ -> Null) in
   (* failed speculations at this entry point: a devirt guard that keeps
      missing means the profile went stale, so drop the code and let the
@@ -43,32 +56,33 @@ let compile_method_dyn rt (m : meth) :
   let devirt_fails = ref 0 in
   (* Execution-time sampling for the installed entry point: the first call
      and every 64th call thereafter flush the accumulated wall time; the
-     remainder of a partial batch is flushed by the [Obs.add_flusher] hook
-     below (run by [Obs.flush] and the at-exit trace writer), so short runs
-     no longer under-report Exec_sample time. *)
+     remainder of a partial batch is flushed by an [Obs.add_flusher] hook
+     (run by [Obs.flush] and the at-exit trace writer), so short runs do not
+     under-report Exec_sample time.  The hook is registered on the first
+     sampled call, so a run without a sink registers none; and as it
+     outlives the runtime, it does not hold [m], whose [mtier] holds this
+     code, whose hooks hold the runtime. *)
   let exec_total = ref 0 in
   let pend_calls = ref 0 in
   let pend_ms = ref 0.0 in
-  let def_line = Vm.Runtime.meth_def_line m in
+  let flusher_added = ref false in
+  let mid = m.mid and def_line = Vm.Runtime.meth_def_line m in
   let flush_pending () =
     if !pend_calls > 0 then begin
       Obs.emit
         (Obs.Exec_sample
-           {
-             meth = label;
-             mid = m.mid;
-             calls = !pend_calls;
-             ms = !pend_ms;
-             line = def_line;
-           });
+           { meth = label; mid; calls = !pend_calls; ms = !pend_ms; line = def_line });
       pend_calls := 0;
       pend_ms := 0.0
     end
   in
-  Obs.add_flusher flush_pending;
-  let entry args =
+  let entry_point args =
     if not !Obs.enabled then !cell args
     else begin
+      if not !flusher_added then begin
+        flusher_added := true;
+        Obs.add_flusher flush_pending
+      end;
       let t0 = Obs.now () in
       let v = !cell args in
       incr exec_total;
@@ -78,8 +92,10 @@ let compile_method_dyn rt (m : meth) :
       v
     end
   in
-  (* side exits of the installed code: deopt accounting, the governor's
-     breaker, and the [`Recompile] / failed-devirt remediation *)
+  (* side exits of the compiled code: deopt accounting, the governor's
+     breaker, and the [`Recompile] / failed-devirt remediation.  OSR code
+     runs once, for one activation, so a recompile exit invalidates the
+     method's installed code but rebuilds nothing. *)
   let rec on_exit se vals =
     let t = rt.tiering in
     t.t_deopts <- t.t_deopts + 1;
@@ -142,12 +158,13 @@ let compile_method_dyn rt (m : meth) :
          immediately and a worker publishes the new code at the bumped
          generation.  Synchronous mode rebuilds in place. *)
       match rt.tiering.t_bg_recompile with
+      | _ when entry <> None -> ()
       | Some enqueue -> enqueue m
       | None -> (
         (* the rebuild runs on the mutator, so the hierarchy cannot shift
            under it: register deps and install *)
         match build () with
-        | deps', _ -> Vm.Runtime.tier_install ~deps:deps' rt m entry
+        | deps', _ -> Vm.Runtime.tier_install ~deps:deps' rt m entry_point
         | exception _ -> m.mtier <- Tier_blacklisted))
     | `Interpret ->
       let tag = se.Lms.Ir.se_tag in
@@ -188,14 +205,15 @@ let compile_method_dyn rt (m : meth) :
     (* the journal wants compile wall time too *)
     let t0 = if !Forensics.on then Obs.now () else 0.0 in
     let fn, backend, _ =
-      C.with_compile_events ~tier:1 m (fun () ->
-          let g = C.stage ~opts ~deps rt m spec in
+      C.with_compile_events ~tier:1 ~label:name m (fun () ->
+          let g = C.stage ~opts ~deps ?entry rt m spec in
           (* the optimized graph's structural fingerprint feeds two
              consumers: the decision journal (`lancet why` renders it and
              flags recompiles that produced identical code) and the profile
              subsystem, which records it for --profile-out and validates
-             warm compiles against the recorded one for --profile-in *)
-          if !Forensics.on || Persist.active () then begin
+             warm compiles against the recorded one for --profile-in.  OSR
+             graphs are not the method's code and feed neither. *)
+          if entry = None && (!Forensics.on || Persist.active ()) then begin
             let fp = Lms.Snapshot.fingerprint g in
             if !Forensics.on then
               Forensics.record ~mid:m.mid ~meth:label
@@ -210,14 +228,16 @@ let compile_method_dyn rt (m : meth) :
     (* the one place compiles are counted: initial promotions and on-exit
        recompiles share this path *)
     rt.tiering.t_compiles <- rt.tiering.t_compiles + 1;
+    if entry <> None then
+      rt.tiering.t_osr_compiles <- rt.tiering.t_osr_compiles + 1;
     if !Forensics.on then
       Forensics.record ~mid:m.mid ~meth:label
         (Forensics.Compile_done { backend; ms = (Obs.now () -. t0) *. 1000. });
     (!deps, epoch0)
   in
   match build () with
-  | deps, epoch0 -> Some (entry, deps, epoch0)
-  | exception _ -> None (* compile failure: the caller blacklists *)
+  | deps, epoch0 -> Ok (entry_point, deps, epoch0)
+  | exception e -> Error (Printexc.to_string e)
 
 (* The raw compile step, shared by the synchronous hook below and the
    background JIT workers ([Bgjit] injects it as the pool's compile
@@ -231,7 +251,42 @@ let compile rt (m : meth) :
     ((value array -> value) * string list * int) option =
   match m.mcode with
   | Native _ -> None
-  | Bytecode _ -> compile_method_dyn rt m
+  | Bytecode _ -> Result.to_option (compile_method_dyn rt m)
+
+(* The [t_osr] hook: compile [m] from the loop header at [pc] for a frame
+   holding [locals] and publish the outcome into [cell].  The code admits a
+   frame whose locals still have the kinds it was built for, and, when it
+   speculated on receiver types, only while the class hierarchy stands
+   where the compile found it.  A header whose compile failed is journaled
+   and never tried again. *)
+let osr rt (m : meth) pc locals cell =
+  let key = (m.mid, pc) in
+  let failed_before () =
+    Vm.Runtime.with_tier_lock rt (fun () ->
+        Hashtbl.mem rt.tiering.t_osr_failed key)
+  in
+  let outcome =
+    if failed_before () then Osr_failed
+    else
+      let e = C.entry_at ~pc locals in
+      match compile_method_dyn ~entry:e rt m with
+      | Ok (fn, deps, epoch0) ->
+        Osr_ready
+          {
+            osr_admits =
+              (fun ls ->
+                C.admits e ls && (deps = [] || Vm.Runtime.hier_epoch rt = epoch0));
+            osr_run = fn;
+          }
+      | Error err ->
+        Vm.Runtime.with_tier_lock rt (fun () ->
+            Hashtbl.replace rt.tiering.t_osr_failed key ());
+        if !Forensics.on then
+          Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
+            (Forensics.Osr_decline { pc; why = err });
+        Osr_failed
+  in
+  Atomic.set cell outcome
 
 let jit_hook rt (m : meth) : jit_result =
   (* speculative code built across a hierarchy change must not be
@@ -260,4 +315,6 @@ let jit_hook rt (m : meth) : jit_result =
 
 (* Install the tier-1 compiler; promotion still requires the runtime to have
    tiering enabled ([Runtime.create ~tiering:true] or [rt.tiering.t_enabled]). *)
-let install rt = rt.jit_hook <- Some jit_hook
+let install rt =
+  rt.jit_hook <- Some jit_hook;
+  rt.tiering.t_osr <- Some (osr rt)

@@ -61,6 +61,9 @@ type cause =
   | Shutdown_timeout of { ms : int }
       (* bounded shutdown expired before the queue drained *)
   | Chaos_fault of { site : string } (* injected by the chaos harness *)
+  | Loop_steps of { steps : int; pc : int; line : int }
+      (* an interpreter frame ran [steps] bytecodes of its own and was at
+         a back edge to the loop header at [pc] *)
   | Unattributed
 
 (* What the engine did.  Every variant carries only what the emit site
@@ -99,6 +102,10 @@ type action =
       (* governor moved a tiering knob (backpressure / hysteresis) *)
   | Abandon of { pending : int }
       (* bounded shutdown walked away from queued compile requests *)
+  | Osr_in (* an interpreter frame entered code compiled from a loop header *)
+  | Osr_decline of { pc : int; why : string }
+      (* no OSR entry at the header at [pc]: its compile failed, or the
+         frame no longer matched the code *)
 
 type decision = {
   d_ts : float; (* monotonic seconds, same clock as the bus *)
@@ -239,6 +246,8 @@ let action_name = function
   | Watchdog_kill _ -> "watchdog-kill"
   | Throttle _ -> "throttle"
   | Abandon _ -> "abandon"
+  | Osr_in -> "osr-in"
+  | Osr_decline _ -> "osr-decline"
 
 let at_line pc line =
   if line > 0 then Printf.sprintf "@pc %d (line %d)" pc line
@@ -280,6 +289,8 @@ let action_to_string = function
   | Throttle e -> Printf.sprintf "%s throttled %d -> %d" e.knob e.was e.now
   | Abandon e ->
     Printf.sprintf "%d queued compile(s) abandoned at shutdown" e.pending
+  | Osr_in -> "entered OSR code mid-call"
+  | Osr_decline e -> Printf.sprintf "OSR at @pc %d declined: %s" e.pc e.why
 
 let cause_to_string = function
   | Hotness c -> Printf.sprintf "hot: calls=%d backedges=%d" c.calls c.backedges
@@ -313,6 +324,9 @@ let cause_to_string = function
   | Eviction_spike c -> Printf.sprintf "%d evictions this tick" c.evictions
   | Shutdown_timeout c -> Printf.sprintf "shutdown timed out after %dms" c.ms
   | Chaos_fault c -> Printf.sprintf "chaos fault '%s'" c.site
+  | Loop_steps c ->
+    Printf.sprintf "loop: %d own steps, back edge to %s" c.steps
+      (at_line c.pc c.line)
   | Unattributed -> ""
 
 (* "+  12.431ms [w1] code installed (gen=0)  <- hot: calls=40 backedges=0" *)

@@ -284,6 +284,7 @@ type jit = {
   j_enqueues : counter;
   j_ic_transitions : counter;
   j_devirt_fails : counter;
+  j_osr_entries : counter;
   j_queue_depth : gauge;
   j_cache_occupancy : gauge;
   j_ic_hit_ratio : gauge;
@@ -314,6 +315,9 @@ let jit ?reg () =
       counter reg ~help:"inline-cache state transitions" "ic_transitions";
     j_devirt_fails =
       counter reg ~help:"devirtualization guard failures" "devirt_guard_fails";
+    j_osr_entries =
+      counter reg ~help:"interpreter frames that entered OSR code"
+        "osr_entries";
     j_queue_depth = gauge reg ~help:"background compile queue depth" "jit_queue_depth";
     j_cache_occupancy =
       gauge reg ~help:"resident compiled methods" "code_cache_occupancy";
@@ -388,6 +392,7 @@ let jit_sink j =
           set j.j_cache_occupancy (float_of_int e.occ)
         | Obs.Ic_transition _ -> inc j.j_ic_transitions
         | Obs.Devirt_guard_fail _ -> inc j.j_devirt_fails
+        | Obs.Osr_entry _ -> inc j.j_osr_entries
         | _ -> ());
     sink_flush = ignore;
   }

@@ -89,6 +89,14 @@ type event =
       pc : int;
       target : string; (* "name@ExpectedCls" the compiled guard tested *)
     }
+  | Osr_entry of {
+      meth : string;
+      mid : int;
+      pc : int; (* the loop header the code was compiled from *)
+      line : int; (* its source line; 0 = unknown *)
+      steps : int; (* bytecodes the frame itself had run *)
+    }
+      (* an interpreter frame entered code compiled from a loop header *)
 
 (* THE event-kind renderer.  Every sink that prints a kind goes through
    this one function (the per-sink match arms it replaces had drifted out
@@ -112,6 +120,7 @@ let kind_to_string = function
   | Span_end _ -> "span-end"
   | Ic_transition _ -> "ic-transition"
   | Devirt_guard_fail _ -> "devirt-guard-fail"
+  | Osr_entry _ -> "osr-entry"
 
 let deopt_kind_name = function Interpret -> "interpret" | Recompile -> "recompile"
 
@@ -174,6 +183,11 @@ let to_string ev =
       e.callee e.from_state e.to_state
   | Devirt_guard_fail e ->
     Printf.sprintf "%-16s %s @pc %d %s" (kind_to_string ev) e.meth e.pc e.target
+  | Osr_entry e ->
+    Printf.sprintf "%-16s %s @pc %d%s after %d steps" (kind_to_string ev) e.meth
+      e.pc
+      (if e.line > 0 then Printf.sprintf " line %d" e.line else "")
+      e.steps
 
 (* The compilation-lifecycle subset, for -print-compilation-style logs:
    everything a method's journey through the JIT produces, excluding the
@@ -183,7 +197,7 @@ let compilation_event = function
   | Compile_start _ | Compile_end _ | Compile_enqueue _ | Compile_dequeue _
   | Compile_blacklist _ | Deopt _ | Tier_promote _ | Cache_install _
   | Cache_evict _ | Cache_invalidate _ | Ic_transition _ | Devirt_guard_fail _
-    ->
+  | Osr_entry _ ->
     true
   | Macro_expand _ | Interp_call _ | Exec_sample _ | Stack_sample _
   | Span_begin _ | Span_end _ ->
@@ -525,6 +539,9 @@ module Chrome = struct
     | Devirt_guard_fail e ->
       record t ~ph:"i" ~name:("devirt-fail " ^ e.target) ~cat:"jit" ~ts_us
         [ ev_tag; str "meth" e.meth; int_ "pc" e.pc ]
+    | Osr_entry e ->
+      record t ~ph:"i" ~name:("osr " ^ e.meth) ~cat:"jit" ~ts_us
+        [ ev_tag; int_ "pc" e.pc; int_ "steps" e.steps ]
 
   let event_count t = t.count
 
@@ -639,7 +656,7 @@ module Profile = struct
       p.pe_exec_ms <- p.pe_exec_ms +. e.ms
     | Compile_start _ | Compile_enqueue _ | Compile_dequeue _
     | Compile_blacklist _ | Macro_expand _ | Stack_sample _ | Span_begin _
-    | Span_end _ | Ic_transition _ | Devirt_guard_fail _ ->
+    | Span_end _ | Ic_transition _ | Devirt_guard_fail _ | Osr_entry _ ->
       ()
 
   let find t mid = Hashtbl.find_opt t.tbl mid

@@ -9,9 +9,23 @@
    method's back-edge counter; when their sum crosses the runtime's hotness
    threshold, [Runtime.tiered_fn] hands the method to the Lancet pipeline
    (via [rt.jit_hook]) and subsequent calls dispatch to the compiled entry
-   point in the runtime code cache. *)
+   point in the runtime code cache.
+
+   A method called once never crosses that threshold at a call, so a long
+   loop inside it is also watched per activation (loop-level OSR-in).  Each
+   frame counts its own steps: bytecodes it ran itself, not those of its
+   callees.  At a back edge with an empty operand stack, once the frame's
+   own steps reach [t_threshold * 2^14], the frame asks [t_osr] for the rest
+   of its method compiled from the loop header it is about to re-enter.  At
+   the first back edge to that header after the code is published, the
+   frame hands its locals to the code and returns the code's result as its
+   own. *)
 
 open Types
+
+(* A frame's OSR progress: it asks once, waits at back edges to the header
+   it asked for, and enters or gives up. *)
+type osr = Osr_armed | Osr_waiting of int * osr_state Atomic.t | Osr_spent
 
 type frame = {
   fmeth : meth;
@@ -21,6 +35,11 @@ type frame = {
   ostack : value array;
   mutable sp : int; (* next free stack slot *)
   mutable parent : frame option;
+  mutable fbase : int;
+    (* own steps are [rt.interp_steps - fbase]; while the frame waits on a
+       call, [fbase] holds its own steps negated, and the return adds
+       [rt.interp_steps] back *)
+  mutable fosr : osr;
 }
 
 let code_of meth =
@@ -28,23 +47,27 @@ let code_of meth =
   | Bytecode c -> c
   | Native _ -> vm_error "no bytecode for native method %s" meth.mname
 
-let make_frame ?parent meth args =
-  let locals = Array.make (max meth.mnlocals (Array.length args)) Null in
-  Array.blit args 0 locals 0 (Array.length args);
-  {
-    fmeth = meth;
-    fcode = code_of meth;
-    pc = 0;
-    locals;
-    ostack = Array.make (max meth.mmaxstack 4) Null;
-    sp = 0;
-    parent;
-  }
-
 (* Rebuild an interpreter frame from deoptimization metadata (used by the
    side-exit / continuation machinery in Lancet). *)
 let rebuild_frame ~meth ~pc ~locals ~ostack ~sp ~parent =
-  { fmeth = meth; fcode = code_of meth; pc; locals; ostack; sp; parent }
+  {
+    fmeth = meth;
+    fcode = code_of meth;
+    pc;
+    locals;
+    ostack;
+    sp;
+    parent;
+    fbase = 0;
+    fosr = Osr_armed;
+  }
+
+let make_frame ?parent meth args =
+  let locals = Array.make (max meth.mnlocals (Array.length args)) Null in
+  Array.blit args 0 locals 0 (Array.length args);
+  rebuild_frame ~meth ~pc:0 ~locals
+    ~ostack:(Array.make (max meth.mmaxstack 4) Null)
+    ~sp:0 ~parent
 
 let push f v =
   f.ostack.(f.sp) <- v;
@@ -72,7 +95,7 @@ let pop_args f n =
 (* Frame for a bytecode call whose arguments sit on [caller]'s operand
    stack: pop them straight into the callee's local slots, avoiding the
    intermediate argument array of [pop_args]. *)
-let frame_of_call meth caller nargs =
+let frame_of_call meth caller nargs ~steps =
   let locals = Array.make (max meth.mnlocals nargs) Null in
   for i = nargs - 1 downto 0 do
     caller.sp <- caller.sp - 1;
@@ -86,9 +109,9 @@ let frame_of_call meth caller nargs =
     ostack = Array.make (max meth.mmaxstack 4) Null;
     sp = 0;
     parent = Some caller;
+    fbase = steps;
+    fosr = Osr_armed;
   }
-
-exception Return_from_root of value
 
 (* Where frame [f] currently is, as "Cls.meth @pc N (file:line)".  [pc] has
    already advanced past the faulting instruction when [step] raises. *)
@@ -108,11 +131,23 @@ let emit_stack_sample f =
   in
   Obs.emit (Obs.Stack_sample { stack = walk [] (Some f) })
 
+(* Journal an OSR decision of frame [f] at the back edge to header [h]. *)
+let osr_journal f h ~steps action =
+  if !Forensics.on then
+    Forensics.record ~mid:f.fmeth.mid ~meth:(Runtime.meth_label f.fmeth)
+      ~cause:
+        (Forensics.Loop_steps
+           { steps; pc = h; line = Runtime.line_at f.fmeth h })
+      action
+
 (* Run the frame chain rooted (via parents) at [frame] to completion and
    return the value produced by the outermost frame of the chain.  This is
    the single entry point used both for fresh calls and for resuming
    reconstructed continuations after deoptimization. *)
 let resume rt frame =
+  (* the frames of a rebuilt chain start counting here; its outer frames
+     wait on a call with 0 own steps, which their [fbase] of 0 says *)
+  frame.fbase <- rt.interp_steps;
   let current = ref (Some frame) in
   let result = ref Null in
   let return_value v =
@@ -124,6 +159,7 @@ let resume rt frame =
         result := v;
         current := None
       | Some p ->
+        p.fbase <- p.fbase + rt.interp_steps;
         push p v;
         current := Some p)
   in
@@ -132,7 +168,14 @@ let resume rt frame =
      cache; natives and compiled entry points complete within [f]. *)
   let invoke f meth nargs =
     match meth.mcode with
-    | Native (_, fn) -> push f (fn rt (pop_args f nargs))
+    | Native (_, fn) ->
+      (* natives and compiled code complete within [f] but may run
+         interpreted code of their own, whose steps are not [f]'s *)
+      let args = pop_args f nargs in
+      f.fbase <- f.fbase - rt.interp_steps;
+      let v = fn rt args in
+      f.fbase <- f.fbase + rt.interp_steps;
+      push f v
     | Bytecode _ -> (
       meth.mcalls <- meth.mcalls + 1;
       if !Obs.enabled && meth.mcalls land 63 = 1 then
@@ -150,10 +193,71 @@ let resume rt frame =
       if !Chaos.on && Chaos.fire Chaos.hier_churn then
         Runtime.hierarchy_changed rt ~name:meth.mname;
       match Runtime.tiered_fn rt meth with
-      | Some cfn -> push f (cfn (pop_args f nargs))
-      | None -> current := Some (frame_of_call meth f nargs))
-  and jump f t =
-    if t < f.pc then f.fmeth.mbackedges <- f.fmeth.mbackedges + 1;
+      | Some cfn ->
+        let args = pop_args f nargs in
+        f.fbase <- f.fbase - rt.interp_steps;
+        let v = cfn args in
+        f.fbase <- f.fbase + rt.interp_steps;
+        push f v
+      | None ->
+        f.fbase <- f.fbase - rt.interp_steps;
+        current := Some (frame_of_call meth f nargs ~steps:rt.interp_steps))
+  in
+  (* Loop-level OSR-in at a back edge to header [h], operand stack empty. *)
+  let osr_back_edge f h =
+    match f.fosr with
+    | Osr_spent -> ()
+    | Osr_armed ->
+      let t = rt.tiering in
+      if rt.interp_steps - f.fbase >= t.t_threshold lsl 14 then begin
+        let m = f.fmeth in
+        match t.t_osr with
+        | Some request when m.mtier <> Tier_blacklisted ->
+          if match t.t_promote_gate with None -> true | Some gate -> gate m
+          then begin
+            let cell = Atomic.make Osr_queued in
+            f.fosr <- Osr_waiting (h, cell);
+            request m h f.locals cell
+          end
+          else
+            (* held back by the governor: ask again after as many own
+               steps again *)
+            f.fbase <- rt.interp_steps
+        | _ -> f.fosr <- Osr_spent
+      end
+    | Osr_waiting (h', cell) when h' = h -> (
+      match Atomic.get cell with
+      | Osr_queued -> ()
+      | Osr_failed -> f.fosr <- Osr_spent
+      | Osr_ready code ->
+        f.fosr <- Osr_spent;
+        let steps = rt.interp_steps - f.fbase in
+        if code.osr_admits f.locals then begin
+          rt.tiering.t_osr_entries <- rt.tiering.t_osr_entries + 1;
+          osr_journal f h ~steps Forensics.Osr_in;
+          if !Obs.enabled then
+            Obs.emit
+              (Obs.Osr_entry
+                 {
+                   meth = Runtime.meth_label f.fmeth;
+                   mid = f.fmeth.mid;
+                   pc = h;
+                   line = Runtime.line_at f.fmeth h;
+                   steps;
+                 });
+          return_value (code.osr_run f.locals)
+        end
+        else
+          osr_journal f h ~steps
+            (Forensics.Osr_decline
+               { pc = h; why = "the frame no longer matches the code" }))
+    | Osr_waiting _ -> ()
+  in
+  let jump f t =
+    if t < f.pc then begin
+      f.fmeth.mbackedges <- f.fmeth.mbackedges + 1;
+      if f.sp = 0 && rt.tiering.t_enabled then osr_back_edge f t
+    end;
     f.pc <- t
   in
   let step f =

@@ -14,6 +14,7 @@ let create ?(tiering = false) ?(tier_threshold = 16) ?(tier_cache_size = 512)
     globals = Array.make 16 Null;
     next_global = 0;
     out = None;
+    macros = Hashtbl.create 32;
     compiled = Hashtbl.create 16;
     next_compiled = 0;
     compile_hook = None;
@@ -34,6 +35,8 @@ let create ?(tiering = false) ?(tier_threshold = 16) ?(tier_cache_size = 512)
         t_jit_threads = max 0 jit_threads;
         t_jit_queue = max 1 jit_queue;
         t_bg_recompile = None;
+        t_osr = None;
+        t_osr_failed = Hashtbl.create 4;
         t_hier_epoch = 0;
         t_devirt_deps = Hashtbl.create 16;
         t_promote_gate = None;
@@ -43,6 +46,8 @@ let create ?(tiering = false) ?(tier_threshold = 16) ?(tier_cache_size = 512)
         t_cache_misses = 0;
         t_evictions = 0;
         t_deopts = 0;
+        t_osr_compiles = 0;
+        t_osr_entries = 0;
       };
   }
 
@@ -434,8 +439,12 @@ let tier_stats_string rt =
   Printf.sprintf
     "compiles=%d cache_hits=%d cache_misses=%d evictions=%d deopts=%d \
      interp_steps=%d ic_hits=%d ic_misses=%d ic_sites=%d(mono=%d poly=%d \
-     mega=%d)"
+     mega=%d)%s"
     t.t_compiles t.t_cache_hits t.t_cache_misses t.t_evictions t.t_deopts
     rt.interp_steps ic_hits ic_misses
     (Hashtbl.length rt.ic_sites)
     mono poly mega
+    (if t.t_osr_compiles = 0 then ""
+     else
+       Printf.sprintf " osr_compiles=%d osr_entries=%d" t.t_osr_compiles
+         t.t_osr_entries)

@@ -4,6 +4,11 @@
    module. Operations are in the sibling modules [Value], [Classfile],
    [Runtime], [Interp]. *)
 
+(* A JIT macro, as registered in a runtime's macro table.  Its constructor
+   is defined by the compiler that expands macros, which this module cannot
+   name. *)
+type macro = ..
+
 type value =
   | Null
   | Int of int (* ints, booleans (0/1) and characters *)
@@ -78,6 +83,24 @@ and jit_result =
   | Jit_compiled of (value array -> value) (* compiled now: install and call *)
   | Jit_pending (* queued for background compilation; stay on tier 0 *)
   | Jit_declined (* compilation failed or refused: blacklist the method *)
+
+(* Code compiled for one interpreter activation from a loop header (OSR
+   entry).  [osr_run] takes the frame's locals at the header and returns the
+   method's result.  [osr_admits] holds when the locals have the kinds the
+   code was built for and no class-hierarchy change has invalidated its
+   speculation since the compile started. *)
+and osr_code = {
+  osr_admits : value array -> bool;
+  osr_run : value array -> value;
+}
+
+(* The answer to an OSR request, published into the cell the requesting
+   frame polls at back edges to the header: at once by a synchronous
+   compile, later by a background JIT worker. *)
+and osr_state =
+  | Osr_queued
+  | Osr_ready of osr_code
+  | Osr_failed (* compile failed or the request was dropped *)
 
 and code =
   | Bytecode of instr array
@@ -171,6 +194,9 @@ and runtime = {
   mutable globals : value array;
   mutable next_global : int; (* allocation cursor for global slots *)
   mutable out : Buffer.t option; (* when set, println etc. append here *)
+  macros : (string, macro) Hashtbl.t;
+    (* "Cls.name" -> JIT macro taking over calls to that method while
+       Lancet stages code (the paper's Lancet.install) *)
   compiled : (int, value array -> value) Hashtbl.t;
     (* bodies of CompiledFn objects, keyed by their id field *)
   mutable next_compiled : int;
@@ -214,6 +240,14 @@ and tiering = {
   mutable t_bg_recompile : (meth -> unit) option;
     (* installed by the background JIT: route deopt-triggered recompiles
        through the compile queue instead of rebuilding on the mutator *)
+  mutable t_osr : (meth -> int -> value array -> osr_state Atomic.t -> unit) option;
+    (* installed by Lancet: [f m pc locals cell] compiles the rest of [m]
+       from the loop header at [pc] for a frame holding [locals] and
+       publishes the outcome into [cell], synchronously or (when the
+       background JIT replaced it) from a worker *)
+  t_osr_failed : (int * int, unit) Hashtbl.t;
+    (* (method id, header pc) pairs whose OSR compile failed: never
+       retried.  Guarded by [t_lock]. *)
   mutable t_hier_epoch : int;
     (* class-hierarchy epoch, bumped under [t_lock] whenever a method
        (re)definition can change virtual dispatch; an in-flight compile
@@ -224,9 +258,9 @@ and tiering = {
        dispatch of that name (IC feedback or CHA); [hierarchy_changed]
        invalidates the bucket.  Guarded by [t_lock]. *)
   mutable t_promote_gate : (meth -> bool) option;
-    (* consulted after the hotness threshold and before [tier_promote];
-       the governor installs a gate to hold demoted methods back until
-       their exponential backoff is served *)
+    (* consulted after the hotness threshold and before [tier_promote],
+       and before an OSR request; the governor installs a gate to hold
+       demoted methods back until their exponential backoff is served *)
   mutable t_on_deopt : (meth -> string -> int -> int -> bool) option;
     (* [f m tag pc line] called on every guard deopt; the governor's
        circuit breaker counts strikes here.  Returning [true] means the
@@ -237,6 +271,8 @@ and tiering = {
   mutable t_cache_misses : int;
   mutable t_evictions : int;
   mutable t_deopts : int;
+  mutable t_osr_compiles : int; (* OSR graphs built (also in [t_compiles]) *)
+  mutable t_osr_entries : int; (* interpreter frames that entered OSR code *)
 }
 
 and cache_entry = {

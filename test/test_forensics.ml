@@ -298,6 +298,14 @@ let test_jit_sink_metrics () =
 (* ------------------------------------------------------------------ *)
 (* `lancet why`: the timeline report and its method filter.             *)
 
+let osr_src =
+  "def count(n: int): int = {\n\
+  \  var acc = 0;\n\
+  \  var i = 0;\n\
+  \  while (i < n) { acc = (acc + i * 3) % 1000003; i = i + 1 };\n\
+  \  acc\n\
+   }\n"
+
 let test_why_report () =
   with_journal (fun () ->
       let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:1 () in
@@ -318,7 +326,20 @@ let test_why_report () =
       check_bool "filter misses politely" true
         (contains
            (Lancet.Explain.why_report ~meth:"nosuchmethod" rt)
-           "no journaled decisions"))
+           "no journaled decisions");
+      (* OSR-in: one call of a long loop enters code compiled from the loop
+         header; the entry names its own steps, header pc and line.  The
+         journal keys methods by id, which a second runtime reuses. *)
+      Forensics.clear ();
+      let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:2 () in
+      let p = Mini.Front.load rt osr_src in
+      check_value "OSR run" (Int (3 * (19_999 * 20_000 / 2) mod 1_000_003))
+        (Mini.Front.call p "count" [| Int 20_000 |]);
+      let r = Lancet.Explain.why_report ~meth:"count" rt in
+      check_bool "why shows the OSR entry and its cause" true
+        (contains r "entered OSR code mid-call  <- loop: ");
+      check_bool "why names the header's line" true
+        (contains r "back edge to @pc 8 (line 4)"))
 
 (* ------------------------------------------------------------------ *)
 (* Worker attribution with background compile threads: the enqueue is

@@ -19,4 +19,5 @@ let () =
       ("persist", Test_persist.suite);
       ("chaos", Test_chaos.suite);
       ("governor", Test_governor.suite);
+      ("osr", Test_osr.suite);
     ]

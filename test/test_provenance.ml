@@ -216,7 +216,31 @@ let test_explain () =
     List.filteri (fun i _ -> i > idx && i <= idx + 6) lines
     |> List.exists (fun l -> Util.contains_sub l "deopt x")
   in
-  check_bool "deopt annotated at the speculate line" true annotated
+  check_bool "deopt annotated at the speculate line" true annotated;
+  (* an OSR entry is annotated under its loop header's line *)
+  let loop_src =
+    "def count(n: int): int = {\n\
+    \  var acc = 0;\n\
+    \  var i = 0;\n\
+    \  while (i < n) { acc = (acc + i * 3) % 1000003; i = i + 1 };\n\
+    \  acc\n\
+     }\n"
+  in
+  let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:2 () in
+  let x = Lancet.Explain.create () in
+  Obs.with_sink (Lancet.Explain.sink x) (fun () ->
+      let p = Mini.Front.load ~file:"count.mini" rt loop_src in
+      ignore (Mini.Front.call p "count" [| Int 20_000 |]));
+  let out = Lancet.Explain.render ~timings:false x rt ~src:loop_src in
+  let lines = String.split_on_char '\n' out in
+  let rec after_while = function
+    | l :: next :: _ when Util.contains_sub l "   4 | " -> next
+    | _ :: tl -> after_while tl
+    | [] -> ""
+  in
+  check_bool "OSR entry annotated at the loop header's line" true
+    (Util.contains_sub (after_while lines)
+       "Main$1.count: OSR entry x1 at loop header @pc 8")
 
 let suite =
   [

@@ -256,9 +256,38 @@ let test_counters_monotone () =
   check_bool "saw compiles" true (rt.tiering.t_compiles >= 1);
   check_bool "saw deopts" true (rt.tiering.t_deopts >= 1)
 
+(* A dropped runtime is garbage: nothing process-wide (the macro table, the
+   exec-sample flushers) keeps it or its compiled code alive.  300 tiered
+   runtimes that each promote a method must leave the live heap about where
+   it was; when every runtime stays reachable, each pins thousands of words
+   (its classes, code cache, compiled closures and macro table). *)
+let test_runtimes_collectable () =
+  let one () =
+    let rt = boot_tiered ~threshold:2 () in
+    let p = Mini.Front.load rt hot_src in
+    for k = 1 to 3 do
+      ignore (Mini.Front.call p "hot" [| Int 10; Int k |])
+    done;
+    check_int "promoted" 1 rt.tiering.t_compiles
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  one ();
+  let before = live () in
+  for _ = 1 to 300 do
+    one ()
+  done;
+  let growth = live () - before in
+  if growth > 30_000 then
+    Alcotest.failf "300 dropped runtimes left %d live words (%d each)" growth
+      (growth / 300)
+
 let suite =
   [
     Alcotest.test_case "promotion" `Quick test_promotion;
+    Alcotest.test_case "runtimes-collectable" `Quick test_runtimes_collectable;
     Alcotest.test_case "disabled" `Quick test_disabled;
     Alcotest.test_case "matches-interpreter" `Quick test_matches_interpreter;
     Alcotest.test_case "speculate-deopt" `Quick test_speculate_deopt;
