@@ -1641,9 +1641,12 @@ let chaos_soak_ci () =
 
 (* A typed kernel boxes only at calls, side exits and its return, so one
    call allocates the same minor words whatever its trip count.  The float
-   reduction of the backend ablation and k-means' [sqdist] are compiled with
-   [Lms.Typed_backend.compile] and each called once untimed first, so that
-   the register file exists before the measured calls. *)
+   reduction of the backend ablation and k-means' [sqdist], [nearest] and
+   [assign_all] are compiled with [Lms.Typed_backend.compile] and each
+   called once untimed first, so that the register file exists before the
+   measured calls.  [nearest] runs the threaded [if (dd < bd)] diamond
+   around a native loop, [assign_all] nests native loops in two outer
+   ones. *)
 let typed_alloc_gate () =
   let rt = Lancet.Api.boot () in
   let p = Mini.Front.load rt (reduction_src ^ tiered_kmeans_src) in
@@ -1671,6 +1674,7 @@ let typed_alloc_gate () =
     Printf.sprintf "%s %.0f words at %s=%d and %d" name ws var short long
   in
   let reduction = kernel "kernel" and sqdist = kernel "sqdist" in
+  let nearest = kernel "nearest" and assign_all = kernel "assign_all" in
   let r =
     same "reduction" "n" 100 100_000 (fun n -> words reduction [| a; Int n |])
   in
@@ -1678,7 +1682,15 @@ let typed_alloc_gate () =
     same "sqdist" "d" 10 10_000 (fun d ->
         words sqdist [| a; a; Int 0; Int 1; Int d |])
   in
-  pr "check %-18s ok  (%s; %s)\n" "typed alloc gate" r s
+  let n =
+    same "nearest" "k" 2 20_000 (fun k ->
+        words nearest [| a; a; Int 0; Int 4; Int k |])
+  in
+  let aa =
+    same "assign_all" "n" 10 10_000 (fun n ->
+        words assign_all [| a; a; Int n; Int 4; Int 8 |])
+  in
+  pr "check %-18s ok  (%s; %s; %s; %s)\n" "typed alloc gate" r s n aa
 
 (* OSR gate (part of [check]): perfbench's loop-once program, one call of
    a 40k-iteration loop under --tiered at the default threshold, must

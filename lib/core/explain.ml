@@ -353,10 +353,12 @@ let why_report ?meth rt =
   let groups =
     List.filter (fun (_, label, _) -> keep label) (Forensics.timeline ())
   in
-  (* deterministic output: order groups by mid rather than first-decision
-     time, so report goldens are byte-diff-stable across runs (background
-     workers journal in a racy order) *)
-  let groups = List.sort (fun (a, _, _) (b, _, _) -> compare a b) groups in
+  (* deterministic output: order groups by mid and label rather than
+     first-decision time, so report goldens are byte-diff-stable across
+     runs (background workers journal in a racy order) *)
+  let groups =
+    List.sort (fun (a, l, _) (b, l', _) -> compare (a, l) (b, l')) groups
+  in
   if groups = [] then
     Buffer.add_string b
       (match meth with

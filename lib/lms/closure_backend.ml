@@ -53,9 +53,8 @@ let default_hooks rt =
         Vm.Types.vm_error "unhandled side exit %s" se.se_tag);
   }
 
-let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
+let lower ~trace hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   let open Vm.Types in
-  let hooks = match hooks with Some h -> h | None -> failwith "hooks required" in
   let rt = hooks.rt in
   let blocks = reachable_blocks g in
   (* slot assignment: 0..nparams-1 are the function arguments *)
@@ -94,7 +93,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   let getters args = Array.map getter args in
   (* lowering of the fused branch-condition shapes: int and class-id
      operands are compared unboxed, the bool is never materialized *)
-  let fusion = Guard_fusion.analyse ~backend:"closure" g blocks in
+  let fusion = Guard_fusion.analyse ~trace ~backend:"closure" g blocks in
   let fused = fusion.Guard_fusion.fused in
   let int_operand : Guard_fusion.operand -> env -> int = function
     | Sym s ->
@@ -383,7 +382,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
             done;
             term r))
     blocks;
-  if !Irtrace.on then
+  if trace && !Irtrace.on then
     Snapshot.take g (Phases.Schedule "closure") ~exclude:(Hashtbl.mem fused)
       ~meta:
         [ ("blocks", string_of_int nblocks); ("regs", string_of_int nregs) ];
@@ -416,5 +415,12 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
 (* Span-instrumented entry point: attributes backend compile time in traces
    (a no-op single branch when no observability sink is attached). *)
 let compile ?hooks (g : graph) =
+  let hooks = match hooks with Some h -> h | None -> failwith "hooks required" in
   Obs.span ~cat:Phases.cat_jit (Phases.span_backend "closure") (fun () ->
-      compile ?hooks g)
+      lower ~trace:true hooks g)
+
+(* The same code, recording no IR snapshot and no missed optimization: the
+   typed backend runs it for calls whose arguments fail its entry check. *)
+let compile_untraced ~hooks (g : graph) =
+  Obs.span ~cat:Phases.cat_jit (Phases.span_backend "closure") (fun () ->
+      lower ~trace:false hooks g)

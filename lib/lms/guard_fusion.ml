@@ -11,7 +11,9 @@
    its original block.
 
    This module decides which nodes fuse and into which condition shape;
-   each backend lowers the shapes to its own register model. *)
+   each backend lowers the shapes to its own register model.  It also
+   keeps the use counts it computes, so a backend folding other single-use
+   nodes into their consumers needs no second pass. *)
 
 open Ir
 
@@ -24,25 +26,43 @@ type cond =
   | Float_cmp of Vm.Types.cond * sym * sym
   | Null_test of sym
 
+(* Tables keyed by symbol.  A graph's symbols are far more than its live
+   nodes, so a table sized to the live nodes allocates less than an array
+   indexed by symbol, and stays in the minor heap. *)
+module Symtbl = Hashtbl.Make (struct
+  type t = sym
+
+  let equal = Int.equal
+  let hash (s : sym) = s
+end)
+
+let find_or tbl s default =
+  match Symtbl.find_opt tbl s with Some v -> v | None -> default
+
 type t = {
   fused : (sym, unit) Hashtbl.t; (* nodes compiled into a branch, no step *)
   conds : (int, cond) Hashtbl.t; (* block id -> the fused condition of its Br *)
+  uses : int Symtbl.t; (* uses in nodes and terminators *)
+  defined_in : int Symtbl.t; (* block id of each body node *)
 }
 
-(* Also reports, when IR tracing is on, the branch compares that could not
-   fuse and a [guards:<backend>] snapshot with the fused nodes left out. *)
-let analyse ~backend (g : graph) (blocks : block list) : t =
-  let uses = Hashtbl.create 64 in
-  let defined_in = Hashtbl.create 64 in
-  let add_use s =
-    Hashtbl.replace uses s (1 + Option.value ~default:0 (Hashtbl.find_opt uses s))
-  in
+(* [s] is a node of block [bid] with exactly one use. *)
+let single_use t bid s =
+  find_or t.uses s 0 = 1 && find_or t.defined_in s (-1) = bid
+
+(* Also reports, when IR tracing is on and [trace] holds, the branch
+   compares that could not fuse and a [guards:<backend>] snapshot with the
+   fused nodes left out. *)
+let analyse ?(trace = true) ~backend (g : graph) (blocks : block list) : t =
+  let uses = Symtbl.create 64 in
+  let defined_in = Symtbl.create 64 in
+  let add_use s = Symtbl.replace uses s (find_or uses s 0 + 1) in
   let add_target (t : target) = Array.iter add_use t.targs in
   List.iter
     (fun b ->
       List.iter
         (fun n ->
-          Hashtbl.replace defined_in n.id b.bid;
+          Symtbl.replace defined_in n.id b.bid;
           Array.iter add_use n.args)
         (body_in_order b);
       match b.term with
@@ -60,11 +80,10 @@ let analyse ~backend (g : graph) (blocks : block list) : t =
           se.se_frames
       | Unreachable _ -> ())
     blocks;
-  let fusable bid s =
-    Hashtbl.find_opt uses s = Some 1 && Hashtbl.find_opt defined_in s = Some bid
-  in
   let fused = Hashtbl.create 8 in
   let conds = Hashtbl.create 8 in
+  let t = { fused; conds; uses; defined_in } in
+  let fusable = single_use t in
   List.iter
     (fun b ->
       match b.term with
@@ -89,7 +108,7 @@ let analyse ~backend (g : graph) (blocks : block list) : t =
         | _ -> ())
       | _ -> ())
     blocks;
-  if !Irtrace.on then begin
+  if trace && !Irtrace.on then begin
     let phase = Phases.Guards backend in
     List.iter
       (fun b ->
@@ -107,7 +126,7 @@ let analyse ~backend (g : graph) (blocks : block list) : t =
           match n.op with
           | Icmp _ | Fcmp _ | IsNull ->
             record n
-              (if Hashtbl.find_opt defined_in c <> Some b.bid then "cross-block"
+              (if find_or defined_in c (-1) <> b.bid then "cross-block"
                else "multi-use")
           | _ -> (
             match Snapshot.materialized_cond g b.bid c with
@@ -118,4 +137,4 @@ let analyse ~backend (g : graph) (blocks : block list) : t =
     Snapshot.take g phase ~exclude:(Hashtbl.mem fused)
       ~meta:[ ("fused", string_of_int (Hashtbl.length fused)) ]
   end;
-  { fused; conds }
+  t

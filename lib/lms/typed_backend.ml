@@ -10,12 +10,30 @@
 
    - A constant gets one slot in each lane it is read in, written once,
      when a register file is created.
-   - A read in another lane than the value's own, such as a boxed graph
-     parameter used as an int, is a conversion step into a fresh slot just
-     before the use, so a bad value raises where the boxed backend raises.
+   - A graph parameter read as an int or a float gets one slot in that
+     lane, filled at kernel entry after a kind check ([Int] for the int
+     lane, [Int | Float] for the float lane).  A call whose arguments fail
+     the check runs the boxed backend's code for the same graph instead,
+     so an ill-typed argument raises where the boxed backend raises.
+   - Any other read in another lane than the value's own, such as a call
+     result used as an int, is a conversion step into a fresh slot just
+     before the use.
+   - A single-use [iadd]/[isub]/[imul] over int operands folds into the
+     index of its array load or store, and [a*b+c] is one index.  A float
+     op on two single-use loads is one step, and so is [x +- y*z] with a
+     single-use [fmul].  A folded load may only move past nodes that
+     cannot raise or touch state, or past the other folded load, and the
+     two loads run in source order.
    - A jump copies its arguments slot to slot, lane by lane; when a source
      is also a destination, the copy goes through temp slots fixed at
-     compile time.
+     compile time.  A jump passing constants to a block that only
+     compares them goes straight to the successor the compare picks, and
+     empty forwarding blocks are skipped.
+   - A node whose one use is an argument of its own block's jump takes the
+     slot of the parameter it is passed to, when the block reads that
+     parameter no later, so a loop's back edge need not copy it.
+   - A loop whose body is one spliced chain jumping straight back to its
+     header runs as an OCaml [while] inside one closure.
    - Values are boxed only at calls, side exits and the return. *)
 
 open Ir
@@ -135,11 +153,464 @@ let class_id a d : step =
   r.ints.(d) <-
     (match r.vals.(a) with Vm.Types.Obj o -> o.ocls.cid | _ -> -1)
 
+(* An array index: an int slot, or a folded int expression computed in
+   place. *)
+type index = Islot of int | Ifun of (regs -> int)
+
+let index_fn = function Islot a -> fun r -> r.ints.(a) | Ifun f -> f
+
+let index_op (op : Vm.Types.iop) a b : regs -> int =
+  match op with
+  | Add -> fun r -> let i = r.ints in Vm.Value.wrap32 (i.(a) + i.(b))
+  | Sub -> fun r -> let i = r.ints in Vm.Value.wrap32 (i.(a) - i.(b))
+  | Mul -> fun r -> let i = r.ints in Vm.Value.wrap32 (i.(a) * i.(b))
+  | _ -> invalid_arg "index_op"
+
+(* [a*b + c] *)
+let index_madd a b c : regs -> int =
+ fun r ->
+  let i = r.ints in
+  Vm.Value.wrap32 (Vm.Value.wrap32 (i.(a) * i.(b)) + i.(c))
+
+let[@inline] fload (r : regs) a (ix : regs -> int) =
+  (Vm.Value.to_farr r.vals.(a)).(ix r)
+
+(* [d <- x op y] where x and y are the folded loads [(array, index)];
+   [left_first] says x's load comes first in the source, and so runs first. *)
+let fop_loads (op : Vm.Types.fop) ~left_first (a, i) (b, j) d : step =
+  match (op, left_first) with
+  | FAdd, true ->
+    fun r ->
+      let x = fload r a i in
+      let y = fload r b j in
+      r.floats.(d) <- x +. y
+  | FSub, true ->
+    fun r ->
+      let x = fload r a i in
+      let y = fload r b j in
+      r.floats.(d) <- x -. y
+  | FMul, true ->
+    fun r ->
+      let x = fload r a i in
+      let y = fload r b j in
+      r.floats.(d) <- x *. y
+  | FDiv, true ->
+    fun r ->
+      let x = fload r a i in
+      let y = fload r b j in
+      r.floats.(d) <- x /. y
+  | FAdd, false ->
+    fun r ->
+      let y = fload r b j in
+      let x = fload r a i in
+      r.floats.(d) <- x +. y
+  | FSub, false ->
+    fun r ->
+      let y = fload r b j in
+      let x = fload r a i in
+      r.floats.(d) <- x -. y
+  | FMul, false ->
+    fun r ->
+      let y = fload r b j in
+      let x = fload r a i in
+      r.floats.(d) <- x *. y
+  | FDiv, false ->
+    fun r ->
+      let y = fload r b j in
+      let x = fload r a i in
+      r.floats.(d) <- x /. y
+
+(* A float add or subtract with a folded [fmul y z] on one side:
+   [x + y*z], [y*z + x], [x - y*z] or [y*z - x], operands in that order. *)
+let fop_mul (op : Vm.Types.fop) ~mul_left x y z d : step =
+  match (op, mul_left) with
+  | FAdd, false ->
+    fun r ->
+      let f = r.floats in
+      f.(d) <- f.(x) +. (f.(y) *. f.(z))
+  | FAdd, true ->
+    fun r ->
+      let f = r.floats in
+      f.(d) <- (f.(y) *. f.(z)) +. f.(x)
+  | FSub, false ->
+    fun r ->
+      let f = r.floats in
+      f.(d) <- f.(x) -. (f.(y) *. f.(z))
+  | FSub, true ->
+    fun r ->
+      let f = r.floats in
+      f.(d) <- (f.(y) *. f.(z)) -. f.(x)
+  | (FMul | FDiv), _ -> invalid_arg "fop_mul"
+
+(* [steps], then [term], as one closure. *)
+let block_closure (steps : step list) (term : regs -> int) : regs -> int =
+  match Array.of_list steps with
+  | [||] -> term
+  | [| s0 |] ->
+    fun r ->
+      s0 r;
+      term r
+  | steps ->
+    let last = Array.length steps - 1 in
+    fun r ->
+      for j = 0 to last do
+        steps.(j) r
+      done;
+      term r
+
+(* The test of a native loop: an int compare of two slots, tested in
+   place, or any other branch condition. *)
+type test = Icmp_slots of Vm.Types.cond * int * int | Cond of (regs -> bool)
+
+let negate : Vm.Types.cond -> Vm.Types.cond = function
+  | Eq -> Ne
+  | Ne -> Eq
+  | Lt -> Ge
+  | Ge -> Lt
+  | Le -> Gt
+  | Gt -> Le
+
+(* A loop running [body] while [test] reads [enter], [head] before each
+   test, then leaving through [exit]. *)
+let native_loop head test ~enter body (exit : regs -> int) : regs -> int =
+  let steps = Array.of_list body in
+  let last = Array.length steps - 1 in
+  match (head, test) with
+  | [], Icmp_slots (c, a, b) -> (
+    let run r =
+      for j = 0 to last do
+        steps.(j) r
+      done
+    in
+    (* [a > b] is [b < a] *)
+    match if enter then c else negate c with
+    | Lt | Gt as c ->
+      let a, b = if c = Lt then (a, b) else (b, a) in
+      fun r ->
+        let i = r.ints in
+        while i.(a) < i.(b) do run r done;
+        exit r
+    | Le | Ge as c ->
+      let a, b = if c = Le then (a, b) else (b, a) in
+      fun r ->
+        let i = r.ints in
+        while i.(a) <= i.(b) do run r done;
+        exit r
+    | Eq ->
+      fun r ->
+        let i = r.ints in
+        while i.(a) = i.(b) do run r done;
+        exit r
+    | Ne ->
+      fun r ->
+        let i = r.ints in
+        while i.(a) <> i.(b) do run r done;
+        exit r)
+  | _ ->
+    let cond =
+      match test with Icmp_slots (c, a, b) -> int_cond c a b | Cond f -> f
+    in
+    let head = seq head in
+    fun r ->
+      head r;
+      while cond r = enter do
+        for j = 0 to last do
+          steps.(j) r
+        done;
+        head r
+      done;
+      exit r
+
+(* An op that touches no state and cannot raise once its operands are in
+   its lane: a folded load may move past it. *)
+let quiet_op = function
+  | Konst _ | Param _ | Bparam | Ineg | Fop _ | Fneg | I2f | F2i | Icmp _
+  | Fcmp _ | IsNull | ClassId ->
+    true
+  | Iop op -> ( match op with Div | Rem -> false | _ -> true)
+  | _ -> false
+
+(* The lane an op reads its operands in, when all are read in one. *)
+let operand_lane = function
+  | Iop _ | Ineg | Icmp _ | I2f -> Some Lint
+  | Fop _ | Fneg | Fcmp _ | F2i -> Some Lfloat
+  | _ -> None
+
 let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   let open Vm.Types in
   let hooks = match hooks with Some h -> h | None -> failwith "hooks required" in
   let rt = hooks.CB.rt in
   let blocks = reachable_blocks g in
+  let fusion = Guard_fusion.analyse ~backend:"typed" g blocks in
+  let fused = fusion.Guard_fusion.fused in
+  (* [s] can be read in [lane] with no conversion step that could raise:
+     graph parameters are read from their entry slots, checked at entry *)
+  let native lane s =
+    let n = node g s in
+    match (n.op, lane) with
+    | _, Lval -> true
+    | Konst (Int _), (Lint | Lfloat) | Konst (Float _), Lfloat -> true
+    | Konst _, _ -> false
+    | Param k, _ -> k < g.nparams
+    | _ -> lane_of_ty n.ty = lane
+  in
+  (* Folding, one pass in source order over each block.  [folded_into]
+     names the node a folded node is computed in and [pos] gives a node's
+     place in its block. *)
+  let module T = Guard_fusion.Symtbl in
+  let folded_into : sym T.t = T.create 16 in
+  let pos : int T.t = T.create 64 in
+  let pos_of s = Guard_fusion.find_or pos s 0 in
+  let is_folded s = T.mem folded_into s in
+  let fold ~into s = T.replace folded_into s into in
+  let plain lane s = native lane s && not (is_folded s) in
+  let int_tree bid s =
+    Guard_fusion.single_use fusion bid s
+    &&
+    let m = node g s in
+    lane_of_ty m.ty = Lint
+    &&
+    match (m.op, m.args) with
+    | Iop (Add | Sub | Mul), [| x; y |] -> plain Lint x && plain Lint y
+    | _ -> false
+  in
+  (* [a*b+c] first, so the multiply folds too *)
+  let fold_index bid ~into s =
+    let m = node g s in
+    let madd = Guard_fusion.single_use fusion bid s && lane_of_ty m.ty = Lint in
+    let mul t = int_tree bid t && (node g t).op = Iop Mul in
+    match (m.op, m.args) with
+    | Iop Add, [| x; y |] when madd && mul x && plain Lint y ->
+      fold ~into:s x;
+      fold ~into s
+    | Iop Add, [| x; y |] when madd && mul y && plain Lint x ->
+      fold ~into:s y;
+      fold ~into s
+    | _ -> if int_tree bid s then fold ~into s
+  in
+  let load bid s =
+    Guard_fusion.single_use fusion bid s
+    &&
+    let m = node g s in
+    m.op = Faload && lane_of_ty m.ty = Lfloat
+    && (is_folded m.args.(1) || plain Lint m.args.(1))
+  in
+  let fmul bid s =
+    Guard_fusion.single_use fusion bid s
+    &&
+    let m = node g s in
+    m.op = Fop FMul && lane_of_ty m.ty = Lfloat
+    && plain Lfloat m.args.(0) && plain Lfloat m.args.(1)
+  in
+  let quiet (n : node) =
+    quiet_op n.op
+    &&
+    match operand_lane n.op with
+    | Some lane -> Array.for_all (native lane) n.args
+    | None -> true
+  in
+  List.iter
+    (fun b ->
+      let bid = b.bid and body = Array.of_list (body_in_order b) in
+      (* every node after [lo] and before [q] is quiet, bar the one at [hi] *)
+      let quiet_between lo hi q =
+        let rec go p = p <= lo || ((p = hi || quiet body.(p)) && go (p - 1)) in
+        go (q - 1)
+      in
+      Array.iteri
+        (fun q (n : node) ->
+          T.replace pos n.id q;
+          (match (n.op, n.args) with
+          | (Aload | Astore | Faload | Fastore), _ ->
+            fold_index bid ~into:n.id n.args.(1)
+          | Fop op, [| x; y |] when lane_of_ty n.ty = Lfloat ->
+            if x <> y && load bid x && load bid y then begin
+              let lo = min (pos_of x) (pos_of y) in
+              let hi = max (pos_of x) (pos_of y) in
+              if quiet_between lo hi q then begin
+                fold ~into:n.id x;
+                fold ~into:n.id y
+              end
+            end
+            else if op = FAdd || op = FSub then
+              if fmul bid y && plain Lfloat x then fold ~into:n.id y
+              else if fmul bid x && plain Lfloat y then fold ~into:n.id x
+          | _ -> ()))
+        body)
+    blocks;
+  let bindex = Hashtbl.create 16 in
+  List.iteri (fun i b -> Hashtbl.replace bindex b.bid i) blocks;
+  let idx_of bid = Hashtbl.find bindex bid in
+  (* Threading: a jump into an empty block that jumps on, or into a block
+     whose only work is a fused compare of its parameters against
+     constants, when the jump passes constants, goes straight to the
+     successor.  Arguments must already be in the skipped block's lanes,
+     so skipping it skips no conversion, and its parameters must have no
+     use outside it, as no slot of theirs is written. *)
+  let nblocks = List.length blocks in
+  let barr = Array.of_list blocks in
+  let passes_as lane s =
+    match (node g s).op with
+    | Konst v -> (
+      match (lane, v) with
+      | Lint, Int _ | Lfloat, Float _ | Lval, _ -> true
+      | _ -> false)
+    | Param _ -> lane = Lval
+    | _ -> lane_of_ty (node g s).ty = lane
+  in
+  let rec resolve hops (t : target) : target =
+    let tb = block g t.tblock in
+    let shape =
+      match tb.term with
+      | Jump t' when tb.body = [] -> Some (`Jump t')
+      | Br (c, t1, t2)
+        when List.for_all (fun n -> Hashtbl.mem fused n.id) tb.body ->
+        Some (`Br (c, t1, t2))
+      | _ -> None
+    in
+    match shape with
+    | None -> t
+    | Some _ when hops = 0 || List.length tb.params <> Array.length t.targs -> t
+    | Some shape -> (
+      let params = Array.of_list tb.params in
+      let arg s =
+        let rec go k =
+          if k = Array.length params then s
+          else if fst params.(k) = s then t.targs.(k)
+          else go (k + 1)
+        in
+        go 0
+      in
+      let subst (t' : target) = { t' with targs = Array.map arg t'.targs } in
+      let const_int s =
+        match (node g (arg s)).op with Konst (Int v) -> Some v | _ -> None
+      in
+      let next =
+        match shape with
+        | `Jump t' -> Some t'
+        | `Br (c, t1, t2) -> (
+          let taken =
+            match Hashtbl.find_opt fusion.conds tb.bid with
+            | Some (Int_cmp (cc, Sym x, Sym y)) -> (
+              match (const_int x, const_int y) with
+              | Some a, Some b -> Some (Vm.Value.cond_apply cc a b)
+              | _ -> None)
+            | Some _ -> None
+            | None -> Option.map (fun v -> v <> 0) (const_int c)
+          in
+          match taken with
+          | Some true -> Some t1
+          | Some false -> Some t2
+          | None -> None)
+      in
+      let used_inside p =
+        let count a =
+          Array.fold_left (fun k s -> if s = p then k + 1 else k) 0 a
+        in
+        List.fold_left (fun k n -> k + count n.args) 0 tb.body
+        +
+        match tb.term with
+        | Jump t' -> count t'.targs
+        | Br (c, t1, t2) -> count [| c |] + count t1.targs + count t2.targs
+        | _ -> 0
+      in
+      let local p = Guard_fusion.find_or fusion.uses p 0 = used_inside p in
+      match next with
+      | Some t'
+        when Array.for_all2
+               (fun (p, ty) s -> passes_as (lane_of_ty ty) s && local p)
+               params t.targs ->
+        resolve (hops - 1) (subst t')
+      | _ -> t)
+  in
+  let threaded = ref 0 in
+  let redirect (t : target) =
+    let t' = resolve nblocks t in
+    if t'.tblock <> t.tblock then incr threaded;
+    t'
+  in
+  let term_of =
+    Array.map
+      (fun b ->
+        match b.term with
+        | Jump t -> Jump (redirect t)
+        | Br (c, t1, t2) ->
+          let t1 = redirect t1 in
+          Br (c, t1, redirect t2)
+        | term -> term)
+      barr
+  in
+  (* predecessors along the threaded edges of the blocks still reachable *)
+  let npreds = Array.make nblocks 0 in
+  let live = Array.make nblocks false in
+  let rec visit i =
+    if not live.(i) then begin
+      live.(i) <- true;
+      let tgt (t : target) =
+        let k = idx_of t.tblock in
+        npreds.(k) <- npreds.(k) + 1;
+        visit k
+      in
+      match term_of.(i) with
+      | Jump t -> tgt t
+      | Br (_, t1, t2) ->
+        tgt t1;
+        tgt t2
+      | Ir.Ret _ | Exit _ | Unreachable _ -> ()
+    end
+  in
+  let entry_idx = idx_of g.entry in
+  visit entry_idx;
+  (* Coalescing: a node whose one use is an argument of its own block's
+     jump takes the slot of the parameter it is passed to, when nothing in
+     the block reads that parameter after the node is written, so the jump
+     copies nothing for it.  A folded node is read where the node it is
+     folded into is. *)
+  let shared : (sym, sym) Hashtbl.t = Hashtbl.create 16 in
+  let rec read_at s =
+    match T.find_opt folded_into s with
+    | Some into -> read_at into
+    | None -> pos_of s
+  in
+  Array.iteri
+    (fun i (b : block) ->
+      match term_of.(i) with
+      | Jump t
+        when live.(i)
+             && Array.exists
+                  (fun s ->
+                    Guard_fusion.single_use fusion b.bid s && not (is_folded s))
+                  t.targs ->
+        let params = (block g t.tblock).params in
+        (* the last place in [b] that reads each parameter *)
+        let reads = Hashtbl.create 8 in
+        List.iter (fun (p, _) -> Hashtbl.replace reads p (-1)) params;
+        List.iter
+          (fun (n : node) ->
+            Array.iter
+              (fun a ->
+                match Hashtbl.find_opt reads a with
+                | Some q -> Hashtbl.replace reads a (max q (read_at n.id))
+                | None -> ())
+              n.args)
+          b.body;
+        List.iteri
+          (fun k (p, ty) ->
+            let s = t.targs.(k) in
+            let n = node g s in
+            match n.op with
+            | Konst _ | Param _ | Bparam -> ()
+            | _ ->
+              if
+                Guard_fusion.single_use fusion b.bid s
+                && (not (is_folded s))
+                && lane_of_ty n.ty = lane_of_ty ty
+                && (not (Array.mem p t.targs))
+                && Hashtbl.find reads p <= pos_of s
+              then Hashtbl.replace shared s p)
+          params
+      | _ -> ())
+    barr;
   (* slot assignment per lane *)
   let counts = [| 0; 0; 1 + g.nparams |] in
   let fresh lane =
@@ -159,17 +630,35 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
         (fun n ->
           match n.op with
           | Konst _ | Param _ -> ()
-          | _ -> assign n.id (lane_of_ty n.ty))
+          | _ ->
+            if not (is_folded n.id || Hashtbl.mem shared n.id) then
+              assign n.id (lane_of_ty n.ty))
         (body_in_order b))
     blocks;
+  Hashtbl.iter
+    (fun s p -> Hashtbl.replace slots s (Hashtbl.find slots p))
+    shared;
   let slot_of s =
     match Hashtbl.find_opt slots s with
     | Some x -> x
     | None -> (
-      (* graph parameters are floating nodes *)
+      (* graph parameters are floating nodes; a folded node has no slot,
+         and reading one is a lowering bug *)
       match (node g s).op with
       | Param k when k < g.nparams -> (Lval, 1 + k)
+      | _ when is_folded s ->
+        invalid_arg (Printf.sprintf "typed kernel %s: x%d is folded" g.name s)
       | _ -> raise (Fallback (Printf.sprintf "unassigned sym %d" s)))
+  in
+  (* entry slots: (parameter, slot) per lane, filled when a call starts *)
+  let entry : (int * lane, int) Hashtbl.t = Hashtbl.create 8 in
+  let entry_slot k lane =
+    match Hashtbl.find_opt entry (k, lane) with
+    | Some i -> i
+    | None ->
+      let i = fresh lane in
+      Hashtbl.replace entry (k, lane) i;
+      i
   in
   (* constant pool: (slot, value) pairs per lane *)
   let consts : (sym * lane, int) Hashtbl.t = Hashtbl.create 16 in
@@ -204,6 +693,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       match const_slot s lane v with
       | Some i -> i
       | None -> via (Lval, Option.get (const_slot s Lval v)))
+    | Param k when lane <> Lval && k < g.nparams -> entry_slot k lane
     | _ ->
       let ((l, i) as src) = slot_of s in
       if l = lane then i else via src
@@ -227,8 +717,6 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   (* lowering of the fused branch-condition shapes into the int/float
      lanes; classid(x) == const, the devirtualization guard, compares the
      receiver's class id with the constant in place *)
-  let fusion = Guard_fusion.analyse ~backend:"typed" g blocks in
-  let fused = fusion.Guard_fusion.fused in
   let cid_eq : Guard_fusion.cond -> (sym * int) option = function
     | Int_cmp (Eq, Class_id x, Sym k) -> (
       match (node g k).op with Konst (Int k) -> Some (x, k) | _ -> None)
@@ -259,8 +747,32 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       let a = read pre Lval x in
       fun r -> (match r.vals.(a) with Null -> true | _ -> false)
   in
+  (* the index operand of an array access, with a folded int tree computed
+     in place *)
+  let index pre s : index =
+    if not (is_folded s) then Islot (read pre Lint s)
+    else
+      let m = node g s in
+      let opnd t = read pre Lint t in
+      let mul t =
+        let k = node g t in
+        (opnd k.args.(0), opnd k.args.(1))
+      in
+      match (m.op, m.args) with
+      | Iop Add, [| x; y |] when is_folded x ->
+        let a, b = mul x in
+        Ifun (index_madd a b (opnd y))
+      | Iop Add, [| x; y |] when is_folded y ->
+        let c = opnd x in
+        let a, b = mul y in
+        Ifun (index_madd a b c)
+      | Iop op, [| x; y |] ->
+        let a = opnd x in
+        Ifun (index_op op a (opnd y))
+      | _ -> invalid_arg "typed kernel: folded index"
+  in
   let compile_node n : step list =
-    if Hashtbl.mem fused n.id then []
+    if Hashtbl.mem fused n.id || is_folded n.id then []
     else
       let pre = ref [] and post = ref [] in
       let arg lane k = read pre lane n.args.(k) in
@@ -276,10 +788,37 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
           let a = arg Lint 0 in
           let d = dst Lint in
           Some (fun r -> let i = r.ints in i.(d) <- Vm.Value.wrap32 (-i.(a)))
-        | Fop op ->
-          let a = arg Lfloat 0 in
-          let b = arg Lfloat 1 in
-          Some (float_op op a b (dst Lfloat))
+        | Fop op -> (
+          let x = n.args.(0) and y = n.args.(1) in
+          match (is_folded x, is_folded y) with
+          | true, true ->
+            let load s =
+              let m = node g s in
+              let a = read pre Lval m.args.(0) in
+              (a, index_fn (index pre m.args.(1)))
+            in
+            let lx = load x in
+            let ly = load y in
+            Some
+              (fop_loads op
+                 ~left_first:(pos_of x < pos_of y)
+                 lx ly (dst Lfloat))
+          | false, true ->
+            let a = arg Lfloat 0 in
+            let m = node g y in
+            let b = read pre Lfloat m.args.(0) in
+            let c = read pre Lfloat m.args.(1) in
+            Some (fop_mul op ~mul_left:false a b c (dst Lfloat))
+          | true, false ->
+            let m = node g x in
+            let b = read pre Lfloat m.args.(0) in
+            let c = read pre Lfloat m.args.(1) in
+            let a = arg Lfloat 1 in
+            Some (fop_mul op ~mul_left:true a b c (dst Lfloat))
+          | false, false ->
+            let a = arg Lfloat 0 in
+            let b = arg Lfloat 1 in
+            Some (float_op op a b (dst Lfloat)))
         | Fneg ->
           let a = arg Lfloat 0 in
           let d = dst Lfloat in
@@ -346,36 +885,58 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
           let a = arg Lint 0 in
           let d = dst Lval in
           Some (fun r -> r.vals.(d) <- Farr (Array.make r.ints.(a) 0.0))
-        | Aload ->
+        | Aload -> (
           let a = arg Lval 0 in
-          let i = arg Lint 1 in
+          let ix = index pre n.args.(1) in
           let d = dst Lval in
-          Some
-            (fun r ->
-              let v = r.vals in
-              v.(d) <- (Vm.Value.to_arr v.(a)).(r.ints.(i)))
-        | Astore ->
+          match ix with
+          | Islot i ->
+            Some
+              (fun r ->
+                let v = r.vals in
+                v.(d) <- (Vm.Value.to_arr v.(a)).(r.ints.(i)))
+          | Ifun ix ->
+            Some
+              (fun r ->
+                let v = r.vals in
+                v.(d) <- (Vm.Value.to_arr v.(a)).(ix r)))
+        | Astore -> (
           let a = arg Lval 0 in
-          let i = arg Lint 1 in
+          let ix = index pre n.args.(1) in
           let x = arg Lval 2 in
-          Some
-            (fun r ->
-              let v = r.vals in
-              (Vm.Value.to_arr v.(a)).(r.ints.(i)) <- v.(x))
-        | Faload ->
+          match ix with
+          | Islot i ->
+            Some
+              (fun r ->
+                let v = r.vals in
+                (Vm.Value.to_arr v.(a)).(r.ints.(i)) <- v.(x))
+          | Ifun ix ->
+            Some
+              (fun r ->
+                let v = r.vals in
+                (Vm.Value.to_arr v.(a)).(ix r) <- v.(x)))
+        | Faload -> (
           let a = arg Lval 0 in
-          let i = arg Lint 1 in
+          let ix = index pre n.args.(1) in
           let d = dst Lfloat in
-          Some
-            (fun r ->
-              r.floats.(d) <- (Vm.Value.to_farr r.vals.(a)).(r.ints.(i)))
-        | Fastore ->
+          match ix with
+          | Islot i ->
+            Some
+              (fun r ->
+                r.floats.(d) <- (Vm.Value.to_farr r.vals.(a)).(r.ints.(i)))
+          | Ifun ix -> Some (fun r -> r.floats.(d) <- fload r a ix))
+        | Fastore -> (
           let a = arg Lval 0 in
-          let i = arg Lint 1 in
+          let ix = index pre n.args.(1) in
           let x = arg Lfloat 2 in
-          Some
-            (fun r ->
-              (Vm.Value.to_farr r.vals.(a)).(r.ints.(i)) <- r.floats.(x))
+          match ix with
+          | Islot i ->
+            Some
+              (fun r ->
+                (Vm.Value.to_farr r.vals.(a)).(r.ints.(i)) <- r.floats.(x))
+          | Ifun ix ->
+            Some
+              (fun r -> (Vm.Value.to_farr r.vals.(a)).(ix r) <- r.floats.(x)))
         | Alen ->
           let a = arg Lval 0 in
           let d = dst Lint in
@@ -431,9 +992,6 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       List.rev_append !pre (Option.to_list step @ List.rev !post)
   in
   (* jumps: conversion steps for cross-lane arguments, then the copy *)
-  let bindex = Hashtbl.create 16 in
-  List.iteri (fun i b -> Hashtbl.replace bindex b.bid i) blocks;
-  let idx_of bid = Hashtbl.find bindex bid in
   let compile_jump (t : target) : step list =
     let pre = ref [] in
     let moves =
@@ -476,34 +1034,29 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       box r;
       handler se (gather r.vals a)
   in
-  (* Control-flow lowering, three layers:
+  (* Control-flow lowering:
      - superblock splicing: an unconditional jump to a forward block with a
        single predecessor concatenates the successor's steps in place, and
        a Br whose cold arm is a bare side-exit block becomes an in-line
        guard step (the miss path runs the exit and raises [Guard_miss]) —
        so a devirtualization guard costs exactly one compare step on the
        hot path, with no extra block boundary;
-     - threading: remaining forward transfers call the successor's closure
-       directly (recursion bounded by the block count);
+     - native loops: a header whose Br enters a spliced chain that jumps
+       straight back loops in one closure;
+     - remaining forward transfers call the successor's closure directly
+       (recursion bounded by the block count);
      - trampoline: backward (loop) edges return the target index.
-     [-1] means "function done" and unwinds nested forward calls. *)
-  let nblocks = List.length blocks in
-  let barr = Array.of_list blocks in
+     [-1] means "function done" and unwinds nested forward calls.  Only
+     blocks some transfer enters get a closure of their own. *)
   let compiled : (regs -> int) array = Array.make nblocks (fun _ -> -1) in
-  let npreds = Array.make nblocks 0 in
-  List.iter
-    (fun b ->
-      let tgt (t : target) =
-        let i = idx_of t.tblock in
-        npreds.(i) <- npreds.(i) + 1
-      in
-      match b.term with
-      | Jump t -> tgt t
-      | Br (_, t1, t2) ->
-        tgt t1;
-        tgt t2
-      | Ir.Ret _ | Exit _ | Unreachable _ -> ())
-    blocks;
+  let wanted = Array.make nblocks false in
+  let queue = Queue.create () in
+  let want i =
+    if not wanted.(i) then begin
+      wanted.(i) <- true;
+      Queue.push i queue
+    end
+  in
   (* a block that is only ever entered from [my_idx]'s terminator, forward:
      safe to splice into the predecessor *)
   let spliceable my_idx (t : target) =
@@ -516,6 +1069,20 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     | Exit se when body_in_order tb = [] -> Some se
     | _ -> None
   in
+  (* where block [i]'s chain continues: [`Jump t] and [`Guard] splice the
+     block of [t] *)
+  let continues i =
+    match term_of.(i) with
+    | Jump t when spliceable i t -> `Jump t
+    | Br (c, t1, t2) when spliceable i t1 -> (
+      match exit_only t2 with Some se -> `Guard (c, t1, t2, se) | None -> `Stop)
+    | _ -> `Stop
+  in
+  let rec chain_end i =
+    match continues i with
+    | `Jump t | `Guard (_, t, _, _) -> chain_end (idx_of t.tblock)
+    | `Stop -> i
+  in
   let branch_cond pre (b : block) c : regs -> bool =
     match Hashtbl.find_opt fusion.conds b.bid with
     | Some fc -> fused_cond pre fc
@@ -523,16 +1090,18 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       let a = read pre Lint c in
       fun r -> r.ints.(a) <> 0
   in
-  let rec parts i : step list * (regs -> int) =
+  (* the steps of block [i] and of the blocks its chain splices, and the
+     index of the last of them *)
+  let rec chain i : step list * int =
     let b = barr.(i) in
     let steps = List.concat_map compile_node (body_in_order b) in
-    match b.term with
-    | Jump t when spliceable i t ->
-      let tsteps, tterm = parts (idx_of t.tblock) in
-      (steps @ compile_jump t @ tsteps, tterm)
-    | Br (c, t1, t2) when spliceable i t1 && exit_only t2 <> None ->
+    match continues i with
+    | `Jump t ->
+      let tsteps, last = chain (idx_of t.tblock) in
+      (steps @ compile_jump t @ tsteps, last)
+    | `Guard (c, t1, t2, se) ->
       let cp2 = seq (compile_jump t2) in
-      let exit_run = compile_exit (Option.get (exit_only t2)) in
+      let exit_run = compile_exit se in
       let miss r =
         cp2 r;
         r.vals.(result_slot) <- exit_run r;
@@ -553,41 +1122,40 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
           let cond = branch_cond pre b c in
           fun r -> if not (cond r) then miss r
       in
-      let tsteps, tterm = parts (idx_of t1.tblock) in
-      (steps @ List.rev_append !pre (guard :: compile_jump t1) @ tsteps, tterm)
-    | term ->
-      let pre = ref [] in
-      let term = compile_term pre b i term in
-      (steps @ List.rev !pre, term)
-  and compile_term pre (b : block) (my_idx : int) term : regs -> int =
-    let arm (t : target) : regs -> int =
-      let nxt = idx_of t.tblock in
-      match (compile_jump t, nxt > my_idx) with
-      | [], true -> fun r -> compiled.(nxt) r
-      | [], false -> fun _ -> nxt
-      | cp, true ->
-        let cp = seq cp in
-        fun r ->
-          cp r;
-          compiled.(nxt) r
-      | cp, false ->
-        let cp = seq cp in
-        fun r ->
-          cp r;
-          nxt
-    in
-    match term with
+      let tsteps, last = chain (idx_of t1.tblock) in
+      (steps @ List.rev_append !pre (guard :: compile_jump t1) @ tsteps, last)
+    | `Stop -> (steps, i)
+  in
+  let arm my_idx (t : target) : regs -> int =
+    let nxt = idx_of t.tblock in
+    want nxt;
+    match (compile_jump t, nxt > my_idx) with
+    | [], true -> fun r -> compiled.(nxt) r
+    | [], false -> fun _ -> nxt
+    | cp, true ->
+      let cp = seq cp in
+      fun r ->
+        cp r;
+        compiled.(nxt) r
+    | cp, false ->
+      let cp = seq cp in
+      fun r ->
+        cp r;
+        nxt
+  in
+  let compile_term pre (b : block) (my_idx : int) : regs -> int =
+    match term_of.(my_idx) with
     | Ir.Ret s ->
       let a = read pre Lval s in
       fun r ->
         let v = r.vals in
         v.(result_slot) <- v.(a);
         -1
-    | Jump t -> arm t
+    | Jump t -> arm my_idx t
     | Br (c, t1, t2) ->
       let cond = branch_cond pre b c in
-      let a1 = arm t1 in
-      let a2 = arm t2 in
+      let a1 = arm my_idx t1 in
+      let a2 = arm my_idx t2 in
       fun r -> if cond r then a1 r else a2 r
     | Exit se ->
       let run = compile_exit se in
@@ -596,35 +1164,79 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
         -1
     | Unreachable msg -> fun _ -> vm_error "reached unreachable block: %s" msg
   in
-  List.iteri
-    (fun i _ ->
-      let steps, term = parts i in
-      let steps = Array.of_list steps in
-      compiled.(i) <-
-        (match Array.length steps with
-        | 0 -> term
-        | 1 ->
-          let s0 = steps.(0) in
-          fun r ->
-            s0 r;
-            term r
-        | len ->
-          let last = len - 1 in
-          fun r ->
-            for j = 0 to last do
-              steps.(j) r
-            done;
-            term r))
-    blocks;
+  let loops = ref 0 in
+  (* block [i] as a native loop, when its Br enters a spliced chain whose
+     threaded jump goes straight back to [i] *)
+  let as_loop i : (regs -> int) option =
+    let b = barr.(i) in
+    let back_from (t : target) =
+      spliceable i t
+      &&
+      let last = chain_end (idx_of t.tblock) in
+      match term_of.(last) with Jump back -> back.tblock = b.bid | _ -> false
+    in
+    match term_of.(i) with
+    | Br (c, t1, t2) -> (
+      let shape =
+        if back_from t1 then Some (t1, t2, true)
+        else if back_from t2 then Some (t2, t1, false)
+        else None
+      in
+      match shape with
+      | None -> None
+      | Some (into, out, enter) ->
+        incr loops;
+        let head = List.concat_map compile_node (body_in_order b) in
+        let pre = ref [] in
+        let test =
+          match Hashtbl.find_opt fusion.conds b.bid with
+          | Some (Int_cmp (cc, Sym x, Sym y)) ->
+            let a = read pre Lint x in
+            Icmp_slots (cc, a, read pre Lint y)
+          | _ -> Cond (branch_cond pre b c)
+        in
+        let steps, last = chain (idx_of into.tblock) in
+        let back =
+          match term_of.(last) with Jump t -> t | _ -> assert false
+        in
+        let body = compile_jump into @ steps @ compile_jump back in
+        Some (native_loop (head @ List.rev !pre) test ~enter body (arm i out)))
+    | _ -> None
+  in
+  want entry_idx;
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    compiled.(i) <-
+      (match as_loop i with
+      | Some loop -> loop
+      | None ->
+        let steps, last = chain i in
+        let pre = ref [] in
+        let term = compile_term pre barr.(last) last in
+        block_closure (steps @ List.rev !pre) term)
+  done;
   if !Irtrace.on then
-    Snapshot.take g (Phases.Schedule "typed") ~exclude:(Hashtbl.mem fused)
-      ~meta:[ ("blocks", string_of_int (List.length blocks)) ];
-  let entry_idx = idx_of g.entry in
+    Snapshot.take g (Phases.Schedule "typed")
+      ~exclude:(fun s -> Hashtbl.mem fused s || is_folded s)
+      ~meta:
+        [
+          ("blocks", string_of_int nblocks);
+          ("folded", string_of_int (T.length folded_into));
+          ("loops", string_of_int !loops);
+          ("threaded", string_of_int !threaded);
+        ];
   let nparams = g.nparams in
   let ni = counts.(0) and nf = counts.(1) and nv = counts.(2) in
   let kints = Array.of_list !kints
   and kfloats = Array.of_list !kfloats
   and kvals = Array.of_list !kvals in
+  let entries lane =
+    Hashtbl.fold
+      (fun (k, l) i acc -> if l = lane then (k, i) :: acc else acc)
+      entry []
+    |> Array.of_list
+  in
+  let ient = entries Lint and fent = entries Lfloat in
   let registers () =
     let r =
       {
@@ -638,6 +1250,35 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     Array.iter (fun (i, x) -> r.vals.(i) <- x) kvals;
     r
   in
+  (* The arguments into the register file; false when one has not the
+     kind its entry slots need. *)
+  let fill r args =
+    Array.blit args 0 r.vals 1 nparams;
+    let ok = ref true in
+    for j = 0 to Array.length ient - 1 do
+      let k, i = ient.(j) in
+      match args.(k) with Int x -> r.ints.(i) <- x | _ -> ok := false
+    done;
+    for j = 0 to Array.length fent - 1 do
+      let k, i = fent.(j) in
+      match args.(k) with
+      | Float x -> r.floats.(i) <- x
+      | Int x -> r.floats.(i) <- float_of_int x
+      | _ -> ok := false
+    done;
+    !ok
+  in
+  (* The boxed backend's code for this graph, built by the first call
+     whose arguments fail the entry check. *)
+  let boxed = Atomic.make None in
+  let boxed_code () =
+    match Atomic.get boxed with
+    | Some f -> f
+    | None ->
+      let f = CB.compile_untraced ~hooks g in
+      if Atomic.compare_and_set boxed None (Some f) then f
+      else Option.get (Atomic.get boxed)
+  in
   (* One pooled register file, taken for the length of a call.  A call that
      finds the pool empty (recursion, another domain, or an earlier call
      that raised) makes a fresh one.  SSA: no step reads a stale slot, and
@@ -650,16 +1291,21 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
         (Array.length args);
     let r = Atomic.exchange pool empty in
     let r = if r == empty then registers () else r in
-    Array.blit args 0 r.vals 1 nparams;
-    (try
-       let bid = ref entry_idx in
-       while !bid >= 0 do
-         bid := compiled.(!bid) r
-       done
-     with Guard_miss -> ());
-    let v = r.vals.(result_slot) in
-    Atomic.set pool r;
-    v
+    if fill r args then begin
+      (try
+         let bid = ref entry_idx in
+         while !bid >= 0 do
+           bid := compiled.(!bid) r
+         done
+       with Guard_miss -> ());
+      let v = r.vals.(result_slot) in
+      Atomic.set pool r;
+      v
+    end
+    else begin
+      Atomic.set pool r;
+      boxed_code () args
+    end
 
 (* Span-instrumented entry point: attributes backend compile time in traces
    (a no-op single branch when no observability sink is attached). *)

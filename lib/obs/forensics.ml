@@ -197,28 +197,25 @@ let decisions () =
 let for_mid mid = List.filter (fun d -> d.d_mid = mid) (decisions ())
 
 (* Per-method timelines in first-decision order:
-   [(mid, label, decisions oldest-first)]. *)
+   [(mid, label, decisions oldest-first)].  Method ids restart at 0 in
+   every runtime, so a timeline is keyed by id and label together. *)
 let timeline () =
-  let tbl : (int, decision list ref) Hashtbl.t = Hashtbl.create 16 in
+  let tbl : (int * string, decision list ref) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
     (fun d ->
       if d.d_mid >= 0 then
-        match Hashtbl.find_opt tbl d.d_mid with
+        let key = (d.d_mid, d.d_meth) in
+        match Hashtbl.find_opt tbl key with
         | Some l -> l := d :: !l
         | None ->
-          Hashtbl.replace tbl d.d_mid (ref [ d ]);
-          order := d.d_mid :: !order)
+          Hashtbl.replace tbl key (ref [ d ]);
+          order := key :: !order)
     (decisions ());
   List.rev_map
-    (fun mid ->
-      let ds = List.rev !(Hashtbl.find tbl mid) in
-      let label =
-        match List.find_opt (fun d -> d.d_meth <> "") ds with
-        | Some d -> d.d_meth
-        | None -> Printf.sprintf "mid %d" mid
-      in
-      (mid, label, ds))
+    (fun ((mid, meth) as key) ->
+      let label = if meth = "" then Printf.sprintf "mid %d" mid else meth in
+      (mid, label, List.rev !(Hashtbl.find tbl key)))
     !order
 
 (* ------------------------------------------------------------------ *)

@@ -328,9 +328,7 @@ let test_why_report () =
            (Lancet.Explain.why_report ~meth:"nosuchmethod" rt)
            "no journaled decisions");
       (* OSR-in: one call of a long loop enters code compiled from the loop
-         header; the entry names its own steps, header pc and line.  The
-         journal keys methods by id, which a second runtime reuses. *)
-      Forensics.clear ();
+         header; the entry names its own steps, header pc and line. *)
       let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:2 () in
       let p = Mini.Front.load rt osr_src in
       check_value "OSR run" (Int (3 * (19_999 * 20_000 / 2) mod 1_000_003))
@@ -340,6 +338,33 @@ let test_why_report () =
         (contains r "entered OSR code mid-call  <- loop: ");
       check_bool "why names the header's line" true
         (contains r "back edge to @pc 8 (line 4)"))
+
+(* Two runtimes in one process journal into one ring, and method ids
+   restart in each: [spec] and [count] share an id, yet each keeps its own
+   timeline. *)
+let test_why_two_runtimes () =
+  with_journal (fun () ->
+      let rt1 = Lancet.Api.boot ~tiering:true ~tier_threshold:1 () in
+      let p1 = Mini.Front.load rt1 spec_src in
+      for x = 1 to 3 do
+        ignore (Mini.Front.call p1 "spec" [| Int x |])
+      done;
+      let rt2 = Lancet.Api.boot ~tiering:true ~tier_threshold:2 () in
+      let p2 = Mini.Front.load rt2 osr_src in
+      ignore (Mini.Front.call p2 "count" [| Int 20_000 |]);
+      check_int "the two methods share an id"
+        (Mini.Front.find_function p1 "spec").mid
+        (Mini.Front.find_function p2 "count").mid;
+      let spec = Lancet.Explain.why_report ~meth:"spec" rt1 in
+      let count = Lancet.Explain.why_report ~meth:"count" rt2 in
+      check_bool "spec's timeline is found" true
+        (contains spec "promoted to tier 1");
+      check_bool "count's timeline is found" true
+        (contains count "entered OSR code mid-call");
+      check_bool "count's decisions stay out of spec's timeline" false
+        (contains spec "entered OSR code");
+      check_bool "spec's decisions stay out of count's timeline" false
+        (contains count "promoted to tier 1"))
 
 (* ------------------------------------------------------------------ *)
 (* Worker attribution with background compile threads: the enqueue is
@@ -417,5 +442,6 @@ let suite =
     Alcotest.test_case "counters-and-export" `Quick test_counters_and_export;
     Alcotest.test_case "jit-sink-metrics" `Quick test_jit_sink_metrics;
     Alcotest.test_case "why-report" `Quick test_why_report;
+    Alcotest.test_case "why-two-runtimes" `Quick test_why_two_runtimes;
     Alcotest.test_case "worker-attribution" `Quick test_worker_attribution;
   ]

@@ -346,6 +346,32 @@ let test_guards_fuse_alike () =
       ignore (check_alike rt p "clamp"))
 
 (* ------------------------------------------------------------------ *)
+(* The typed backend's boxed fallback is not a compile of its own        *)
+
+(* A call whose argument fails a typed kernel's entry check runs the boxed
+   code for the same graph, built there and then: that build adds no
+   snapshot and no missed optimization to those of the kernel's compile. *)
+let test_fallback_records_nothing () =
+  with_irtrace (fun () ->
+      let rt = Lancet.Api.boot () in
+      let p =
+        Mini.Front.load rt
+          "def k(x: int, flag: int): int = if (Lancet.speculate(flag < 5)) { \
+           if (flag > 0) x + 1 else 0 } else 7"
+      in
+      let m = Mini.Front.find_function p "k" in
+      let g = Lancet.Compiler.stage rt m (Array.make 2 Lancet.Compiler.Dyn) in
+      let fn =
+        Lms.Typed_backend.compile ~hooks:(Lms.Closure_backend.default_hooks rt) g
+      in
+      let seen = Irtrace.seen () and misses = List.length (Irtrace.misses ()) in
+      check_bool "the kernel's compile recorded a miss" true (misses > 0);
+      check_bool "fallback result" true
+        (Vm.Value.equal (Vm.Types.Int 0) (fn [| Vm.Types.Str "x"; Int 0 |]));
+      check_int "no snapshot" seen (Irtrace.seen ());
+      check_int "no miss" misses (List.length (Irtrace.misses ())))
+
+(* ------------------------------------------------------------------ *)
 (* Disabled mode records nothing                                        *)
 
 let test_disabled_records_nothing () =
@@ -366,6 +392,8 @@ let suite =
     Alcotest.test_case "fingerprint-bg" `Quick test_fingerprint_stable_bg;
     Alcotest.test_case "why-fingerprint" `Quick test_why_fingerprint;
     Alcotest.test_case "guards-fuse-alike" `Quick test_guards_fuse_alike;
+    Alcotest.test_case "fallback-records-nothing" `Quick
+      test_fallback_records_nothing;
     Alcotest.test_case "disabled-records-nothing" `Quick
       test_disabled_records_nothing;
   ]

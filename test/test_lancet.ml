@@ -754,6 +754,313 @@ let prop_typed_equals_boxed_float =
           same interp (run boxed args) && same interp (run typed args))
         [ (0.5, -1.25, 3); (2.0, 0.0, -2); (-3.5, 1.5, 7) ])
 
+(* Kernels for the typed backend's folding, threading and native loops:
+   float and int arrays indexed by [u*k+v], [u+v] and [v-u] over the loop
+   variables in scope, float ops on two loads, [x + y*z] and [x - y*z],
+   nested [for]/[while] loops and int and float [if] compares.  Indices
+   leave the 16-element arrays at the larger sizes, so errors are compared
+   too. *)
+let gen_mini_kernel =
+  QCheck.Gen.(
+    let idx vars =
+      let var = oneofl vars in
+      frequency
+        [
+          ( 3,
+            map3 (Printf.sprintf "%s * %s + %s") var (oneofl [ "m"; "2"; "3" ]) var );
+          (3, map2 (Printf.sprintf "%s + %s") var var);
+          (1, map2 (Printf.sprintf "%s - %s") var var);
+          (1, var);
+          (1, map string_of_int (int_range 0 5));
+        ]
+    in
+    let load vars =
+      let* arr = oneofl [ "xs"; "ys" ] and* i = idx vars in
+      return (Printf.sprintf "%s[%s]" arr i)
+    in
+    let rec fexp vars k =
+      if k <= 0 then
+        frequency
+          [
+            (2, oneofl [ "a"; "c"; "r"; "1.5"; "(-0.5)" ]);
+            (3, load vars);
+            (1, map (Printf.sprintf "i2f(zs[%s])") (idx vars));
+          ]
+      else
+        frequency
+          [
+            (1, fexp vars 0);
+            ( 3,
+              map3 (Printf.sprintf "(%s %s %s)") (load vars)
+                (oneofl [ "+"; "-"; "*"; "/" ])
+                (load vars) );
+            ( 2,
+              map3 (Printf.sprintf "(%s %s %s)") (fexp vars (k / 2))
+                (oneofl [ "+"; "-"; "*" ])
+                (fexp vars (k / 2)) );
+            ( 2,
+              let* x = fexp vars (k / 2)
+              and* op = oneofl [ "+"; "-" ]
+              and* y = fexp vars (k / 2)
+              and* z = fexp vars (k / 2) in
+              return (Printf.sprintf "(%s %s %s * %s)" x op y z) );
+          ]
+    in
+    let iexp vars =
+      oneof
+        [
+          oneofl vars;
+          map string_of_int (int_range (-2) 6);
+          map (Printf.sprintf "zs[%s]") (idx vars);
+          map2 (Printf.sprintf "(%s + %s)") (oneofl vars) (oneofl [ "1"; "m" ]);
+        ]
+    in
+    let cmp = oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
+    let bound = oneofl [ "n"; "m"; "2"; "3" ] in
+    let rec stm vars k =
+      let simple =
+        frequency
+          [
+            (2, map2 (Printf.sprintf "%s = %s") (oneofl [ "c"; "r" ]) (fexp vars 2));
+            ( 2,
+              map3 (Printf.sprintf "%s[%s] = %s") (oneofl [ "xs"; "ys" ])
+                (idx vars) (fexp vars 2) );
+            (1, map2 (Printf.sprintf "zs[%s] = %s") (idx vars) (iexp vars));
+            ( 2,
+              map2 (Printf.sprintf "r = r + xs[%s] * ys[%s]") (idx vars)
+                (idx vars) );
+            ( 1,
+              map2 (Printf.sprintf "%s = (%s) %% 5") (oneofl [ "i"; "j" ])
+                (iexp vars) );
+          ]
+      in
+      if k <= 0 then simple
+      else
+        let fresh prefix =
+          incr fresh_loop;
+          Printf.sprintf "%s%d" prefix !fresh_loop
+        in
+        frequency
+          [
+            (3, simple);
+            (2, map2 (Printf.sprintf "%s; %s") (stm vars (k / 2)) (stm vars (k / 2)));
+            ( 1,
+              let* x = fexp vars 1 and* op = cmp and* y = fexp vars 1 in
+              map2
+                (Printf.sprintf "if (%s %s %s) { %s } else { %s }" x op y)
+                (stm vars (k / 2)) (stm vars (k / 2)) );
+            ( 1,
+              let* x = iexp vars and* op = cmp and* y = iexp vars in
+              map2
+                (Printf.sprintf "if (%s %s %s) { %s } else { %s }" x op y)
+                (stm vars (k / 2)) (stm vars (k / 2)) );
+            (* a store between two loads *)
+            ( 1,
+              let t = fresh "t" in
+              let* a = idx vars
+              and* arr = oneofl [ "xs"; "ys" ]
+              and* b = idx vars
+              and* e = fexp vars 1
+              and* c = idx vars in
+              return
+                (Printf.sprintf "val %s = xs[%s]; %s[%s] = %s; r = %s - ys[%s]" t
+                   a arr b e t c) );
+            (* the old value read after the new one is computed *)
+            ( 1,
+              let t = fresh "t" in
+              let* x = oneofl [ "c"; "r" ]
+              and* y = oneofl [ "c"; "r" ]
+              and* e = fexp vars 1 in
+              return
+                (Printf.sprintf "val %s = %s; %s = %s; %s = %s + %s" t x x e y
+                   y t) );
+            ( 1,
+              let t = fresh "t" in
+              let* e = iexp vars in
+              return
+                (Printf.sprintf "val %s = i; i = (%s) %% 5; j = (j + %s) %% 5" t
+                   e t) );
+            ( 2,
+              let v = fresh "l" in
+              map2
+                (fun b body -> Printf.sprintf "for (%s <- 0 until %s) { %s }" v b body)
+                bound (stm (v :: vars) (k / 2)) );
+            ( 1,
+              let v = fresh "w" in
+              map2
+                (fun b body ->
+                  Printf.sprintf "var %s = 0; while (%s < %s) { %s; %s = %s + 1 }"
+                    v v b body v v)
+                bound (stm (v :: vars) (k / 2)) );
+          ]
+    in
+    sized (fun k -> stm [ "i"; "j" ] (min k 10)))
+
+let kernel_src stmts =
+  Printf.sprintf
+    "def f(xs: farray, ys: farray, zs: array[int], n: int, m: int, a: float): \
+     float = { var i = 1; var j = 2; var c = 0.0; var r = 0.5; %s; r + c + \
+     i2f(i + j) }"
+    stmts
+
+(* The result and the arrays after a call, floats bit for bit (all NaNs
+   alike), or the error and the arrays when it raised. *)
+let kernel_outcome f args =
+  let xs = Array.init 16 (fun i -> float_of_int (i - 5) *. 0.75) in
+  let ys = Array.init 16 (fun i -> 1.0 +. float_of_int (i * i mod 7)) in
+  let zs = Array.init 16 (fun i -> Int ((i * 5 mod 11) - 3)) in
+  let bits x = if Float.is_nan x then "nan" else Int64.to_string (Int64.bits_of_float x) in
+  let v =
+    match f (Array.append [| Farr xs; Farr ys; Arr zs |] args) with
+    | Float x -> "float " ^ bits x
+    | v -> Vm.Value.to_string v
+    | exception Vm.Types.Vm_error e -> "error " ^ e
+    | exception Invalid_argument e -> "invalid_argument " ^ e
+  in
+  String.concat " "
+    (v :: Array.to_list (Array.map bits xs)
+    @ Array.to_list (Array.map Vm.Value.to_string zs))
+
+let backends_agree ?(nulls = false) src fname args =
+  let rt = Lancet.Api.boot () in
+  let p = Mini.Front.load rt src in
+  let m = Mini.Front.find_function p fname in
+  let g = C.stage rt m (Array.make m.mnargs C.Dyn) in
+  let hooks = Lms.Closure_backend.default_hooks rt in
+  let boxed = Lms.Closure_backend.compile ~hooks g in
+  let typed = Lms.Typed_backend.compile ~hooks g in
+  let run f args =
+    if nulls then
+      (* the first array is null: calls see only [args] *)
+      match f args with
+      | v -> Vm.Value.to_string v
+      | exception Vm.Types.Vm_error e -> "error " ^ e
+      | exception Invalid_argument e -> "invalid_argument " ^ e
+    else kernel_outcome f args
+  in
+  List.for_all
+    (fun args ->
+      let want = run (Vm.Interp.call rt m) args in
+      String.equal want (run boxed args) && String.equal want (run typed args))
+    args
+
+let prop_typed_kernels =
+  QCheck.Test.make ~name:"typed kernels == boxed == interpreter" ~count:150
+    (QCheck.make ~print:kernel_src gen_mini_kernel)
+    (fun stmts ->
+      backends_agree (kernel_src stmts) "f"
+        [
+          [| Int 2; Int 3; Float 0.5 |];
+          [| Int 3; Int 4; Float (-1.25) |];
+          [| Int 5; Int 5; Float 2.0 |];
+        ])
+
+(* An [fmul] of two folded loads inside an [fadd]: the multiply is a step
+   of its own, as the add must not read the slots of loads folded away. *)
+let test_typed_fmul_of_loads () =
+  let src =
+    "def f(xs: farray, ys: farray, zs: array[int], n: int, m: int, a: float): \
+     float = { var r = 0.5; for (i <- 0 until n) { r = r + xs[i * m + 1] * \
+     ys[i + 2] }; r - xs[1] * ys[m]; r }"
+  in
+  check_bool "all three agree" true
+    (backends_agree src "f" [ [| Int 3; Int 4; Float 0.0 |]; [| Int 5; Int 4; Float 0.0 |] ])
+
+(* A loop variable's old value read after its new value is computed: the
+   new value must not take the variable's slot before that read. *)
+let test_typed_jump_slot_sharing () =
+  let src =
+    "def f(xs: farray, ys: farray, zs: array[int], n: int, m: int, a: float): \
+     float = { var s = 1.0; var r = 0.0; for (i <- 0 until n) { val old = s; s \
+     = s * 2.0 + xs[i]; r = r + old }; r + s }"
+  in
+  check_bool "all three agree" true
+    (backends_agree src "f" [ [| Int 4; Int 0; Float 0.0 |] ])
+
+(* A store between the two loads of a float op: the first load must not
+   move past it.  With both names bound to one array, a moved load would
+   read the stored value; with the first load out of range, a moved load
+   would raise after the store instead of before it. *)
+let test_typed_load_stays_before_store () =
+  let src =
+    "def f(xs: farray, ys: farray, i: int): float = { val a = xs[i]; ys[0] = \
+     5.0; val b = ys[1]; a - b }"
+  in
+  let rt = Lancet.Api.boot () in
+  let p = Mini.Front.load rt src in
+  let m = Mini.Front.find_function p "f" in
+  let g = C.stage rt m (Array.make 3 C.Dyn) in
+  let hooks = Lms.Closure_backend.default_hooks rt in
+  let engines =
+    [
+      ("interpreter", Vm.Interp.call rt m);
+      ("boxed", Lms.Closure_backend.compile ~hooks g);
+      ("typed", Lms.Typed_backend.compile ~hooks g);
+    ]
+  in
+  let run f ~alias i =
+    let xs = [| 1.0; 2.0 |] in
+    let ys = if alias then xs else [| 3.0; 4.0 |] in
+    let v =
+      match f [| Farr xs; Farr ys; Int i |] with
+      | v -> Vm.Value.to_string v
+      | exception Invalid_argument e -> "invalid_argument " ^ e
+    in
+    Printf.sprintf "%s xs=%g,%g ys=%g,%g" v xs.(0) xs.(1) ys.(0) ys.(1)
+  in
+  List.iter
+    (fun (alias, i) ->
+      let want = run (Vm.Interp.call rt m) ~alias i in
+      List.iter
+        (fun (name, f) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, alias=%b, i=%d" name alias i)
+            want (run f ~alias i))
+        engines)
+    [ (true, 0); (false, 10) ]
+
+(* Both loads of one folded op out of range, and a null first array: the
+   load that comes first in the source raises, whichever side it is on. *)
+let test_typed_folded_load_order () =
+  let left = "def f(xs: farray, ys: farray, i: int): float = xs[i * 2 + 1] - ys[i + 7]" in
+  let right =
+    "def f(xs: farray, ys: farray, i: int): float = { val b = ys[i + 7]; val \
+     a = xs[i * 2 + 1]; a - b }"
+  in
+  let fs = Farr (Array.make 4 1.0) in
+  List.iter
+    (fun src ->
+      check_bool "in range" true (backends_agree ~nulls:true src "f" [ [| fs; fs; Int 0 |] ]);
+      check_bool "both out of range" true
+        (backends_agree ~nulls:true src "f" [ [| fs; fs; Int 10 |] ]);
+      check_bool "null left array, right out of range" true
+        (backends_agree ~nulls:true src "f" [ [| Null; fs; Int 10 |] ]))
+    [ left; right ];
+  (* both shapes fold the two loads into the subtract *)
+  Irtrace.enable ();
+  Fun.protect ~finally:Irtrace.disable (fun () ->
+      List.iter
+        (fun src ->
+          let rt = Lancet.Api.boot () in
+          let p = Mini.Front.load rt src in
+          let m = Mini.Front.find_function p "f" in
+          let g = C.stage rt m (Array.make 3 C.Dyn) in
+          let (_ : Vm.Types.value array -> Vm.Types.value) =
+            Lms.Typed_backend.compile
+              ~hooks:(Lms.Closure_backend.default_hooks rt) g
+          in
+          ())
+        [ left; right ];
+      let folded =
+        List.filter_map
+          (fun sn ->
+            if sn.Irtrace.sn_phase = "schedule:typed" then
+              Some (List.assoc "folded" sn.Irtrace.sn_meta)
+            else None)
+          (Irtrace.snapshots ())
+      in
+      Alcotest.(check (list string)) "loads and index trees folded" [ "5"; "5" ] folded)
+
 let suite =
   suite
   @ [
@@ -767,6 +1074,14 @@ let suite =
       Alcotest.test_case "ntimes-gated-unroll" `Quick test_ntimes_gated_unroll;
       QCheck_alcotest.to_alcotest prop_typed_equals_boxed;
       QCheck_alcotest.to_alcotest prop_typed_equals_boxed_float;
+      QCheck_alcotest.to_alcotest prop_typed_kernels;
+      Alcotest.test_case "typed-fmul-of-loads" `Quick test_typed_fmul_of_loads;
+      Alcotest.test_case "typed-jump-slot-sharing" `Quick
+        test_typed_jump_slot_sharing;
+      Alcotest.test_case "typed-load-stays-before-store" `Quick
+        test_typed_load_stays_before_store;
+      Alcotest.test_case "typed-folded-load-order" `Quick
+        test_typed_folded_load_order;
     ]
 
 (* deoptimization stress: random programs with speculation guards that fail

@@ -220,7 +220,98 @@ let test_typed_two_domains () =
   let other = Domain.spawn (run 1_000_000) in
   let here = run 0 () in
   check_int "wrong results, this domain" 0 here;
-  check_int "wrong results, other domain" 0 (Domain.join other)
+  check_int "wrong results, other domain" 0 (Domain.join other);
+  (* Both domains at once call a kernel with a string for an int parameter
+     the taken path never reads: both take the boxed code, which is built
+     at most once per racing domain and then shared, and nothing raises. *)
+  let src = "def pick(x: int, flag: int): int = if (flag > 0) x * 3 else 0 - 1" in
+  let rt = Lancet.Api.boot () in
+  let p = Mini.Front.load rt src in
+  let m = Mini.Front.find_function p "pick" in
+  let g = Lancet.Compiler.stage rt m [| Lancet.Compiler.Dyn; Dyn |] in
+  let fn = Typed_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let builds = Atomic.make 0 in
+  let sink =
+    {
+      Obs.sink_name = "boxed-builds";
+      sink_emit =
+        (fun ~ts:_ -> function
+          | Obs.Span_begin { name = "backend:closure"; _ } -> Atomic.incr builds
+          | _ -> ());
+      sink_flush = ignore;
+    }
+  in
+  let ready = Atomic.make 0 in
+  let run () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let bad = ref 0 in
+    for _ = 1 to 2_000 do
+      if fn [| Vm.Types.Str "s"; Int 0 |] <> Vm.Types.Int (-1) then incr bad
+    done;
+    !bad
+  in
+  Obs.with_sink sink (fun () ->
+      let other = Domain.spawn run in
+      let here = run () in
+      check_int "mismatch path, this domain" 0 here;
+      check_int "mismatch path, other domain" 0 (Domain.join other);
+      let n = Atomic.get builds in
+      Alcotest.(check bool) "boxed code built once per racing domain at most" true
+        (n >= 1 && n <= 2);
+      ignore (fn [| Vm.Types.Str "s"; Int 0 |]);
+      check_int "later mismatches reuse the published code" n
+        (Atomic.get builds));
+  check_int "well-typed calls keep the fast path" 21
+    (Vm.Value.to_int (fn [| Int 7; Int 1 |]))
+
+(* A kernel's entry check: an int parameter given a string or a float.  The
+   call runs the boxed code, so it returns the interpreter's result when the
+   parameter is only read on a path not taken, and raises the boxed
+   backend's error, after the store before the read, when it is read. *)
+let test_typed_entry_check () =
+  let src =
+    "def k(xs: farray, n: int, flag: int): int = { xs[0] = 7.0; if (flag > \
+     0) n + 1 else 0 }"
+  in
+  let rt = Lancet.Api.boot () in
+  let p = Mini.Front.load rt src in
+  let m = Mini.Front.find_function p "k" in
+  let g = Lancet.Compiler.stage rt m (Array.make 3 Lancet.Compiler.Dyn) in
+  let fn = Typed_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let run f n flag =
+    let xs = [| 0.0; 1.0 |] in
+    let v =
+      match f [| Vm.Types.Farr xs; n; Int flag |] with
+      | v -> Ok (Vm.Value.to_string v)
+      | exception Vm.Types.Vm_error e -> Error e
+    in
+    (v, xs)
+  in
+  let show (v, xs) =
+    (match v with Ok v -> v | Error e -> "error: " ^ e)
+    ^ Printf.sprintf " xs.(0)=%g" xs.(0)
+  in
+  List.iter
+    (fun (bad, kind) ->
+      Alcotest.(check string)
+        (kind ^ ", parameter not read: the interpreter's result")
+        (show (run (Vm.Interp.call rt m) bad 0))
+        (show (run fn bad 0));
+      Alcotest.(check string)
+        (kind ^ ", parameter read: the error, after the store")
+        ("error: expected int, got " ^ kind ^ " xs.(0)=7")
+        (show (run fn bad 1));
+      Alcotest.(check string)
+        (kind ^ ", same as the interpreter")
+        (show (run (Vm.Interp.call rt m) bad 1))
+        (show (run fn bad 1));
+      Alcotest.(check string)
+        (kind ^ ", then a well-typed call") "42 xs.(0)=7"
+        (show (run fn (Int 41) 1)))
+    [ (Vm.Types.Str "x", "string"); (Float 2.5, "float") ]
 
 let test_heap_ops () =
   let cls =
@@ -417,6 +508,7 @@ let suite =
     Alcotest.test_case "loop-param-rotation-float" `Quick test_loop_swap_float;
     Alcotest.test_case "jump-constants" `Quick test_jump_constants;
     Alcotest.test_case "typed-two-domains" `Quick test_typed_two_domains;
+    Alcotest.test_case "typed-entry-check" `Quick test_typed_entry_check;
     Alcotest.test_case "heap-ops" `Quick test_heap_ops;
     Alcotest.test_case "pretty" `Quick test_pretty;
     Alcotest.test_case "toy-interp" `Quick test_toy_interp;
