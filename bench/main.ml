@@ -11,8 +11,8 @@
    [tiered] compares the pure interpreter against the tiered execution
    engine (hotness-driven method JIT) and writes BENCH_tiered.json (with
    an event-kind breakdown per workload); [obs] measures the cost of one
-   observability emit site with and without a sink and writes
-   BENCH_obs.json; [bgjit] compares synchronous promotion against the
+   observability emit site with no sink, a ring sink and the decision
+   journal and writes BENCH_obs.json; [bgjit] compares synchronous promotion against the
    background compile queue (mutator compile pauses, time-to-tier-up) and
    writes BENCH_bgjit.json; [check] is the fast correctness-only gate
    wired into the runtest alias (now including a Chrome-trace smoke test,
@@ -593,8 +593,8 @@ let tiered () =
   pr "\nwrote BENCH_tiered.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Disabled-checkpoint gate, shared by the obs, profiler, forensics,
-   irtrace, chaos and governor checkpoints                              *)
+(* Disabled-checkpoint gate, shared by the obs, profiler, irtrace, chaos
+   and governor checkpoints                                             *)
 
 (* The loop body every gate times: cheap and allocation-free. *)
 let gate_acc = ref 0
@@ -605,22 +605,40 @@ let gate_bare iters =
     gate_body i
   done
 
-let gate_iters = 2_000_000
+let gate_iters = 200_000
+
+(* Checkpoints per timed iteration.  Each gate's loop writes its
+   checkpoint out this many times after [gate_body], as [@inline] copies:
+   one site per iteration reads within the timer's noise of an out-of-line
+   call, eight separate them. *)
+let gate_sites = 8
 
 (* Wall time per iteration of one [f gate_iters] run, in ns. *)
 let ns_per_iter f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   f gate_iters;
-  (Unix.gettimeofday () -. t0) /. float_of_int gate_iters *. 1e9
+  (Obs.now () -. t0) /. float_of_int gate_iters *. 1e9
 
-(* Cost of one disabled checkpoint, in ns per iteration: [guarded] is
-   [gate_bare] with the checkpoint added to the loop.  The two arms run as
-   many short trials, interleaved, flipping which arm runs first, and the
-   reading is the difference of the per-arm minima: a switch in host speed
-   then lands on both arms instead of on the difference.  The reading is
-   signed; noise can make it negative.  Beside the clock, an exact check:
-   a guarded run must allocate no minor words, so a checkpoint that builds
-   its payload before the guard fails whatever the timing says. *)
+(* Cost of one checkpoint, in ns per site, of a loop of [gate_sites]
+   sites per iteration over [gate_bare]'s. *)
+let ns_per_site f = (ns_per_iter f -. ns_per_iter gate_bare) /. float_of_int gate_sites
+
+(* Cost of one disabled checkpoint, in ns per site: [guarded] is
+   [gate_bare] with [gate_sites] copies of the checkpoint added to the
+   loop.  The two arms run as many short trials, interleaved, flipping
+   which arm runs first, and the reading is the difference of the per-arm
+   minima over [gate_sites]: a switch in host speed then lands on both arms
+   instead of on the difference.  The reading is signed; noise can make it
+   negative.  Each gate's [budget_ns] sits between the readings of its
+   correct checkpoint and of the checkpoint, or only its flag read, moved
+   into an [@inline never] function; on a 2-vCPU Xeon a correct
+   load+branch read 0.29-1.36 ns per site, depending on code placement,
+   and the out-of-line forms 1.4-4.2 ns.
+   Contention from other tenants only ever slows a reading, and can span a
+   whole gate, so a reading over budget is taken again, twice at most.
+   Beside the clock, an exact check: a guarded run must allocate no minor
+   words, so a checkpoint that builds its payload before the guard fails
+   whatever the timing says. *)
 let checkpoint_gate ~name ~budget_ns guarded =
   let w0 = Gc.minor_words () in
   guarded gate_iters;
@@ -629,61 +647,77 @@ let checkpoint_gate ~name ~budget_ns guarded =
     failwith
       (Printf.sprintf "%s allocated %.0f minor words while disabled" name
          words);
-  let bare = ref infinity and guard = ref infinity in
-  let trial best f = best := Float.min !best (ns_per_iter f) in
-  for k = 1 to 41 do
-    if k land 1 = 0 then begin
-      trial bare gate_bare;
-      trial guard guarded
-    end
-    else begin
-      trial guard guarded;
-      trial bare gate_bare
-    end
-  done;
-  let ns = !guard -. !bare in
+  let reading () =
+    let bare = ref infinity and guard = ref infinity in
+    let trial best f = best := Float.min !best (ns_per_iter f) in
+    for k = 1 to 201 do
+      if k land 1 = 0 then begin
+        trial bare gate_bare;
+        trial guard guarded
+      end
+      else begin
+        trial guard guarded;
+        trial bare gate_bare
+      end
+    done;
+    (!guard -. !bare) /. float_of_int gate_sites
+  in
+  let rec settle retries =
+    let ns = reading () in
+    if ns > budget_ns && retries > 0 then settle (retries - 1) else ns
+  in
+  let ns = settle 2 in
   if ns > budget_ns then
     failwith
-      (Printf.sprintf "%s costs %.2fns while disabled (> %gns budget)" name
-         ns budget_ns);
+      (Printf.sprintf "%s costs %.2fns per site while disabled (> %gns budget)"
+         name ns budget_ns);
   ns
 
 (* ------------------------------------------------------------------ *)
 (* Observability: emit-site overhead and trace smoke test               *)
 
-(* One guarded emit site (`if !Obs.enabled then Obs.emit ...`) per
-   iteration.  With no sink attached the site must be a single
-   load+branch; with a ring sink it pays for a timestamp and an array
-   store.  The 15ns budget is an order of magnitude above a load+branch, so
-   it trips only if an emit site allocates or calls out with no sink. *)
-let obs_site iters =
+(* One guarded emit site (`if !Obs.enabled then Obs.emit ...`).  With no
+   sink attached the site must be a single load+branch; with a ring sink
+   it pays for a timestamp and an array store, and with the decision
+   journal for a journaled decision record.  The event is a decision the
+   journal keeps. *)
+let[@inline] obs_site i =
+  if !Obs.enabled then
+    Obs.emit (Obs.Cache_install { meth = "bench"; mid = 0; gen = i; occ = 0 })
+
+let obs_sites iters =
   for i = 1 to iters do
     gate_body i;
-    if !Obs.enabled then
-      Obs.emit
-        (Obs.Interp_call { meth = "bench"; mid = 0; calls = i; backedges = 0 })
+    obs_site i; obs_site i; obs_site i; obs_site i;
+    obs_site i; obs_site i; obs_site i; obs_site i
   done
 
 let obs_gate () =
-  checkpoint_gate ~name:"obs emit site" ~budget_ns:15.0 obs_site
+  checkpoint_gate ~name:"obs emit site" ~budget_ns:1.4 obs_sites
 
 let obs_bench () =
-  header "Observability: emit-site overhead (no sink vs ring buffer)";
+  header "Observability: emit-site overhead (no sink, ring buffer, journal)";
   let no_sink_ns = obs_gate () in
   let ring = Obs.Ring.create ~capacity:4096 () in
-  let ring_ns =
-    Obs.with_sink (Obs.Ring.sink ring) (fun () -> ns_per_iter obs_site)
-    -. ns_per_iter gate_bare
-  in
+  let ring_ns = Obs.with_sink (Obs.Ring.sink ring) (fun () -> ns_per_site obs_sites) in
+  let cap = 4096 in
+  Forensics.enable ~capacity:cap ();
+  let journal_ns = ns_per_site obs_sites in
+  let recorded = Forensics.seen () in
+  Forensics.disable ();
   pr "\n%-28s %10.2f ns/site\n" "no sink (single branch)" no_sink_ns;
   pr "%-28s %10.2f ns/site  (%d events)\n" "ring-buffer sink" ring_ns
     (Obs.Ring.seen ring);
+  pr "%-28s %10.2f ns/site  (%d recorded, cap %d)\n" "decision-journal sink"
+    journal_ns recorded cap;
   let oc = open_out "BENCH_obs.json" in
   output_string oc
     (Printf.sprintf
-       "{\n  \"iters\": %d,\n  \"no_sink_ns_per_emit\": %.3f,\n  \
-        \"ring_ns_per_emit\": %.3f\n}\n"
-       gate_iters no_sink_ns ring_ns);
+       "{\n  \"iters\": %d,\n  \"sites_per_iter\": %d,\n  \
+        \"no_sink_ns_per_emit\": %.3f,\n  \"ring_ns_per_emit\": %.3f,\n  \
+        \"journal_ns_per_emit\": %.3f,\n  \"journal_recorded\": %d,\n  \
+        \"journal_capacity\": %d\n}\n"
+       gate_iters gate_sites no_sink_ns ring_ns journal_ns recorded cap);
   close_out oc;
   pr "\nwrote BENCH_obs.json\n"
 
@@ -692,14 +726,15 @@ let obs_bench () =
 
 (* The interpreter's per-step profiler checkpoint
    (`if !Obs.sampling && Obs.sample_due () then ...`) with sampling off.
-   Every bytecode step pays it when nobody is profiling, so it is held to
-   the same budget as the no-sink emit site. *)
+   Every bytecode step pays it when nobody is profiling. *)
+let[@inline] profile_site i = if !Obs.sampling && Obs.sample_due () then gate_body (-i)
+
 let profile_gate () =
-  checkpoint_gate ~name:"profiler checkpoint" ~budget_ns:15.0
-    (fun iters ->
+  checkpoint_gate ~name:"profiler checkpoint" ~budget_ns:1.5 (fun iters ->
       for i = 1 to iters do
         gate_body i;
-        if !Obs.sampling && Obs.sample_due () then gate_body (-i)
+        profile_site i; profile_site i; profile_site i; profile_site i;
+        profile_site i; profile_site i; profile_site i; profile_site i
       done)
 
 (* The tiered kmeans workload with and without the sampling profiler
@@ -757,7 +792,7 @@ let profile_bench () =
   output_string oc
     (Printf.sprintf
        "{\n  \"iters\": %d,\n  \"disabled_checkpoint_ns_per_step\": %.3f,\n  \
-        \"budget_ns\": 15.0,\n  \"kmeans_ms_profiler_off\": %.3f,\n  \
+        \"kmeans_ms_profiler_off\": %.3f,\n  \
         \"kmeans_ms_profiler_on\": %.3f,\n  \"interval_ms\": %.3f,\n  \
         \"samples\": %d,\n  \"coverage\": %.3f\n}\n"
        gate_iters ns ms_off ms_on interval_ms prof.Profiler.samples
@@ -766,76 +801,37 @@ let profile_bench () =
   pr "\nwrote BENCH_profile.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Decision forensics: disabled-journal checkpoint overhead            *)
-
-(* One journal checkpoint (`if !Forensics.on then Forensics.record ...`)
-   per iteration.  The sites sit on tiering slow paths (promotion, install,
-   deopt, queue traffic) but the budget is deliberately brutal — < 1ns
-   over the bare loop — because the disabled path must be a single
-   load+branch: the action payload is allocated under the guard, never
-   before it. *)
-let forensics_site iters =
-  for i = 1 to iters do
-    gate_body i;
-    if !Forensics.on then
-      Forensics.record ~mid:0 ~meth:"bench" (Forensics.Install { gen = i })
-  done
-
-let forensics_gate () =
-  Forensics.disable ();
-  checkpoint_gate ~name:"forensics journal checkpoint" ~budget_ns:1.0
-    forensics_site
-
-let forensics_bench () =
-  header "Decision forensics: journal checkpoint overhead";
-  let off_ns = forensics_gate () in
-  pr "\n%-36s %10.2f ns/site\n" "journal disabled (single branch)" off_ns;
-  let cap = 4096 in
-  Forensics.enable ~capacity:cap ();
-  let on_ns = ns_per_iter forensics_site in
-  let recorded = Forensics.seen () in
-  Forensics.disable ();
-  pr "%-36s %10.2f ns/site  (%d recorded, cap %d)\n"
-    "journal enabled (bounded ring)" on_ns recorded cap;
-  let oc = open_out "BENCH_forensics.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\n  \"iters\": %d,\n  \"disabled_checkpoint_ns_per_site\": %.3f,\n  \
-        \"budget_ns\": 1.0,\n  \"enabled_record_ns_per_site\": %.3f,\n  \
-        \"recorded\": %d,\n  \"capacity\": %d\n}\n"
-       gate_iters off_ns on_ns recorded cap);
-  close_out oc;
-  pr "\nwrote BENCH_forensics.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* Pipeline introspection: disabled-checkpoint overhead                 *)
 
-(* One IR-trace checkpoint (`if !Irtrace.on then ...`) per iteration.  The
+(* One IR-trace checkpoint (`if !Irtrace.on then ...`).  The
    sites sit inside the staging emit path, the DCE filter and the backends'
    guard-lowering analysis — hotter code than the journal's tiering slow
    paths — so the disabled form must stay a single load+branch with the
-   miss payload allocated only under the guard.  The budget leaves ~1ns of
-   headroom over that cost: a payload hoisted out of the guard costs tens
-   of ns.  Enabled, sites dedup by (mid, pc, reason), so steady-state
-   records are a hash probe plus a counter bump. *)
-let irtrace_site iters =
+   miss payload allocated only under the guard.  Enabled, sites dedup by
+   (mid, pc, reason), so steady-state records are a hash probe plus a
+   counter bump. *)
+let[@inline] irtrace_site i =
+  if !Irtrace.on then
+    Irtrace.record_miss ~phase:"stage" ~mid:0 ~pc:(i land 63) ~line:1
+      (Irtrace.Cse_effect_barrier { op = "bench" })
+
+let irtrace_sites iters =
   for i = 1 to iters do
     gate_body i;
-    if !Irtrace.on then
-      Irtrace.record_miss ~phase:"stage" ~mid:0 ~pc:(i land 63) ~line:1
-        (Irtrace.Cse_effect_barrier { op = "bench" })
+    irtrace_site i; irtrace_site i; irtrace_site i; irtrace_site i;
+    irtrace_site i; irtrace_site i; irtrace_site i; irtrace_site i
   done
 
 let irtrace_gate () =
   Irtrace.disable ();
-  checkpoint_gate ~name:"irtrace checkpoint" ~budget_ns:2.0 irtrace_site
+  checkpoint_gate ~name:"irtrace checkpoint" ~budget_ns:1.4 irtrace_sites
 
 let irtrace_bench () =
   header "Pipeline introspection: IR-trace checkpoint overhead";
   let off_ns = irtrace_gate () in
   pr "\n%-36s %10.2f ns/site\n" "irtrace disabled (single branch)" off_ns;
   Irtrace.enable ();
-  let on_ns = ns_per_iter irtrace_site in
+  let on_ns = ns_per_site irtrace_sites in
   let sites = List.length (Irtrace.misses ()) in
   Irtrace.disable ();
   pr "%-36s %10.2f ns/site  (%d deduped sites)\n"
@@ -844,8 +840,7 @@ let irtrace_bench () =
   output_string oc
     (Printf.sprintf
        "{\n  \"iters\": %d,\n  \"disabled_checkpoint_ns_per_site\": %.3f,\n  \
-        \"budget_ns\": 2.0,\n  \"enabled_record_ns_per_site\": %.3f,\n  \
-        \"deduped_sites\": %d\n}\n"
+        \"enabled_record_ns_per_site\": %.3f,\n  \"deduped_sites\": %d\n}\n"
        gate_iters off_ns on_ns sites);
   close_out oc;
   pr "\nwrote BENCH_irtrace.json\n"
@@ -1448,35 +1443,39 @@ let warmup ~small () =
 (* ------------------------------------------------------------------ *)
 (* Chaos engineering: disabled-checkpoint overhead + seeded fault soak  *)
 
-(* One disabled chaos checkpoint (`if !Chaos.on && Chaos.fire ...`) per
-   iteration.  The sites sit on the compile queue, the install path and
-   the interpreter's invoke path, so the disabled form must stay a single
-   load+branch: the same < 1ns budget as the other always-compiled
-   checkpoints. *)
+(* One disabled chaos checkpoint (`if !Chaos.on && Chaos.fire ...`).  The
+   sites sit on the compile queue, the install path and the interpreter's
+   invoke path, so the disabled form must stay a single load+branch. *)
+let[@inline] chaos_site () =
+  if !Chaos.on && Chaos.fire Chaos.compile_crash then gate_acc := !gate_acc lxor 1
+
 let chaos_gate () =
   Chaos.disable ();
-  checkpoint_gate ~name:"chaos injection checkpoint" ~budget_ns:1.0
+  checkpoint_gate ~name:"chaos injection checkpoint" ~budget_ns:1.5
     (fun iters ->
       for i = 1 to iters do
         gate_body i;
-        if !Chaos.on && Chaos.fire Chaos.compile_crash then
-          gate_acc := !gate_acc lxor 1
+        chaos_site (); chaos_site (); chaos_site (); chaos_site ();
+        chaos_site (); chaos_site (); chaos_site (); chaos_site ()
       done)
 
 (* The governor's promotion checkpoint when no governor is attached: the
-   promotion path pays one mutable-field load plus an option match.  Same
-   budget. *)
+   promotion path pays one mutable-field load plus an option match. *)
+let[@inline] governor_site (t : Vm.Types.tiering) =
+  match t.t_promote_gate with
+  | None -> ()
+  | Some _ -> gate_acc := !gate_acc lxor 1
+
 let governor_gate () =
   let rt = Vm.Natives.boot ~tiering:true () in
   let t = rt.tiering in
   t.t_promote_gate <- None;
-  checkpoint_gate ~name:"governor promotion checkpoint"
-    ~budget_ns:1.0 (fun iters ->
+  checkpoint_gate ~name:"governor promotion checkpoint" ~budget_ns:1.1
+    (fun iters ->
       for i = 1 to iters do
         gate_body i;
-        match t.t_promote_gate with
-        | None -> ()
-        | Some _ -> gate_acc := !gate_acc lxor 1
+        governor_site t; governor_site t; governor_site t; governor_site t;
+        governor_site t; governor_site t; governor_site t; governor_site t
       done)
 
 (* The soak workload mixes several methods so faults land on different
@@ -1587,6 +1586,7 @@ let chaos_bench () =
   pr "%-36s %10.2f ns/site\n" "governor detached (option load)" gov_ns;
   pr "\nsoak: checksum vs pure interpreter under seeded faults\n";
   let rows = chaos_soak ~seeds:[ 11; 23; 42 ] ~calls:400 () in
+  Forensics.disable ();
   let row (seed, ms, fires, gov) =
     Printf.sprintf
       "    {\"seed\": %d, \"ms\": %.3f, \"fires\": %S, \"governor\": %S}" seed
@@ -1775,12 +1775,12 @@ let tier_check () =
     [
       ("obs", obs_gate);
       ("profile", profile_gate);
-      ("forensics", forensics_gate);
       ("irtrace", irtrace_gate);
       ("chaos", chaos_gate);
       ("governor", governor_gate);
     ];
   ignore (chaos_soak ~quiet:true ~seeds:[ 42 ] ~calls:120 ());
+  Forensics.disable ();
   pr "check chaos soak        ok  (seed 42)\n";
   warmup ~small:true ();
   pr "tiered execution check ok\n"
@@ -1802,7 +1802,6 @@ let () =
   | "tiered" -> tiered ()
   | "obs" -> obs_bench ()
   | "profile" -> profile_bench ()
-  | "forensics" -> forensics_bench ()
   | "irtrace" -> irtrace_bench ()
   | "bgjit" -> bgjit_bench ()
   | "dispatch" -> dispatch_bench ()
@@ -1820,7 +1819,6 @@ let () =
     tiered ();
     obs_bench ();
     profile_bench ();
-    forensics_bench ();
     irtrace_bench ();
     bgjit_bench ();
     dispatch_bench ();

@@ -60,16 +60,14 @@ let print_deopt_sites rt (deopts : (string * int * string * int) list) =
         match Vm.Runtime.find_method_by_id rt mid with
         | Some m ->
           Format.printf "@.deopt site: %s (%s)@." (Vm.Runtime.meth_loc m pc) tag;
-          (* the decision journal knows *why*: guard identity for the deopt
-             itself, plus what the engine did about it afterwards *)
-          if !Forensics.on then begin
-            (match Lancet.Explain.deopt_causes mid pc with
-            | [] -> ()
-            | cs -> Format.printf "  cause: %s@." (String.concat "; " cs));
-            List.iter
-              (fun c -> Format.printf "  then: %s@." c)
-              (Lancet.Explain.deopt_consequences mid)
-          end;
+          (* the decision journal, when on, knows *why*: guard identity for
+             the deopt itself, plus what the engine did about it afterwards *)
+          (match Lancet.Explain.deopt_causes mid pc with
+          | [] -> ()
+          | cs -> Format.printf "  cause: %s@." (String.concat "; " cs));
+          List.iter
+            (fun c -> Format.printf "  then: %s@." c)
+            (Lancet.Explain.deopt_consequences mid);
           Format.printf "%s@." (Vm.Disasm.method_to_string ~mark:pc m)
         | None -> Format.printf "@.deopt site: %s at pc %d (%s)@." meth pc tag
       end)

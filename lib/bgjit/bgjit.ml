@@ -128,11 +128,17 @@ let full t =
   || Queue.length t.queue >= t.capacity
   || (!Chaos.on && Chaos.fire Chaos.queue_full)
 
+(* Report a compile request for [m] that was turned away, and why. *)
+let dropped (m : meth) cause =
+  if !Obs.enabled then
+    Obs.emit
+      (Obs.Compile_drop { meth = Vm.Runtime.meth_label m; mid = m.mid; cause })
+
 (* All tier-state writes happen inside the queue lock: a worker can only
    dequeue (and later blacklist/install/retire) a request strictly after
    the enqueue's critical section, so its terminal [mtier] write can never
    be clobbered by the mutator's [Tier_compiling] mark racing it. *)
-let enqueue ?(why = Forensics.Unattributed) t (m : meth) =
+let enqueue ?(why = Obs.Unattributed) t (m : meth) =
   let r, depth =
     locked t (fun () ->
         if (not t.stop) && Hashtbl.mem t.pending m.mid then begin
@@ -170,22 +176,16 @@ let enqueue ?(why = Forensics.Unattributed) t (m : meth) =
              mid = m.mid;
              gen = Vm.Runtime.tier_gen t.rt m.mid;
              depth;
-           });
-    if !Forensics.on then
-      Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m) ~cause:why
-        (Forensics.Enqueue { gen = Vm.Runtime.tier_gen t.rt m.mid; depth })
-  | `Dropped ->
-    if !Forensics.on then
-      Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-        ~cause:(Forensics.Queue_full { capacity = t.capacity })
-        Forensics.Drop
+             cause = why;
+           })
+  | `Dropped -> dropped m (Obs.Queue_full { capacity = t.capacity })
   | `Coalesced -> ());
   r
 
 (* An OSR request: the frame's locals are copied, as the mutator goes on
    writing them while the worker reads their kinds. *)
 let enqueue_osr t (m : meth) pc locals cell =
-  let dropped =
+  let rejected =
     locked t (fun () ->
         if full t then begin
           t.stats.s_dropped <- t.stats.s_dropped + 1;
@@ -198,12 +198,9 @@ let enqueue_osr t (m : meth) pc locals cell =
           false
         end)
   in
-  if dropped then begin
+  if rejected then begin
     Atomic.set cell Osr_failed;
-    if !Forensics.on then
-      Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-        ~cause:(Forensics.Queue_full { capacity = t.capacity })
-        Forensics.Drop
+    dropped m (Obs.Queue_full { capacity = t.capacity })
   end
 
 let jit_hook t (_rt : runtime) (m : meth) : jit_result =
@@ -212,7 +209,7 @@ let jit_hook t (_rt : runtime) (m : meth) : jit_result =
   | Bytecode _ ->
     ignore
       (enqueue t m
-         ~why:(Forensics.Hotness { calls = m.mcalls; backedges = m.mbackedges }));
+         ~why:(Obs.Hotness { calls = m.mcalls; backedges = m.mbackedges }));
     (* even a dropped request answers [Jit_pending]: the method keeps
        interpreting and retries, it is not blacklisted *)
     Jit_pending
@@ -235,11 +232,14 @@ let blacklist t wid (m : meth) err =
   if !Obs.enabled then
     Obs.emit
       (Obs.Compile_blacklist
-         { meth = Vm.Runtime.meth_label m; mid = m.mid; worker = wid; loc; err });
-  if !Forensics.on then
-    Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-      ~cause:(Forensics.Worker_failure { err })
-      (Forensics.Blacklist { err });
+         {
+           meth = Vm.Runtime.meth_label m;
+           mid = m.mid;
+           worker = wid;
+           loc;
+           err;
+           cause = Obs.Worker_failure { err };
+         });
   t.log
     (Printf.sprintf "[bgjit] worker %d: blacklisted %s: %s" wid loc err)
 
@@ -259,10 +259,14 @@ let process t wid (m : meth) =
            if Chaos.fire Chaos.compile_stall then
              Chaos.sleep_ms (max 1 (Chaos.ms Chaos.compile_stall));
            if Chaos.fire Chaos.compile_crash then begin
-             if !Forensics.on then
-               Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-                 ~cause:(Forensics.Chaos_fault { site = "compile_crash" })
-                 Forensics.Discard;
+             if !Obs.enabled then
+               Obs.emit
+                 (Obs.Compile_discard
+                    {
+                      meth = Vm.Runtime.meth_label m;
+                      mid = m.mid;
+                      cause = Obs.Chaos_fault { site = "compile_crash" };
+                    });
              failwith "chaos: injected compile crash"
            end
          end);
@@ -275,7 +279,7 @@ let process t wid (m : meth) =
                install provably discards it — the generation check is the
                safety net under test *)
             Vm.Runtime.tier_invalidate
-              ~why:(Forensics.Chaos_fault { site = "compile_garbage" })
+              ~why:(Obs.Chaos_fault { site = "compile_garbage" })
               t.rt m;
             fun _ -> Vm.Types.Int 0xDEAD
           end
@@ -353,9 +357,6 @@ let rec worker_loop t wid =
       Obs.emit
         (Obs.Compile_dequeue
            { meth = Vm.Runtime.meth_label m; mid = m.mid; worker = wid; depth });
-    if !Forensics.on then
-      Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-        (Forensics.Dequeue { depth });
     process t wid m;
     worker_loop t wid
 
@@ -425,7 +426,7 @@ let install t =
       (fun m ->
         ignore
           (enqueue t m
-             ~why:(Forensics.Recompile_exit { tag = "deopt-recompile" })))
+             ~why:(Obs.Recompile_exit { tag = "deopt-recompile" })))
 
 let quiescent t = locked t (fun () -> is_idle t)
 
@@ -502,16 +503,10 @@ let shutdown ?timeout_ms t =
               jobs)
       in
       let n = List.length leftovers in
-      if !Forensics.on && n > 0 then begin
-        List.iter
-          (fun (m : meth) ->
-            Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-              ~cause:(Forensics.Shutdown_timeout { ms })
-              Forensics.Drop)
-          leftovers;
-        Forensics.record
-          ~cause:(Forensics.Shutdown_timeout { ms })
-          (Forensics.Abandon { pending = n })
+      if !Obs.enabled && n > 0 then begin
+        let cause = Obs.Shutdown_timeout { ms } in
+        List.iter (fun m -> dropped m cause) leftovers;
+        Obs.emit (Obs.Abandon { pending = n; cause })
       end;
       if n > 0 || Atomic.get t.alive > 0 then
         t.log

@@ -53,11 +53,11 @@ val install : t -> unit
     queue ([t_bg_recompile]).  [shutdown] restores the previous hook. *)
 
 val enqueue :
-  ?why:Forensics.cause -> t -> meth -> [ `Queued | `Coalesced | `Dropped ]
+  ?why:Obs.cause -> t -> meth -> [ `Queued | `Coalesced | `Dropped ]
 (** Request a (re)compile of [m].  Never blocks: a request for a method
     already pending coalesces, and a full queue drops the request (the
     method returns to cold and retries on a later promotion).  [why] is
-    the cause recorded in the decision journal when it is enabled. *)
+    the cause the [Compile_enqueue] event carries. *)
 
 val drain : ?timeout_ms:int -> t -> unit
 (** Block until the queue is empty and no compile is in flight.  Test and
@@ -81,6 +81,10 @@ val pending : t -> int
 val inflight_ages : t -> (int * float) list
 (** [(mid, age_seconds)] for every compile currently running on a worker;
     the governor's watchdog uses the ages to find stalled compiles. *)
+
+val meth_src_loc : meth -> string
+(** ["Cls.meth @pc k (file.mini:12)"] at the method's first pc with a
+    source line: where blacklist diagnostics point. *)
 
 val stats_string : t -> string
 (** One-line summary of the pool counters, for benches and logging. *)

@@ -10,11 +10,12 @@
        compile_crash:p=0.1,compile_stall:ms=50,seed=42
 
    Design constraints match the other always-compiled checkpoints
-   ([Obs.enabled], [Forensics.on], [Irtrace.on]):
+   ([Obs.enabled], [Irtrace.on]):
 
    1. Disabled cost is a single load+branch: every site is guarded as
       `if !Chaos.on && Chaos.fire Chaos.some_site then ...` and [on] starts
-      false.  The overhead gate lives in `bench/main.exe chaos`.
+      false.  The overhead gate runs in `bench/main.exe check` and
+      `bench/main.exe chaos`.
    2. Determinism: each site draws from its own splitmix64 stream, seeded
       from the global seed mixed with the site name, so arming one site
       never perturbs another's schedule and a (seed, spec) pair replays
@@ -23,7 +24,7 @@
       on scheduling; the per-site outcome sequence does not.)
    3. No dependencies upward: the module knows nothing about the VM — call
       sites decide what a fired fault means (raise, stall, drop, corrupt)
-      and journal it themselves. *)
+      and report it on the event bus themselves. *)
 
 type site = {
   s_name : string;

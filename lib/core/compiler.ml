@@ -491,14 +491,20 @@ let frame_descs ?stop_before ctx ~(extra_innermost : rep list) :
 let side_exit ctx ~kind ~tag ~extra =
   if ctx.alloc_watch <> [] then
     check_alloc_watch ctx (Printf.sprintf "deoptimization point (%s)" tag);
-  if !Forensics.on then begin
-    (* journal the guard at plant time: `lancet why` can then show which
+  if !Obs.enabled then begin
+    (* report the guard at plant time: `lancet why` can then show which
        speculations a compile emitted even when none of them ever fires *)
     let f = ctx.frame in
     let m = f.sf_meth in
-    Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-      (Forensics.Guard_plant
-         { tag; pc = f.sf_pc; line = Vm.Runtime.line_at m f.sf_pc })
+    Obs.emit
+      (Obs.Guard_plant
+         {
+           meth = Vm.Runtime.meth_label m;
+           mid = m.mid;
+           tag;
+           pc = f.sf_pc;
+           line = Vm.Runtime.line_at m f.sf_pc;
+         })
   end;
   let frames = frame_descs ctx ~extra_innermost:extra in
   B.terminate ctx.bld (Ir.Exit { se_kind = kind; se_frames = frames; se_tag = tag })
@@ -1874,9 +1880,11 @@ let last_graph : Ir.graph option ref = ref None
 (* Compile_start/Compile_end around one graph build of [m] at [tier] (0:
    explicit, 1: tiered), labelled [label] (default "Cls.name").  [build]
    returns [compile_graph]'s result, which names the backend that ran and
-   its fallback reason. *)
+   its fallback reason for Compile_end; the entry point is returned. *)
 let with_compile_events ~tier ?label (m : meth) build =
-  if not !Obs.enabled then build ()
+  if not !Obs.enabled then
+    let fn, _, _ = build () in
+    fn
   else begin
     let meth = Option.value label ~default:(Vm.Runtime.meth_label m)
     and mid = m.mid in
@@ -1899,9 +1907,9 @@ let with_compile_events ~tier ?label (m : meth) build =
            })
     in
     match build () with
-    | (_, backend, fallback) as r ->
+    | fn, backend, fallback ->
       emit_end backend fallback;
-      r
+      fn
     | exception e ->
       emit_end "failed" None;
       raise e
@@ -1916,7 +1924,7 @@ let compile_method ?(opts = default_options) rt (m : meth)
     (spec : arg_spec array) : value array -> value =
   let cell = ref (fun _ -> Null) in
   let rec build () =
-    let fn, _, _ =
+    let fn =
       with_compile_events ~tier:0 m (fun () ->
           let g = stage ~opts rt m spec in
           last_graph := Some g;

@@ -102,9 +102,9 @@ let dedup l =
 let deopt_causes mid pc =
   Forensics.for_mid mid
   |> List.filter_map (fun (d : Forensics.decision) ->
-         match d.d_action with
-         | Forensics.Deopt e when e.pc = pc ->
-           let c = Forensics.cause_to_string d.d_cause in
+         match d.d_event with
+         | Obs.Deopt e when e.pc = pc ->
+           let c = Obs.cause_to_string d.d_cause in
            if c = "" then None else Some c
          | _ -> None)
   |> dedup
@@ -114,13 +114,12 @@ let deopt_causes mid pc =
 let deopt_consequences mid =
   Forensics.for_mid mid
   |> List.filter_map (fun (d : Forensics.decision) ->
-         match d.d_action with
-         | Forensics.Invalidate _ | Forensics.Devirt_kill _
-         | Forensics.Blacklist _ | Forensics.Drop ->
-           let c = Forensics.cause_to_string d.d_cause in
+         match d.d_event with
+         | Obs.Cache_invalidate _ | Obs.Devirt_kill _ | Obs.Compile_blacklist _
+         | Obs.Compile_drop _ ->
+           let c = Obs.cause_to_string d.d_cause in
            Some
-             (Forensics.action_to_string d.d_action
-             ^ if c = "" then "" else " <- " ^ c)
+             (Obs.describe d.d_event ^ if c = "" then "" else " <- " ^ c)
          | _ -> None)
   |> dedup
 
@@ -197,11 +196,9 @@ let render ?(timings = true) ?(ir = false) ?profiler t rt ~src =
   List.iter
     (fun ((mid, pc), (d : deopt_rec)) ->
       let causes =
-        if !Forensics.on then
-          match deopt_causes mid pc with
-          | [] -> ""
-          | cs -> "; cause: " ^ String.concat "; " cs
-        else ""
+        match deopt_causes mid pc with
+        | [] -> ""
+        | cs -> "; cause: " ^ String.concat "; " cs
       in
       add_at d.xd_line
         (Printf.sprintf "%s: deopt x%d @pc %d (%s, %s)%s" d.xd_label d.xd_count
@@ -379,8 +376,8 @@ let why_report ?meth rt =
         List.iter
           (fun d ->
             let extra =
-              match d.Forensics.d_action with
-              | Forensics.Ir_fingerprint { fp; _ } ->
+              match d.Forensics.d_event with
+              | Obs.Ir_fingerprint { fp; _ } ->
                 if Hashtbl.mem seen_fps fp then
                   "  (identical to previous compile)"
                 else begin
@@ -450,8 +447,6 @@ let health_report rt =
 (* ------------------------------------------------------------------ *)
 (* `lancet ir`: pass-by-pass snapshots with structural diffs           *)
 
-let short_fp fp = if String.length fp > 12 then String.sub fp 0 12 else fp
-
 let fmt_counts cs =
   String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s:%d" k v) cs)
 
@@ -517,7 +512,7 @@ let ir_report ?(meth = "") ?(phase = "") ?(diff = false) () =
                 Buffer.add_string b
                   (Printf.sprintf "-- %s: %d nodes / %d blocks  fp %s%s --\n"
                      sn.Irtrace.sn_phase sn.Irtrace.sn_nodes sn.Irtrace.sn_blocks
-                     (short_fp sn.Irtrace.sn_fp)
+                     (Obs.short_fp sn.Irtrace.sn_fp)
                      (match sn.Irtrace.sn_meta with
                      | [] -> ""
                      | meta ->

@@ -123,6 +123,23 @@ let entry_for t mid =
 
 let stats t = t.st
 
+(* Retire [m] to the interpreter for good. *)
+let blacklist t (m : meth) ~why err =
+  m.mtier <- Tier_blacklisted;
+  t.st.g_blacklists <- t.st.g_blacklists + 1;
+  mcount t.m_blacklists;
+  if !Obs.enabled then
+    Obs.emit
+      (Obs.Compile_blacklist
+         {
+           meth = Vm.Runtime.meth_label m;
+           mid = m.mid;
+           worker = Obs.worker_id ();
+           loc = Bgjit.meth_src_loc m;
+           err;
+           cause = why;
+         })
+
 (* ------------------------------------------------------------------ *)
 (* Deopt-loop circuit breaker                                          *)
 
@@ -140,18 +157,12 @@ let on_deopt t (m : meth) tag pc _line =
       else begin
         Hashtbl.replace e.e_strikes key 0;
         e.e_level <- e.e_level + 1;
-        let why = Forensics.Deopt_storm { tag; pc; strikes } in
+        let why = Obs.Deopt_storm { tag; pc; strikes } in
         if e.e_level > t.cfg.g_max_backoff then begin
           (* backoff exhausted: the guard keeps failing at every level, so
              retire the method to the interpreter for good *)
           Vm.Runtime.tier_invalidate ~why t.rt m;
-          m.mtier <- Tier_blacklisted;
-          t.st.g_blacklists <- t.st.g_blacklists + 1;
-          mcount t.m_blacklists;
-          if !Forensics.on then
-            Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-              ~cause:why
-              (Forensics.Blacklist { err = "governor: deopt-loop breaker" })
+          blacklist t m ~why "governor: deopt-loop breaker"
         end
         else begin
           (* demote: back to tier 0 with counters zeroed, and gate
@@ -164,10 +175,16 @@ let on_deopt t (m : meth) tag pc _line =
           t.st.g_backoffs <- t.st.g_backoffs + 1;
           mcount t.m_demotions;
           mcount t.m_backoffs;
-          if !Forensics.on then
-            Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-              ~cause:why
-              (Forensics.Demote { strikes; backoff = e.e_bar })
+          if !Obs.enabled then
+            Obs.emit
+              (Obs.Demote
+                 {
+                   meth = Vm.Runtime.meth_label m;
+                   mid = m.mid;
+                   strikes;
+                   backoff = e.e_bar;
+                   cause = why;
+                 })
         end;
         true
       end)
@@ -183,12 +200,16 @@ let promote_gate t (m : meth) =
         else if m.mcalls + m.mbackedges >= e.e_bar then begin
           e.e_bar <- 0;
           t.st.g_repromotions <- t.st.g_repromotions + 1;
-          if !Forensics.on then
-            Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-              ~cause:
-                (Forensics.Hotness
-                   { calls = m.mcalls; backedges = m.mbackedges })
-              (Forensics.Repromote { level = e.e_level });
+          if !Obs.enabled then
+            Obs.emit
+              (Obs.Repromote
+                 {
+                   meth = Vm.Runtime.meth_label m;
+                   mid = m.mid;
+                   level = e.e_level;
+                   calls = m.mcalls;
+                   backedges = m.mbackedges;
+                 });
           true
         end
         else false)
@@ -210,8 +231,7 @@ let throttle t ~knob ~cause ~up =
       mcount t.m_throttles
     end
     else t.st.g_throttle_downs <- t.st.g_throttle_downs + 1;
-    if !Forensics.on then
-      Forensics.record ~cause (Forensics.Throttle { knob; was; now })
+    if !Obs.enabled then Obs.emit (Obs.Throttle { knob; was; now; cause })
   end
 
 let watchdog t =
@@ -248,7 +268,7 @@ let watchdog t =
               in
               let retry = kills <= 1 in
               let why =
-                Forensics.Watchdog_timeout
+                Obs.Watchdog_timeout
                   { ms = age_ms; budget_ms = t.cfg.g_watchdog_ms }
               in
               (* abandon via the generation stamp: whatever the stalled
@@ -256,23 +276,21 @@ let watchdog t =
               Vm.Runtime.tier_invalidate ~why t.rt m;
               t.st.g_watchdog_kills <- t.st.g_watchdog_kills + 1;
               mcount t.m_watchdog_kills;
-              if !Forensics.on then
-                Forensics.record ~mid ~meth:(Vm.Runtime.meth_label m)
-                  ~cause:why
-                  (Forensics.Watchdog_kill { ms = age_ms; retry });
+              if !Obs.enabled then
+                Obs.emit
+                  (Obs.Watchdog_kill
+                     {
+                       meth = Vm.Runtime.meth_label m;
+                       mid;
+                       ms = age_ms;
+                       retry;
+                       cause = why;
+                     });
               if retry then begin
                 t.st.g_watchdog_retries <- t.st.g_watchdog_retries + 1;
                 ignore (Bgjit.enqueue ~why pool m)
               end
-              else begin
-                m.mtier <- Tier_blacklisted;
-                t.st.g_blacklists <- t.st.g_blacklists + 1;
-                mcount t.m_blacklists;
-                if !Forensics.on then
-                  Forensics.record ~mid ~meth:(Vm.Runtime.meth_label m)
-                    ~cause:why
-                    (Forensics.Blacklist { err = "governor: compile watchdog" })
-              end
+              else blacklist t m ~why "governor: compile watchdog"
         end)
       (Bgjit.inflight_ages pool)
 
@@ -285,9 +303,9 @@ let backpressure t =
     t.last_dropped <- dropped;
     if delta >= t.cfg.g_drop_window then
       throttle t ~knob:"tier-threshold" ~up:true
-        ~cause:(Forensics.Queue_pressure { dropped = delta })
+        ~cause:(Obs.Queue_pressure { dropped = delta })
     else if delta = 0 && t.rt.tiering.t_threshold > t.base_threshold then
-      throttle t ~knob:"tier-threshold" ~up:false ~cause:Forensics.Unattributed
+      throttle t ~knob:"tier-threshold" ~up:false ~cause:Obs.Unattributed
 
 let damping t =
   let evictions = t.rt.tiering.t_evictions in
@@ -295,7 +313,7 @@ let damping t =
   t.last_evictions <- evictions;
   if delta >= t.cfg.g_evict_window then
     throttle t ~knob:"tier-threshold" ~up:true
-      ~cause:(Forensics.Eviction_spike { evictions = delta })
+      ~cause:(Obs.Eviction_spike { evictions = delta })
 
 (* One governor step: deterministic entry point for tests; the optional
    ticker domain just calls this on a period. *)

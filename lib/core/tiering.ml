@@ -109,20 +109,6 @@ let compile_method_dyn ?entry rt (m : meth) :
       | fd :: _ -> Vm.Runtime.line_at fd.Lms.Ir.fd_meth fd.Lms.Ir.fd_pc
       | [] -> 0
     in
-    if !Forensics.on then
-      Forensics.record ~mid:m.mid ~meth:label
-        ~cause:
-          (Forensics.Guard { tag = se.Lms.Ir.se_tag; pc = se_pc; line = se_line })
-        (Forensics.Deopt
-           {
-             tag = se.Lms.Ir.se_tag;
-             pc = se_pc;
-             line = se_line;
-             recompile =
-               (match se.Lms.Ir.se_kind with
-               | `Recompile -> true
-               | `Interpret -> false);
-           });
     if !Obs.enabled then
       Obs.emit
         (Obs.Deopt
@@ -151,7 +137,7 @@ let compile_method_dyn ?entry rt (m : meth) :
     | _ when governed -> ()
     | `Recompile -> (
       Vm.Runtime.tier_invalidate
-        ~why:(Forensics.Recompile_exit { tag = se.Lms.Ir.se_tag })
+        ~why:(Obs.Recompile_exit { tag = se.Lms.Ir.se_tag })
         rt m;
       (* With background compilation installed, the rebuild goes through
          the compile queue: the mutator resumes in the interpreter
@@ -170,30 +156,18 @@ let compile_method_dyn ?entry rt (m : meth) :
       let tag = se.Lms.Ir.se_tag in
       if String.length tag > 7 && String.equal (String.sub tag 0 7) "devirt:"
       then begin
+        let target = String.sub tag 7 (String.length tag - 7) in
         if !Obs.enabled then
           Obs.emit
             (Obs.Devirt_guard_fail
-               {
-                 meth = label;
-                 mid = m.mid;
-                 pc =
-                   (match se.Lms.Ir.se_frames with
-                   | fd :: _ -> fd.Lms.Ir.fd_pc
-                   | [] -> -1);
-                 target = String.sub tag 7 (String.length tag - 7);
-               });
+               { meth = label; mid = m.mid; pc = se_pc; target });
         incr devirt_fails;
         (* repeated misses: speculation is now slower than generic dispatch,
            so invalidate; the hot method re-promotes against the retrained
            inline cache *)
         if !devirt_fails >= 2 then
           Vm.Runtime.tier_invalidate
-            ~why:
-              (Forensics.Devirt_miss
-                 {
-                   target = String.sub tag 7 (String.length tag - 7);
-                   fails = !devirt_fails;
-                 })
+            ~why:(Obs.Devirt_miss { target; fails = !devirt_fails })
             rt m
       end);
     Vm.Interp.resume rt (C.reconstruct_frames se vals)
@@ -202,9 +176,7 @@ let compile_method_dyn ?entry rt (m : meth) :
        mid-compile the epoch comparison at install time catches it *)
     let epoch0 = Vm.Runtime.hier_epoch rt in
     let deps = ref [] in
-    (* the journal wants compile wall time too *)
-    let t0 = if !Forensics.on then Obs.now () else 0.0 in
-    let fn, backend, _ =
+    let fn =
       C.with_compile_events ~tier:1 ~label:name m (fun () ->
           let g = C.stage ~opts ~deps ?entry rt m spec in
           (* the optimized graph's structural fingerprint feeds two
@@ -213,12 +185,18 @@ let compile_method_dyn ?entry rt (m : meth) :
              subsystem, which records it for --profile-out and validates
              warm compiles against the recorded one for --profile-in.  OSR
              graphs are not the method's code and feed neither. *)
-          if entry = None && (!Forensics.on || Persist.active ()) then begin
+          if entry = None && (Forensics.enabled () || Persist.active ()) then begin
             let fp = Lms.Snapshot.fingerprint g in
-            if !Forensics.on then
-              Forensics.record ~mid:m.mid ~meth:label
-                (Forensics.Ir_fingerprint
-                   { phase = Phases.name Phases.Dce; fp });
+            if !Obs.enabled then
+              Obs.emit
+                (Obs.Ir_fingerprint
+                   {
+                     meth = label;
+                     mid = m.mid;
+                     phase = Phases.name Phases.Dce;
+                     fp;
+                     cause = Obs.Unattributed;
+                   });
             Persist.on_fingerprint ~mid:m.mid ~meth:label ~fp
           end;
           C.compile_graph rt g ~on_exit)
@@ -230,9 +208,6 @@ let compile_method_dyn ?entry rt (m : meth) :
     rt.tiering.t_compiles <- rt.tiering.t_compiles + 1;
     if entry <> None then
       rt.tiering.t_osr_compiles <- rt.tiering.t_osr_compiles + 1;
-    if !Forensics.on then
-      Forensics.record ~mid:m.mid ~meth:label
-        (Forensics.Compile_done { backend; ms = (Obs.now () -. t0) *. 1000. });
     (!deps, epoch0)
   in
   match build () with
@@ -281,9 +256,16 @@ let osr rt (m : meth) pc locals cell =
       | Error err ->
         Vm.Runtime.with_tier_lock rt (fun () ->
             Hashtbl.replace rt.tiering.t_osr_failed key ());
-        if !Forensics.on then
-          Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-            (Forensics.Osr_decline { pc; why = err });
+        if !Obs.enabled then
+          Obs.emit
+            (Obs.Osr_decline
+               {
+                 meth = Vm.Runtime.meth_label m;
+                 mid = m.mid;
+                 pc;
+                 why = err;
+                 cause = Obs.Unattributed;
+               });
         Osr_failed
   in
   Atomic.set cell outcome
@@ -302,12 +284,16 @@ let jit_hook rt (m : meth) : jit_result =
       else begin
         (* speculative code built across a hierarchy change: discarded
            before it was ever installed *)
-        if !Forensics.on then
-          Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-            ~cause:
-              (Forensics.Epoch_mismatch
-                 { expected = epoch0; found = Vm.Runtime.hier_epoch rt })
-            Forensics.Discard;
+        if !Obs.enabled then
+          Obs.emit
+            (Obs.Compile_discard
+               {
+                 meth = Vm.Runtime.meth_label m;
+                 mid = m.mid;
+                 cause =
+                   Obs.Epoch_mismatch
+                     { expected = epoch0; found = Vm.Runtime.hier_epoch rt };
+               });
         if attempts > 1 then go (attempts - 1) else Jit_declined
       end
   in

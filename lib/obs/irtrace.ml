@@ -103,7 +103,8 @@ let dummy_snapshot =
     sn_meta = [];
   }
 
-(* THE fast-path flag, mirroring [Obs.enabled] and [Forensics.on]. *)
+(* THE fast-path flag, mirroring [Obs.enabled]: capturing a snapshot walks
+   the graph, so this layer keeps a flag of its own. *)
 let on = ref false
 
 let store : store option ref = ref None

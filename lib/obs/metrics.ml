@@ -390,7 +390,10 @@ let jit_sink j =
         | Obs.Cache_invalidate e ->
           inc j.j_invalidations;
           set j.j_cache_occupancy (float_of_int e.occ)
-        | Obs.Ic_transition _ -> inc j.j_ic_transitions
+        (* a site's quickening and a profile-seeded state are not
+           transitions the interpreter observed *)
+        | Obs.Ic_transition { cause = Obs.Ic_miss _; _ } ->
+          inc j.j_ic_transitions
         | Obs.Devirt_guard_fail _ -> inc j.j_devirt_fails
         | Obs.Osr_entry _ -> inc j.j_osr_entries
         | _ -> ());

@@ -13,7 +13,10 @@
    3. Sinks are synchronous and composable: a ring buffer for tests and
       post-mortem dumps, a text log in the spirit of HotSpot's
       -XX:+PrintCompilation, a Chrome trace_event JSON writer for
-      chrome://tracing, and a per-method profile aggregator.
+      chrome://tracing, and a per-method profile aggregator; elsewhere the
+      decision journal ([Forensics]) and the metrics bundle ([Metrics]).
+      The engine emits each JIT decision once, with its [cause], and every
+      sink sees the same stream.
    4. The bus is domain-safe: with background JIT compilation, events
       arrive concurrently from worker domains, so sink dispatch is guarded
       by a mutex.  The no-sink fast path is unchanged — a single
@@ -23,7 +26,8 @@
 (* Events                                                              *)
 
 type compile_info = {
-  ci_meth : string; (* "Cls.name" *)
+  ci_meth : string; (* "Cls.name"; "tier:Cls.name" or "osr:Cls.name@pc"
+                       for a tiered or OSR compile *)
   ci_mid : int; (* method id, stable key across events *)
   ci_tier : int; (* 1 = tiered method JIT, 0 = explicit Lancet.compile *)
   ci_worker : int; (* JIT worker domain running the compile; 0 = mutator *)
@@ -36,10 +40,56 @@ type compile_info = {
 
 type deopt_kind = Interpret | Recompile
 
+(* Why the engine took a decision.  An event that records a decision
+   carries its cause, in a [cause] field or spelled by its own fields (see
+   [cause_of]); [Unattributed] is the explicit "no recorded trigger" value,
+   so emit sites never invent one. *)
+type cause =
+  | Hotness of { calls : int; backedges : int }
+      (* crossed the promotion threshold *)
+  | Guard of { tag : string; pc : int; line : int }
+      (* a compiled-in guard (speculate/stable/devirt) observed a miss *)
+  | Hier_change of { epoch : int; name : string }
+      (* late (re)definition of virtual [name] bumped the hierarchy epoch *)
+  | Gen_mismatch of { expected : int; found : int }
+      (* generation stamp moved while the compile was in flight *)
+  | Epoch_mismatch of { expected : int; found : int }
+      (* hierarchy epoch moved while a speculating compile was in flight *)
+  | Queue_full of { capacity : int } (* background queue saturated *)
+  | Eviction_pressure of { occupancy : int; capacity : int }
+      (* code cache at capacity; FIFO victim chosen *)
+  | Worker_failure of { err : string } (* compile raised on a worker *)
+  | Devirt_miss of { target : string; fails : int }
+      (* repeated devirt guard misses crossed the reprofile threshold *)
+  | Ic_miss of { seen : string } (* receiver class not in the inline cache *)
+  | Recompile_exit of { tag : string }
+      (* a [stable] side exit requested recompilation *)
+  | Profile_replay of { src : string }
+      (* the decision was seeded from a persisted profile snapshot *)
+  | Profile_stale of { expected : string; found : string }
+      (* a warm compile disagreed with the snapshot: recorded vs rebuilt
+         IR fingerprint, or a recorded symbol that no longer resolves *)
+  | Deopt_storm of { tag : string; pc : int; strikes : int }
+      (* the governor's circuit breaker counted [strikes] deopts of the
+         same guard *)
+  | Watchdog_timeout of { ms : float; budget_ms : float }
+      (* an in-flight compile exceeded the governor's wall-time budget *)
+  | Queue_pressure of { dropped : int }
+      (* sustained queue drops observed over a governor tick *)
+  | Eviction_spike of { evictions : int }
+      (* code-cache eviction rate spiked over a governor tick *)
+  | Shutdown_timeout of { ms : int }
+      (* bounded shutdown expired before the queue drained *)
+  | Chaos_fault of { site : string } (* injected by the chaos harness *)
+  | Loop_steps of { steps : int; pc : int; line : int }
+      (* an interpreter frame ran [steps] bytecodes of its own and was at
+         a back edge to the loop header at [pc] *)
+  | Unattributed
+
 type event =
   | Compile_start of { meth : string; mid : int; tier : int; worker : int }
   | Compile_end of compile_info
-  | Compile_enqueue of { meth : string; mid : int; gen : int; depth : int }
+  | Compile_enqueue of { meth : string; mid : int; gen : int; depth : int; cause : cause }
       (* a compile request entered the background queue; [depth] is the
          queue depth just after the enqueue *)
   | Compile_dequeue of { meth : string; mid : int; worker : int; depth : int }
@@ -50,7 +100,12 @@ type event =
       worker : int;
       loc : string; (* "file:line" of the method definition, or "?" *)
       err : string; (* the exception / refusal that killed the compile *)
+      cause : cause;
     }
+  | Compile_drop of { meth : string; mid : int; cause : cause }
+      (* a compile request was turned away; the method keeps interpreting *)
+  | Compile_discard of { meth : string; mid : int; cause : cause }
+      (* an in-flight compile's result was thrown away, not installed *)
   | Deopt of {
       meth : string;
       mid : int;
@@ -63,8 +118,9 @@ type event =
   | Cache_install of { meth : string; mid : int; gen : int; occ : int }
       (* [occ] on the cache events is the number of resident compiled
          methods just after the operation, for occupancy tracking *)
-  | Cache_evict of { meth : string; mid : int; occ : int }
-  | Cache_invalidate of { meth : string; mid : int; gen : int; occ : int }
+  | Cache_evict of { meth : string; mid : int; occ : int; cap : int }
+      (* FIFO eviction from a cache that holds at most [cap] methods *)
+  | Cache_invalidate of { meth : string; mid : int; gen : int; occ : int; cause : cause }
   | Macro_expand of { name : string; in_meth : string }
   | Interp_call of { meth : string; mid : int; calls : int; backedges : int }
   | Exec_sample of { meth : string; mid : int; calls : int; ms : float; line : int }
@@ -79,9 +135,11 @@ type event =
       meth : string; (* enclosing method label *)
       mid : int;
       pc : int;
+      line : int;
       callee : string; (* virtual method name the site dispatches *)
-      from_state : string; (* "empty" | "mono" | "poly" | "mega" *)
-      to_state : string;
+      from_state : string; (* "none" | "empty" | "mono" | "poly" | "mega" *)
+      to_state : string; (* a cache state, or "quickened" *)
+      cause : cause; (* [Ic_miss] on a transition the interpreter saw *)
     }
   | Devirt_guard_fail of {
       meth : string;
@@ -97,6 +155,117 @@ type event =
       steps : int; (* bytecodes the frame itself had run *)
     }
       (* an interpreter frame entered code compiled from a loop header *)
+  | Osr_decline of { meth : string; mid : int; pc : int; why : string; cause : cause }
+      (* no OSR entry at the header at [pc]: its compile failed, or the
+         frame no longer matched the code *)
+  | Guard_plant of { meth : string; mid : int; tag : string; pc : int; line : int }
+      (* the compiler emitted a side-exit guard at this site *)
+  | Devirt_install of { meth : string; mid : int; deps : string list }
+      (* installed code speculates on dispatch of these names *)
+  | Devirt_kill of { meth : string; mid : int; name : string; epoch : int }
+      (* a late (re)definition of [name] killed the speculation on it *)
+  | Ir_fingerprint of { meth : string; mid : int; phase : string; fp : string; cause : cause }
+      (* structural fingerprint of the optimized graph ([Lms.Snapshot]) *)
+  | Demote of { meth : string; mid : int; strikes : int; backoff : int; cause : cause }
+      (* the governor sent the method back to the interpreter; it
+         re-promotes only once hotness reaches [backoff] *)
+  | Repromote of { meth : string; mid : int; level : int; calls : int; backedges : int }
+      (* a demoted method served its backoff and re-entered the pipeline *)
+  | Watchdog_kill of { meth : string; mid : int; ms : float; retry : bool; cause : cause }
+      (* the governor abandoned a stalled compile via a generation bump *)
+  | Throttle of { knob : string; was : int; now : int; cause : cause }
+      (* the governor moved a tiering knob (backpressure / hysteresis) *)
+  | Abandon of { pending : int; cause : cause }
+      (* bounded shutdown walked away from queued compile requests *)
+
+(* The cause an event carries: its [cause] field, or the trigger its own
+   fields spell. *)
+let cause_of = function
+  | Tier_promote { calls; backedges; _ } | Repromote { calls; backedges; _ } ->
+    Hotness { calls; backedges }
+  | Deopt { tag; pc; line; _ } -> Guard { tag; pc; line }
+  | Osr_entry { steps; pc; line; _ } -> Loop_steps { steps; pc; line }
+  | Cache_evict { occ; cap; _ } ->
+    Eviction_pressure { occupancy = occ; capacity = cap }
+  | Devirt_kill { name; epoch; _ } -> Hier_change { epoch; name }
+  | Compile_enqueue { cause; _ } | Compile_blacklist { cause; _ }
+  | Compile_drop { cause; _ } | Compile_discard { cause; _ }
+  | Cache_invalidate { cause; _ } | Ic_transition { cause; _ }
+  | Osr_decline { cause; _ } | Ir_fingerprint { cause; _ } | Demote { cause; _ }
+  | Watchdog_kill { cause; _ } | Throttle { cause; _ } | Abandon { cause; _ } ->
+    cause
+  | _ -> Unattributed
+
+(* The method an event is about, as (method id, "Cls.name"); (-1, "") for
+   an event about no one method. *)
+let about = function
+  | Compile_start { mid; meth; _ } | Compile_enqueue { mid; meth; _ }
+  | Compile_dequeue { mid; meth; _ } | Compile_blacklist { mid; meth; _ }
+  | Compile_drop { mid; meth; _ } | Compile_discard { mid; meth; _ }
+  | Deopt { mid; meth; _ } | Tier_promote { mid; meth; _ }
+  | Cache_install { mid; meth; _ } | Cache_evict { mid; meth; _ }
+  | Cache_invalidate { mid; meth; _ } | Interp_call { mid; meth; _ }
+  | Exec_sample { mid; meth; _ } | Ic_transition { mid; meth; _ }
+  | Devirt_guard_fail { mid; meth; _ } | Osr_entry { mid; meth; _ }
+  | Osr_decline { mid; meth; _ } | Guard_plant { mid; meth; _ }
+  | Devirt_install { mid; meth; _ } | Devirt_kill { mid; meth; _ }
+  | Ir_fingerprint { mid; meth; _ } | Demote { mid; meth; _ }
+  | Repromote { mid; meth; _ } | Watchdog_kill { mid; meth; _ } ->
+    (mid, meth)
+  | Compile_end { ci_mid; ci_meth; _ } -> (
+    (* a tiered or OSR compile's label names the method it compiles *)
+    match String.index_opt ci_meth ':' with
+    | None -> (ci_mid, ci_meth)
+    | Some i -> (
+      let m = String.sub ci_meth (i + 1) (String.length ci_meth - i - 1) in
+      match String.rindex_opt m '@' with
+      | Some j -> (ci_mid, String.sub m 0 j)
+      | None -> (ci_mid, m)))
+  | Macro_expand _ | Stack_sample _ | Span_begin _ | Span_end _ | Throttle _
+  | Abandon _ ->
+    (-1, "")
+
+let at_line pc line =
+  if line > 0 then Printf.sprintf "@pc %d (line %d)" pc line
+  else Printf.sprintf "@pc %d" pc
+
+let short_fp s = if String.length s > 12 then String.sub s 0 12 else s
+
+let cause_to_string = function
+  | Hotness c -> Printf.sprintf "hot: calls=%d backedges=%d" c.calls c.backedges
+  | Guard c -> Printf.sprintf "guard '%s' missed %s" c.tag (at_line c.pc c.line)
+  | Hier_change c ->
+    Printf.sprintf "hierarchy change of '%s' (epoch %d)" c.name c.epoch
+  | Gen_mismatch c ->
+    Printf.sprintf "generation moved %d -> %d during compile" c.expected c.found
+  | Epoch_mismatch c ->
+    Printf.sprintf "hierarchy epoch moved %d -> %d during compile" c.expected
+      c.found
+  | Queue_full c -> Printf.sprintf "compile queue full (capacity %d)" c.capacity
+  | Eviction_pressure c ->
+    Printf.sprintf "cache pressure (%d/%d resident)" c.occupancy c.capacity
+  | Worker_failure c -> Printf.sprintf "worker failure: %s" c.err
+  | Devirt_miss c ->
+    Printf.sprintf "devirt guard on '%s' missed x%d" c.target c.fails
+  | Ic_miss c -> Printf.sprintf "receiver %s not cached" c.seen
+  | Recompile_exit c -> Printf.sprintf "recompile exit '%s'" c.tag
+  | Profile_replay c -> Printf.sprintf "replayed from profile %s" c.src
+  | Profile_stale c ->
+    Printf.sprintf "profile stale: recorded %s, got %s" (short_fp c.expected)
+      (short_fp c.found)
+  | Deopt_storm c ->
+    Printf.sprintf "deopt storm: guard '%s' @pc %d missed x%d" c.tag c.pc
+      c.strikes
+  | Watchdog_timeout c ->
+    Printf.sprintf "compile ran %.0fms against a %.0fms budget" c.ms c.budget_ms
+  | Queue_pressure c -> Printf.sprintf "%d compile drops this tick" c.dropped
+  | Eviction_spike c -> Printf.sprintf "%d evictions this tick" c.evictions
+  | Shutdown_timeout c -> Printf.sprintf "shutdown timed out after %dms" c.ms
+  | Chaos_fault c -> Printf.sprintf "chaos fault '%s'" c.site
+  | Loop_steps c ->
+    Printf.sprintf "loop: %d own steps, back edge to %s" c.steps
+      (at_line c.pc c.line)
+  | Unattributed -> ""
 
 (* THE event-kind renderer.  Every sink that prints a kind goes through
    this one function (the per-sink match arms it replaces had drifted out
@@ -107,6 +276,8 @@ let kind_to_string = function
   | Compile_enqueue _ -> "compile-enqueue"
   | Compile_dequeue _ -> "compile-dequeue"
   | Compile_blacklist _ -> "compile-blacklist"
+  | Compile_drop _ -> "compile-drop"
+  | Compile_discard _ -> "compile-discard"
   | Deopt _ -> "deopt"
   | Tier_promote _ -> "tier-promote"
   | Cache_install _ -> "cache-install"
@@ -121,6 +292,62 @@ let kind_to_string = function
   | Ic_transition _ -> "ic-transition"
   | Devirt_guard_fail _ -> "devirt-guard-fail"
   | Osr_entry _ -> "osr-entry"
+  | Osr_decline _ -> "osr-decline"
+  | Guard_plant _ -> "guard-plant"
+  | Devirt_install _ -> "devirt-install"
+  | Devirt_kill _ -> "devirt-kill"
+  | Ir_fingerprint _ -> "ir-fingerprint"
+  | Demote _ -> "demote"
+  | Repromote _ -> "repromote"
+  | Watchdog_kill _ -> "watchdog-kill"
+  | Throttle _ -> "throttle"
+  | Abandon _ -> "abandon"
+
+(* What the engine decided, in words: the decision journal's phrasing,
+   which the text and Chrome sinks reuse for the decisions that have no
+   renderer of their own. *)
+let describe ev =
+  match ev with
+  | Tier_promote _ -> "promoted to tier 1"
+  | Compile_enqueue e ->
+    Printf.sprintf "compile enqueued (gen=%d depth=%d)" e.gen e.depth
+  | Compile_dequeue e -> Printf.sprintf "compile dequeued (depth=%d)" e.depth
+  | Compile_drop _ -> "compile request dropped"
+  | Compile_end c ->
+    Printf.sprintf "compiled (%s backend, %.2fms)" c.ci_backend c.ci_ms
+  | Cache_install e -> Printf.sprintf "code installed (gen=%d)" e.gen
+  | Compile_discard _ -> "compile result discarded"
+  | Deopt e ->
+    Printf.sprintf "deopt %s '%s'%s" (at_line e.pc e.line) e.tag
+      (match e.kind with
+      | Recompile -> " -> recompile"
+      | Interpret -> " -> interpreter")
+  | Cache_invalidate e -> Printf.sprintf "code invalidated (gen=%d)" e.gen
+  | Compile_blacklist e -> Printf.sprintf "blacklisted: %s" e.err
+  | Cache_evict _ -> "evicted from code cache"
+  | Guard_plant e ->
+    Printf.sprintf "guard '%s' planted %s" e.tag (at_line e.pc e.line)
+  | Devirt_install e ->
+    Printf.sprintf "devirtualized on {%s}" (String.concat ", " e.deps)
+  | Devirt_kill e -> Printf.sprintf "devirtualization of '%s' killed" e.name
+  | Ic_transition e ->
+    Printf.sprintf "inline cache %s -> %s on '%s'" (at_line e.pc e.line)
+      e.to_state e.callee
+  | Ir_fingerprint e ->
+    Printf.sprintf "IR fingerprint %s (%s)" (short_fp e.fp) e.phase
+  | Demote e ->
+    Printf.sprintf "demoted to interpreter (strikes=%d, re-promote at %d)"
+      e.strikes e.backoff
+  | Repromote e -> Printf.sprintf "re-promoted after backoff (level %d)" e.level
+  | Watchdog_kill e ->
+    Printf.sprintf "stalled compile abandoned after %.0fms%s" e.ms
+      (if e.retry then " -> retry once" else " -> no more retries")
+  | Throttle e -> Printf.sprintf "%s throttled %d -> %d" e.knob e.was e.now
+  | Abandon e ->
+    Printf.sprintf "%d queued compile(s) abandoned at shutdown" e.pending
+  | Osr_entry _ -> "entered OSR code mid-call"
+  | Osr_decline e -> Printf.sprintf "OSR at @pc %d declined: %s" e.pc e.why
+  | _ -> kind_to_string ev
 
 let deopt_kind_name = function Interpret -> "interpret" | Recompile -> "recompile"
 
@@ -188,20 +415,24 @@ let to_string ev =
       e.pc
       (if e.line > 0 then Printf.sprintf " line %d" e.line else "")
       e.steps
+  | Compile_drop _ | Compile_discard _ | Osr_decline _ | Guard_plant _
+  | Devirt_install _ | Devirt_kill _ | Ir_fingerprint _ | Demote _
+  | Repromote _ | Watchdog_kill _ | Throttle _ | Abandon _ ->
+    let cause = cause_to_string (cause_of ev) in
+    Printf.sprintf "%-16s %s%s%s" (kind_to_string ev)
+      (match about ev with _, "" -> "" | _, m -> m ^ ": ")
+      (describe ev)
+      (if cause = "" then "" else "  <- " ^ cause)
 
 (* The compilation-lifecycle subset, for -print-compilation-style logs:
    everything a method's journey through the JIT produces, excluding the
    high-frequency sampling/span noise.  Shared by the CLI's
    --print-compilation filter so new event kinds show up there by default. *)
 let compilation_event = function
-  | Compile_start _ | Compile_end _ | Compile_enqueue _ | Compile_dequeue _
-  | Compile_blacklist _ | Deopt _ | Tier_promote _ | Cache_install _
-  | Cache_evict _ | Cache_invalidate _ | Ic_transition _ | Devirt_guard_fail _
-  | Osr_entry _ ->
-    true
   | Macro_expand _ | Interp_call _ | Exec_sample _ | Stack_sample _
   | Span_begin _ | Span_end _ ->
     false
+  | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* The bus                                                             *)
@@ -376,20 +607,24 @@ let text_sink ?(out = prerr_string) () =
 (* Ring-buffer sink                                                    *)
 
 module Ring = struct
-  type t = {
+  (* A bounded ring of any element type: the stock sink below keeps
+     (timestamp, event) pairs, the decision journal ([Forensics]) keeps
+     its decisions.  Pushes and reads of a ring fed by a sink run under
+     [bus_lock]. *)
+  type 'a t = {
     cap : int;
-    data : (float * event) array;
-    mutable n : int; (* total events ever pushed *)
+    mutable data : 'a array; (* allocated by the first push *)
+    mutable n : int; (* total elements ever pushed *)
   }
 
-  let dummy = (0.0, Span_begin { name = ""; cat = "" })
+  let create ?(capacity = 8192) () = { cap = max 1 capacity; data = [||]; n = 0 }
 
-  let create ?(capacity = 8192) () =
-    { cap = max 1 capacity; data = Array.make (max 1 capacity) dummy; n = 0 }
-
-  let push t ts ev =
-    t.data.(t.n mod t.cap) <- (ts, ev);
+  let push t x =
+    if Array.length t.data = 0 then t.data <- Array.make t.cap x;
+    t.data.(t.n mod t.cap) <- x;
     t.n <- t.n + 1
+
+  let capacity t = t.cap
 
   let seen t = t.n
 
@@ -405,7 +640,7 @@ module Ring = struct
   let sink t =
     {
       sink_name = "ring";
-      sink_emit = (fun ~ts ev -> push t ts ev);
+      sink_emit = (fun ~ts ev -> push t (ts, ev));
       sink_flush = ignore;
     }
 end
@@ -461,65 +696,71 @@ module Chrome = struct
 
   let on_event t ~ts ev =
     let ts_us = (ts -. t.t0) *. 1e6 in
-    let ev_tag = str "ev" (kind_to_string ev) in
+    (* every record names its event kind, and a decision its cause *)
+    let tags =
+      str "ev" (kind_to_string ev)
+      :: (match cause_to_string (cause_of ev) with
+         | "" -> []
+         | c -> [ str "cause" c ])
+    in
     match ev with
     | Compile_start e ->
       record t ~tid:(1 + e.worker) ~ph:"B" ~name:("compile " ^ e.meth)
         ~cat:"jit" ~ts_us
-        [ ev_tag; int_ "tier" e.tier; int_ "mid" e.mid;
-          int_ "worker" e.worker ]
+        (tags @ [ int_ "tier" e.tier; int_ "mid" e.mid;
+          int_ "worker" e.worker ])
     | Compile_end c ->
       record t ~tid:(1 + c.ci_worker) ~ph:"E"
         ~name:("compile " ^ c.ci_meth) ~cat:"jit" ~ts_us
-        ([ ev_tag; int_ "tier" c.ci_tier; str "backend" c.ci_backend;
+        (tags @ [ int_ "tier" c.ci_tier; str "backend" c.ci_backend;
            int_ "nodes_in" c.ci_nodes_in; int_ "nodes_out" c.ci_nodes_out;
            float_ "ms" c.ci_ms ]
         @ match c.ci_fallback with Some r -> [ str "fallback" r ] | None -> [])
     | Compile_enqueue e ->
       record t ~ph:"i" ~name:("enqueue " ^ e.meth) ~cat:"jit" ~ts_us
-        [ ev_tag; int_ "gen" e.gen; int_ "depth" e.depth ];
+        (tags @ [ int_ "gen" e.gen; int_ "depth" e.depth ]);
       record t ~ph:"C" ~name:"jit-queue-depth" ~cat:"jit" ~ts_us
         [ int_ "depth" e.depth ]
     | Compile_dequeue e ->
       record t ~tid:(1 + e.worker) ~ph:"i" ~name:("dequeue " ^ e.meth)
         ~cat:"jit" ~ts_us
-        [ ev_tag; int_ "worker" e.worker; int_ "depth" e.depth ];
+        (tags @ [ int_ "worker" e.worker; int_ "depth" e.depth ]);
       record t ~ph:"C" ~name:"jit-queue-depth" ~cat:"jit" ~ts_us
         [ int_ "depth" e.depth ]
     | Compile_blacklist e ->
       record t ~tid:(1 + e.worker) ~ph:"i" ~name:("blacklist " ^ e.meth)
         ~cat:"jit" ~ts_us
-        [ ev_tag; str "loc" e.loc; str "err" e.err ]
+        (tags @ [ str "loc" e.loc; str "err" e.err ])
     | Deopt e ->
       record t ~ph:"i" ~name:("deopt " ^ e.tag) ~cat:"jit" ~ts_us
-        [ ev_tag; str "meth" e.meth; int_ "pc" e.pc;
-          str "kind" (deopt_kind_name e.kind) ]
+        (tags @ [ str "meth" e.meth; int_ "pc" e.pc;
+          str "kind" (deopt_kind_name e.kind) ])
     | Tier_promote e ->
       record t ~ph:"i" ~name:("promote " ^ e.meth) ~cat:"jit" ~ts_us
-        [ ev_tag; int_ "calls" e.calls; int_ "backedges" e.backedges ]
+        (tags @ [ int_ "calls" e.calls; int_ "backedges" e.backedges ])
     | Cache_install e ->
       record t ~ph:"i" ~name:("install " ^ e.meth) ~cat:"cache" ~ts_us
-        [ ev_tag; int_ "gen" e.gen ];
+        (tags @ [ int_ "gen" e.gen ]);
       record t ~ph:"C" ~name:"code-cache-occupancy" ~cat:"cache" ~ts_us
         [ int_ "resident" e.occ ]
     | Cache_evict e ->
-      record t ~ph:"i" ~name:("evict " ^ e.meth) ~cat:"cache" ~ts_us [ ev_tag ];
+      record t ~ph:"i" ~name:("evict " ^ e.meth) ~cat:"cache" ~ts_us tags;
       record t ~ph:"C" ~name:"code-cache-occupancy" ~cat:"cache" ~ts_us
         [ int_ "resident" e.occ ]
     | Cache_invalidate e ->
       record t ~ph:"i" ~name:("invalidate " ^ e.meth) ~cat:"cache" ~ts_us
-        [ ev_tag; int_ "gen" e.gen ];
+        (tags @ [ int_ "gen" e.gen ]);
       record t ~ph:"C" ~name:"code-cache-occupancy" ~cat:"cache" ~ts_us
         [ int_ "resident" e.occ ]
     | Macro_expand e ->
       record t ~ph:"i" ~name:("macro " ^ e.name) ~cat:"jit" ~ts_us
-        [ ev_tag; str "in" e.in_meth ]
+        (tags @ [ str "in" e.in_meth ])
     | Interp_call e ->
       record t ~ph:"i" ~name:("interp " ^ e.meth) ~cat:"interp" ~ts_us
-        [ ev_tag; int_ "calls" e.calls; int_ "backedges" e.backedges ]
+        (tags @ [ int_ "calls" e.calls; int_ "backedges" e.backedges ])
     | Exec_sample e ->
       record t ~ph:"i" ~name:("exec " ^ e.meth) ~cat:"exec" ~ts_us
-        [ ev_tag; int_ "calls" e.calls; float_ "ms" e.ms ]
+        (tags @ [ int_ "calls" e.calls; float_ "ms" e.ms ])
     | Stack_sample e ->
       let leaf =
         match e.stack with
@@ -527,21 +768,28 @@ module Chrome = struct
         | [] -> "?"
       in
       record t ~ph:"i" ~name:("sample " ^ leaf) ~cat:"profile" ~ts_us
-        [ ev_tag; int_ "depth" (List.length e.stack) ]
-    | Span_begin e -> record t ~ph:"B" ~name:e.name ~cat:e.cat ~ts_us [ ev_tag ]
+        (tags @ [ int_ "depth" (List.length e.stack) ])
+    | Span_begin e -> record t ~ph:"B" ~name:e.name ~cat:e.cat ~ts_us tags
     | Span_end e ->
       record t ~ph:"E" ~name:e.name ~cat:e.cat ~ts_us
-        [ ev_tag; float_ "ms" e.ms ]
+        (tags @ [ float_ "ms" e.ms ])
     | Ic_transition e ->
       record t ~ph:"i" ~name:("ic " ^ e.callee) ~cat:"interp" ~ts_us
-        [ ev_tag; str "meth" e.meth; int_ "pc" e.pc;
-          str "from" e.from_state; str "to" e.to_state ]
+        (tags @ [ str "meth" e.meth; int_ "pc" e.pc;
+          str "from" e.from_state; str "to" e.to_state ])
     | Devirt_guard_fail e ->
       record t ~ph:"i" ~name:("devirt-fail " ^ e.target) ~cat:"jit" ~ts_us
-        [ ev_tag; str "meth" e.meth; int_ "pc" e.pc ]
+        (tags @ [ str "meth" e.meth; int_ "pc" e.pc ])
     | Osr_entry e ->
       record t ~ph:"i" ~name:("osr " ^ e.meth) ~cat:"jit" ~ts_us
-        [ ev_tag; int_ "pc" e.pc; int_ "steps" e.steps ]
+        (tags @ [ int_ "pc" e.pc; int_ "steps" e.steps ])
+    | Compile_drop _ | Compile_discard _ | Osr_decline _ | Guard_plant _
+    | Devirt_install _ | Devirt_kill _ | Ir_fingerprint _ | Demote _
+    | Repromote _ | Watchdog_kill _ | Throttle _ | Abandon _ ->
+      record t ~ph:"i"
+        ~name:(kind_to_string ev ^ " " ^ snd (about ev))
+        ~cat:"jit" ~ts_us
+        (tags @ [ str "what" (describe ev) ])
 
   let event_count t = t.count
 
@@ -628,36 +876,41 @@ module Profile = struct
       e
 
   let on_event t ev =
+    let p () =
+      let mid, meth = about ev in
+      entry t mid meth
+    in
     match ev with
-    | Interp_call e ->
-      let p = entry t e.mid e.meth in
-      p.pe_calls <- max p.pe_calls e.calls;
-      p.pe_backedges <- max p.pe_backedges e.backedges
-    | Tier_promote e ->
-      let p = entry t e.mid e.meth in
+    | Interp_call { calls; backedges; _ } ->
+      let p = p () in
+      p.pe_calls <- max p.pe_calls calls;
+      p.pe_backedges <- max p.pe_backedges backedges
+    | Tier_promote { calls; backedges; _ } ->
+      let p = p () in
       p.pe_promotes <- p.pe_promotes + 1;
-      p.pe_calls <- max p.pe_calls e.calls;
-      p.pe_backedges <- max p.pe_backedges e.backedges
+      p.pe_calls <- max p.pe_calls calls;
+      p.pe_backedges <- max p.pe_backedges backedges
     | Compile_end c ->
-      let p = entry t c.ci_mid c.ci_meth in
+      let p = p () in
       p.pe_compiles <- p.pe_compiles + 1;
       p.pe_compile_ms <- p.pe_compile_ms +. c.ci_ms
-    | Deopt e -> (entry t e.mid e.meth).pe_deopts <- (entry t e.mid e.meth).pe_deopts + 1
-    | Cache_install e ->
-      (entry t e.mid e.meth).pe_installs <- (entry t e.mid e.meth).pe_installs + 1
-    | Cache_evict e ->
-      (entry t e.mid e.meth).pe_evicts <- (entry t e.mid e.meth).pe_evicts + 1
-    | Cache_invalidate e ->
-      (entry t e.mid e.meth).pe_invalidates <-
-        (entry t e.mid e.meth).pe_invalidates + 1
+    | Deopt _ ->
+      let p = p () in
+      p.pe_deopts <- p.pe_deopts + 1
+    | Cache_install _ ->
+      let p = p () in
+      p.pe_installs <- p.pe_installs + 1
+    | Cache_evict _ ->
+      let p = p () in
+      p.pe_evicts <- p.pe_evicts + 1
+    | Cache_invalidate _ ->
+      let p = p () in
+      p.pe_invalidates <- p.pe_invalidates + 1
     | Exec_sample e ->
-      let p = entry t e.mid e.meth in
+      let p = p () in
       p.pe_exec_calls <- p.pe_exec_calls + e.calls;
       p.pe_exec_ms <- p.pe_exec_ms +. e.ms
-    | Compile_start _ | Compile_enqueue _ | Compile_dequeue _
-    | Compile_blacklist _ | Macro_expand _ | Stack_sample _ | Span_begin _
-    | Span_end _ | Ic_transition _ | Devirt_guard_fail _ | Osr_entry _ ->
-      ()
+    | _ -> ()
 
   let find t mid = Hashtbl.find_opt t.tbl mid
 

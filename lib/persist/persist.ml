@@ -153,15 +153,19 @@ let on_fingerprint ~mid ~meth ~fp =
   match verdict with
   | None -> ()
   | Some v ->
-    if !Forensics.on then begin
-      let cause =
-        match v with
-        | `Match -> Forensics.Profile_replay { src = !replay_source }
-        | `Stale want -> Forensics.Profile_stale { expected = want; found = fp }
-      in
-      Forensics.record ~cause ~mid ~meth
-        (Forensics.Ir_fingerprint { phase = "profile-replay"; fp })
-    end
+    if !Obs.enabled then
+      Obs.emit
+        (Obs.Ir_fingerprint
+           {
+             meth;
+             mid;
+             phase = "profile-replay";
+             fp;
+             cause =
+               (match v with
+               | `Match -> Obs.Profile_replay { src = !replay_source }
+               | `Stale want -> Obs.Profile_stale { expected = want; found = fp });
+           })
 
 (* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
@@ -596,15 +600,16 @@ let replay ?pool rt (p : profile) =
             (* installed code speculated on a method that vanished: the
                record is stale, keep the method cold *)
             st.rs_dropped <- st.rs_dropped + 1;
-            if !Forensics.on then
-              Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-                ~cause:
-                  (Forensics.Profile_stale
-                     {
-                       expected = "devirt deps";
-                       found = "vanished symbol";
-                     })
-                Forensics.Drop
+            if !Obs.enabled then
+              Obs.emit
+                (Obs.Compile_drop
+                   {
+                     meth = Vm.Runtime.meth_label m;
+                     mid = m.mid;
+                     cause =
+                       Obs.Profile_stale
+                         { expected = "devirt deps"; found = "vanished symbol" };
+                   })
           end))
     p.p_methods;
   locked (fun () -> replayed_count := st.rs_methods);
@@ -668,15 +673,18 @@ let replay ?pool rt (p : profile) =
                 site.cs_misses <- s.ps_misses;
                 code.(s.ps_pc) <- Invoke (Virtual_ic site);
                 st.rs_sites <- st.rs_sites + 1;
-                if !Forensics.on then
-                  Forensics.record ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
-                    ~cause:(Forensics.Profile_replay { src = p.p_src })
-                    (Forensics.Ic_state
+                if !Obs.enabled then
+                  Obs.emit
+                    (Obs.Ic_transition
                        {
+                         meth = Vm.Runtime.meth_label m;
+                         mid = m.mid;
                          pc = s.ps_pc;
                          line = Vm.Runtime.line_at m s.ps_pc;
                          callee = s.ps_callee;
-                         state = s.ps_state;
+                         from_state = "empty";
+                         to_state = s.ps_state;
+                         cause = Obs.Profile_replay { src = p.p_src };
                        })
               | Invoke (Virtual_ic _) -> () (* already quickened *)
               | _ -> st.rs_dropped <- st.rs_dropped + 1)))
@@ -692,7 +700,7 @@ let replay ?pool rt (p : profile) =
           match pool with
           | Some b -> (
             match
-              Bgjit.enqueue ~why:(Forensics.Profile_replay { src = p.p_src })
+              Bgjit.enqueue ~why:(Obs.Profile_replay { src = p.p_src })
                 b m
             with
             | `Queued | `Coalesced -> st.rs_enqueued <- st.rs_enqueued + 1

@@ -79,9 +79,10 @@ val active : unit -> bool
 val on_fingerprint : mid:int -> meth:string -> fp:string -> unit
 (** Called by the compile pipeline after staging.  While collecting,
     records [fp] as the method's expected fingerprint.  After a replay,
-    consumes the method's pending expectation and journals a
-    [Profile_replay] (match) or [Profile_stale] (mismatch) cause in
-    Forensics.  Thread-safe; called from background JIT workers. *)
+    consumes the method's pending expectation and emits an
+    [Ir_fingerprint] event whose cause is [Profile_replay] (match) or
+    [Profile_stale] (mismatch).  Thread-safe; called from background JIT
+    workers. *)
 
 val warm_matches : unit -> int
 (** Warm compiles whose fingerprint matched the snapshot. *)

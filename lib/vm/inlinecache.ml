@@ -73,7 +73,7 @@ let make_site rt ~mid ~pc ~name ~argc ~hint =
   Hashtbl.replace rt.ic_sites (mid, pc) site;
   site
 
-let transition ?(cause = Forensics.Unattributed) (fmeth : meth) site to_state =
+let transition ~cause (fmeth : meth) site to_state =
   let from_state = state_name site.cs_state in
   site.cs_state <- to_state;
   if !Obs.enabled then
@@ -83,23 +83,14 @@ let transition ?(cause = Forensics.Unattributed) (fmeth : meth) site to_state =
            meth = fmeth.mowner.cname ^ "." ^ fmeth.mname;
            mid = site.cs_mid;
            pc = site.cs_pc;
-           callee = site.cs_name;
-           from_state;
-           to_state = state_name to_state;
-         });
-  if !Forensics.on then
-    Forensics.record ~mid:site.cs_mid
-      ~meth:(fmeth.mowner.cname ^ "." ^ fmeth.mname)
-      ~cause
-      (Forensics.Ic_state
-         {
-           pc = site.cs_pc;
            line =
              (if site.cs_pc >= 0 && site.cs_pc < Array.length fmeth.mlines then
                 fmeth.mlines.(site.cs_pc)
               else 0);
            callee = site.cs_name;
-           state = state_name to_state;
+           from_state;
+           to_state = state_name to_state;
+           cause;
          })
 
 (* Miss path: resolve through the (memoized) vtable walk and grow the
@@ -108,7 +99,7 @@ let miss (fmeth : meth) site (c : cls) =
   site.cs_misses <- site.cs_misses + 1;
   let m = Classfile.resolve_virtual c site.cs_name in
   let entry = { ice_cls = c; ice_meth = m; ice_count = 1 } in
-  let cause = Forensics.Ic_miss { seen = c.cname } in
+  let cause = Obs.Ic_miss { seen = c.cname } in
   (match site.cs_state with
   | Ic_empty -> transition ~cause fmeth site (Ic_mono entry)
   | Ic_mono e -> transition ~cause fmeth site (Ic_poly [| e; entry |])

@@ -131,15 +131,6 @@ let emit_stack_sample f =
   in
   Obs.emit (Obs.Stack_sample { stack = walk [] (Some f) })
 
-(* Journal an OSR decision of frame [f] at the back edge to header [h]. *)
-let osr_journal f h ~steps action =
-  if !Forensics.on then
-    Forensics.record ~mid:f.fmeth.mid ~meth:(Runtime.meth_label f.fmeth)
-      ~cause:
-        (Forensics.Loop_steps
-           { steps; pc = h; line = Runtime.line_at f.fmeth h })
-      action
-
 (* Run the frame chain rooted (via parents) at [frame] to completion and
    return the value produced by the outermost frame of the chain.  This is
    the single entry point used both for fresh calls and for resuming
@@ -234,7 +225,6 @@ let resume rt frame =
         let steps = rt.interp_steps - f.fbase in
         if code.osr_admits f.locals then begin
           rt.tiering.t_osr_entries <- rt.tiering.t_osr_entries + 1;
-          osr_journal f h ~steps Forensics.Osr_in;
           if !Obs.enabled then
             Obs.emit
               (Obs.Osr_entry
@@ -247,10 +237,18 @@ let resume rt frame =
                  });
           return_value (code.osr_run f.locals)
         end
-        else
-          osr_journal f h ~steps
-            (Forensics.Osr_decline
-               { pc = h; why = "the frame no longer matches the code" }))
+        else if !Obs.enabled then
+          Obs.emit
+            (Obs.Osr_decline
+               {
+                 meth = Runtime.meth_label f.fmeth;
+                 mid = f.fmeth.mid;
+                 pc = h;
+                 why = "the frame no longer matches the code";
+                 cause =
+                   Obs.Loop_steps
+                     { steps; pc = h; line = Runtime.line_at f.fmeth h };
+               }))
     | Osr_waiting _ -> ()
   in
   let jump f t =
@@ -366,14 +364,18 @@ let resume rt frame =
             ~hint
         in
         f.fcode.(f.pc - 1) <- Invoke (Virtual_ic site);
-        if !Forensics.on then
-          Forensics.record ~mid:f.fmeth.mid ~meth:(Runtime.meth_label f.fmeth)
-            (Forensics.Ic_state
+        if !Obs.enabled then
+          Obs.emit
+            (Obs.Ic_transition
                {
+                 meth = Runtime.meth_label f.fmeth;
+                 mid = f.fmeth.mid;
                  pc = f.pc - 1;
                  line = Runtime.line_at f.fmeth (f.pc - 1);
                  callee = name;
-                 state = "quickened";
+                 from_state = "none";
+                 to_state = "quickened";
+                 cause = Obs.Unattributed;
                });
         let m =
           match f.ostack.(f.sp - argc - 1) with

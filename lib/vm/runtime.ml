@@ -194,13 +194,8 @@ let rec tier_evict rt =
                meth = meth_label e.ce_meth;
                mid = e.ce_meth.mid;
                occ = Hashtbl.length t.t_cache;
-             });
-      if !Forensics.on then
-        Forensics.record ~mid:e.ce_meth.mid ~meth:(meth_label e.ce_meth)
-          ~cause:
-            (Forensics.Eviction_pressure
-               { occupancy = Hashtbl.length t.t_cache; capacity = t.t_cache_size })
-          Forensics.Evict)
+               cap = t.t_cache_size;
+             }))
 
 (* Record that [m]'s installed code speculates on virtual dispatch of each
    name in [deps] (caller holds [t_lock]); [hierarchy_changed] walks the
@@ -219,9 +214,8 @@ let devirt_register_unlocked rt deps (m : meth) =
       if not (List.exists (fun (m' : meth) -> m'.mid = m.mid) !bucket) then
         bucket := m :: !bucket)
     deps;
-  if !Forensics.on && deps <> [] then
-    Forensics.record ~mid:m.mid ~meth:(meth_label m)
-      (Forensics.Devirt_install { deps })
+  if !Obs.enabled && deps <> [] then
+    Obs.emit (Obs.Devirt_install { meth = meth_label m; mid = m.mid; deps })
 
 let devirt_register rt deps m =
   with_tier_lock rt (fun () -> devirt_register_unlocked rt deps m)
@@ -250,10 +244,7 @@ let tier_install_unlocked rt ?(deps = []) (m : meth) fn =
            mid = m.mid;
            gen = entry.ce_gen;
            occ = Hashtbl.length t.t_cache;
-         });
-  if !Forensics.on then
-    Forensics.record ~mid:m.mid ~meth:(meth_label m)
-      (Forensics.Install { gen = entry.ce_gen })
+         })
 
 let tier_install ?deps rt m fn =
   with_tier_lock rt (fun () -> tier_install_unlocked rt ?deps m fn)
@@ -280,19 +271,23 @@ let tier_install_if_current rt (m : meth) ~gen ?epoch ?(deps = []) fn =
         true
       end
       else begin
-        if !Forensics.on then
-          Forensics.record ~mid:m.mid ~meth:(meth_label m)
-            ~cause:
-              (if not epoch_ok then
-                 Forensics.Epoch_mismatch
-                   {
-                     expected = Option.value ~default:(-1) epoch;
-                     found = rt.tiering.t_hier_epoch;
-                   }
-               else
-                 Forensics.Gen_mismatch
-                   { expected = gen; found = tier_gen_unlocked rt m.mid })
-            Forensics.Discard;
+        if !Obs.enabled then
+          Obs.emit
+            (Obs.Compile_discard
+               {
+                 meth = meth_label m;
+                 mid = m.mid;
+                 cause =
+                   (if not epoch_ok then
+                      Obs.Epoch_mismatch
+                        {
+                          expected = Option.value ~default:(-1) epoch;
+                          found = rt.tiering.t_hier_epoch;
+                        }
+                    else
+                      Obs.Gen_mismatch
+                        { expected = gen; found = tier_gen_unlocked rt m.mid });
+               });
         false
       end)
 
@@ -300,7 +295,7 @@ let tier_install_if_current rt (m : meth) ~gen ?epoch ?(deps = []) fn =
    stale entries can never be re-activated (the [Lancet.stable] recompile
    path and explicit invalidation both land here).  [why] is the journaled
    cause: recompile exit, devirt-miss threshold, hierarchy change, ... *)
-let tier_invalidate_unlocked ?(why = Forensics.Unattributed) rt (m : meth) =
+let tier_invalidate_unlocked ?(why = Obs.Unattributed) rt (m : meth) =
   let t = rt.tiering in
   Hashtbl.replace t.t_gen m.mid (tier_gen_unlocked rt m.mid + 1);
   Hashtbl.remove t.t_cache m.mid;
@@ -313,10 +308,8 @@ let tier_invalidate_unlocked ?(why = Forensics.Unattributed) rt (m : meth) =
            mid = m.mid;
            gen = tier_gen_unlocked rt m.mid;
            occ = Hashtbl.length t.t_cache;
-         });
-  if !Forensics.on then
-    Forensics.record ~mid:m.mid ~meth:(meth_label m) ~cause:why
-      (Forensics.Invalidate { gen = tier_gen_unlocked rt m.mid })
+           cause = why;
+         })
 
 let tier_invalidate ?why rt (m : meth) =
   with_tier_lock rt (fun () -> tier_invalidate_unlocked ?why rt m)
@@ -338,10 +331,9 @@ let hierarchy_changed rt ~name =
     rt.ic_sites;
   with_tier_lock rt (fun () ->
       Hashtbl.reset rt.cha_cache;
-      rt.tiering.t_hier_epoch <- rt.tiering.t_hier_epoch + 1;
-      let why =
-        Forensics.Hier_change { epoch = rt.tiering.t_hier_epoch; name }
-      in
+      let epoch = rt.tiering.t_hier_epoch + 1 in
+      rt.tiering.t_hier_epoch <- epoch;
+      let why = Obs.Hier_change { epoch; name } in
       match Hashtbl.find_opt rt.tiering.t_devirt_deps name with
       | None -> ()
       | Some bucket ->
@@ -349,9 +341,9 @@ let hierarchy_changed rt ~name =
         Hashtbl.remove rt.tiering.t_devirt_deps name;
         List.iter
           (fun m ->
-            if !Forensics.on then
-              Forensics.record ~mid:m.mid ~meth:(meth_label m) ~cause:why
-                (Forensics.Devirt_kill { name });
+            if !Obs.enabled then
+              Obs.emit
+                (Obs.Devirt_kill { meth = meth_label m; mid = m.mid; name; epoch });
             tier_invalidate_unlocked ~why rt m)
           ms)
 
@@ -371,10 +363,6 @@ let tier_promote rt (m : meth) : (value array -> value) option =
              calls = m.mcalls;
              backedges = m.mbackedges;
            });
-    if !Forensics.on then
-      Forensics.record ~mid:m.mid ~meth:(meth_label m)
-        ~cause:(Forensics.Hotness { calls = m.mcalls; backedges = m.mbackedges })
-        Forensics.Promote;
     (* [t_compiles] is counted at the single place a graph is actually
        built — [Tiering.compile_method_dyn] — so initial compiles and
        on-exit recompiles use the same accounting path. *)

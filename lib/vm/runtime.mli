@@ -105,10 +105,10 @@ val tier_install_if_current :
     [false] — and installs nothing — when an invalidation or a
     dispatch-changing method definition raced the compile. *)
 
-val tier_invalidate : ?why:Forensics.cause -> runtime -> meth -> unit
+val tier_invalidate : ?why:Obs.cause -> runtime -> meth -> unit
 (** Drop [m]'s installed code and bump its generation stamp.  [why] is the
-    cause recorded in the decision journal (when it is enabled): recompile
-    exit, devirt-miss threshold, hierarchy change, ... *)
+    cause the [Cache_invalidate] event carries: recompile exit, devirt-miss
+    threshold, hierarchy change, ... *)
 
 val devirt_register : runtime -> string list -> meth -> unit
 (** Record that [m]'s installed code speculates on virtual dispatch of the

@@ -35,7 +35,8 @@ let with_journal ?capacity f =
 let test_bounded () =
   with_journal ~capacity:64 (fun () ->
       for i = 0 to 999 do
-        Forensics.record ~mid:i ~meth:"churn" Forensics.Promote
+        Obs.emit
+          (Obs.Tier_promote { meth = "churn"; mid = i; calls = 0; backedges = 0 })
       done;
       check_int "capacity" 64 (Forensics.capacity ());
       check_int "seen counts every record" 1000 (Forensics.seen ());
@@ -77,20 +78,20 @@ let test_deopt_loop_chain () =
       in
       let promote =
         index (fun d ->
-            match (d.Forensics.d_action, d.Forensics.d_cause) with
-            | Forensics.Promote, Forensics.Hotness _ -> true
+            match (d.Forensics.d_event, d.Forensics.d_cause) with
+            | Obs.Tier_promote _, Obs.Hotness _ -> true
             | _ -> false)
       in
       let compile =
         index (fun d ->
-            match d.Forensics.d_action with
-            | Forensics.Compile_done _ -> true
+            match d.Forensics.d_event with
+            | Obs.Compile_end _ -> true
             | _ -> false)
       in
       let install =
         index (fun d ->
-            match d.Forensics.d_action with
-            | Forensics.Install _ -> true
+            match d.Forensics.d_event with
+            | Obs.Cache_install _ -> true
             | _ -> false)
       in
       check_bool "promotion journaled with hotness cause" true (promote >= 0);
@@ -99,16 +100,16 @@ let test_deopt_loop_chain () =
       let deopts =
         List.filter
           (fun d ->
-            match d.Forensics.d_action with
-            | Forensics.Deopt _ -> true
+            match d.Forensics.d_event with
+            | Obs.Deopt _ -> true
             | _ -> false)
           ds
       in
       check_bool "repeated deopts journaled" true (List.length deopts >= 3);
       List.iter
         (fun d ->
-          match (d.Forensics.d_action, d.Forensics.d_cause) with
-          | Forensics.Deopt e, Forensics.Guard g ->
+          match (d.Forensics.d_event, d.Forensics.d_cause) with
+          | Obs.Deopt e, Obs.Guard g ->
             check_bool "deopt carries a source line" true (e.line > 0);
             check_int "cause names the same guard site" e.pc g.pc
           | _ -> Alcotest.fail "deopt without a guard cause")
@@ -117,8 +118,8 @@ let test_deopt_loop_chain () =
       (match
          List.find_map
            (fun d ->
-             match d.Forensics.d_action with
-             | Forensics.Deopt e -> Some e.pc
+             match d.Forensics.d_event with
+             | Obs.Deopt e -> Some e.pc
              | _ -> None)
            ds
        with
@@ -384,26 +385,26 @@ let test_worker_attribution () =
       await ~what:"background install journaled" (fun () ->
           List.exists
             (fun d ->
-              match d.Forensics.d_action with
-              | Forensics.Install _ -> true
+              match d.Forensics.d_event with
+              | Obs.Cache_install _ -> true
               | _ -> false)
             (Forensics.for_mid m.mid));
       let ds = Forensics.for_mid m.mid in
       let has p = List.exists p ds in
       check_bool "enqueue journaled on the mutator" true
         (has (fun d ->
-             match d.Forensics.d_action with
-             | Forensics.Enqueue _ -> d.Forensics.d_worker = 0
+             match d.Forensics.d_event with
+             | Obs.Compile_enqueue _ -> d.Forensics.d_worker = 0
              | _ -> false));
       check_bool "dequeue attributed to a worker domain" true
         (has (fun d ->
-             match d.Forensics.d_action with
-             | Forensics.Dequeue _ -> d.Forensics.d_worker >= 1
+             match d.Forensics.d_event with
+             | Obs.Compile_dequeue _ -> d.Forensics.d_worker >= 1
              | _ -> false));
       check_bool "install attributed to a worker domain" true
         (has (fun d ->
-             match d.Forensics.d_action with
-             | Forensics.Install _ -> d.Forensics.d_worker >= 1
+             match d.Forensics.d_event with
+             | Obs.Cache_install _ -> d.Forensics.d_worker >= 1
              | _ -> false));
       (match pool with Some b -> Bgjit.shutdown b | None -> ());
       (* a failing compile: the blacklist decision carries the worker
@@ -426,8 +427,8 @@ let test_worker_attribution () =
       check_bool "blacklist attributed to a worker with its failure" true
         (List.exists
            (fun d ->
-             match (d.Forensics.d_action, d.Forensics.d_cause) with
-             | Forensics.Blacklist _, Forensics.Worker_failure f ->
+             match (d.Forensics.d_event, d.Forensics.d_cause) with
+             | Obs.Compile_blacklist _, Obs.Worker_failure f ->
                d.Forensics.d_worker >= 1 && contains f.err "injected"
              | _ -> false)
            (Forensics.for_mid m2.mid)))

@@ -21,6 +21,18 @@ let await ?(what = "condition") p =
   done;
   if not (p ()) then Alcotest.failf "timed out waiting for %s" what
 
+(* The governor's decisions travel on the event bus: a plain ring sink,
+   not the decision journal, sees each as (kind, cause). *)
+let with_ring f =
+  let ring = Obs.Ring.create ~capacity:65536 () in
+  Obs.with_sink (Obs.Ring.sink ring) f;
+  List.map
+    (fun ev -> (Obs.kind_to_string ev, Obs.cause_of ev))
+    (Obs.Ring.events ring)
+
+let carried ~what evs kind cause =
+  check_bool what true (List.exists (fun (k, c) -> k = kind && cause c) evs)
+
 let hot_src =
   {|
 def hot(n: int, seed: int): int = {
@@ -44,6 +56,8 @@ let spec_src =
 def spec(x: int): int =
   if (Lancet.speculate(x < 100000)) x * 3 + 1 else x - 7
 |}
+
+let storm = function Obs.Deopt_storm _ -> true | _ -> false
 
 let test_circuit_breaker () =
   Forensics.enable ();
@@ -70,9 +84,15 @@ let test_circuit_breaker () =
   check_bool "compiled after warmup" true
     (match m.mtier with Tier_compiled _ -> true | _ -> false);
   (* hammer the failing side: every call misses the speculation guard *)
-  for i = 1 to 40 do
-    chk (200_000 + i)
-  done;
+  let evs =
+    with_ring (fun () ->
+        for i = 1 to 40 do
+          chk (200_000 + i)
+        done)
+  in
+  carried ~what:"bus carries the demotion and its storm" evs "demote" storm;
+  carried ~what:"bus carries the breaker's blacklist" evs "compile-blacklist"
+    storm;
   let s = G.stats gov in
   check_bool "demoted at K strikes" true (s.G.g_demotions >= 1);
   check_bool "re-promoted after the backoff bar" true (s.G.g_repromotions >= 1);
@@ -119,18 +139,25 @@ let test_watchdog () =
   let m = Mini.Front.find_function p "hot" in
   check_bool "queued" true (Bgjit.enqueue pool m = `Queued);
   await ~what:"first compile to start" (fun () -> Atomic.get started = 1);
-  await ~what:"compile to overrun its budget" (fun () ->
-      List.exists (fun (_, a) -> a *. 1000. > 40.) (Bgjit.inflight_ages pool));
-  G.tick gov;
+  let overrun () =
+    await ~what:"compile to overrun its budget" (fun () ->
+        List.exists (fun (_, a) -> a *. 1000. > 40.) (Bgjit.inflight_ages pool))
+  in
+  overrun ();
+  let timeout = function Obs.Watchdog_timeout _ -> true | _ -> false in
+  let evs = with_ring (fun () -> G.tick gov) in
+  carried ~what:"bus carries the watchdog kill and its timeout" evs
+    "watchdog-kill" timeout;
   let s = G.stats gov in
   check_int "first overrun killed" 1 s.G.g_watchdog_kills;
   check_int "and retried" 1 s.G.g_watchdog_retries;
   (* let the stalled compile finish: its result is stale by construction *)
   Atomic.set release 1;
   await ~what:"retry to start" (fun () -> Atomic.get started = 2);
-  await ~what:"retry to overrun its budget" (fun () ->
-      List.exists (fun (_, a) -> a *. 1000. > 40.) (Bgjit.inflight_ages pool));
-  G.tick gov;
+  overrun ();
+  let evs = with_ring (fun () -> G.tick gov) in
+  carried ~what:"bus carries the watchdog's blacklist" evs "compile-blacklist"
+    timeout;
   let s = G.stats gov in
   check_int "second overrun killed" 2 s.G.g_watchdog_kills;
   check_int "no second retry" 1 s.G.g_watchdog_retries;
@@ -318,6 +345,29 @@ let test_evict_repromote () =
 
 (* ------------------------------------------------------------------ *)
 
+(* A governed k-means run, traced: its Chrome trace holds the governor's
+   demotions beside the compiles and stays well-formed JSON. *)
+let test_governed_trace () =
+  let rt = Lancet.Api.boot ~tiering:true () in
+  let gov = G.attach rt in
+  let src =
+    In_channel.with_open_bin "../examples/kmeans.mini" In_channel.input_all
+  in
+  let p = Mini.Front.load ~file:"kmeans.mini" rt src in
+  let c = Obs.Chrome.create () in
+  Obs.with_sink (Obs.Chrome.sink c) (fun () ->
+      ignore (Mini.Front.call p "main" [||]));
+  check_bool "the run demoted" true ((G.stats gov).G.g_demotions >= 1);
+  G.detach gov;
+  let json = Obs.Chrome.dump c in
+  (match Obs.Json.validate json with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "governed trace is not valid JSON: %s" e);
+  check_bool "trace shows the demotion" true
+    (Vm.Strutil.contains json "\"name\":\"demote Main$1.clamp\"");
+  check_bool "trace shows a guard plant" true
+    (Vm.Strutil.contains json "\"ev\":\"guard-plant\"")
+
 let suite =
   [
     Alcotest.test_case "circuit-breaker" `Quick test_circuit_breaker;
@@ -326,4 +376,5 @@ let suite =
     Alcotest.test_case "eviction-damping" `Quick test_eviction_damping;
     Alcotest.test_case "bounded-shutdown" `Quick test_bounded_shutdown;
     Alcotest.test_case "evict-repromote" `Quick test_evict_repromote;
+    Alcotest.test_case "governed-trace" `Quick test_governed_trace;
   ]

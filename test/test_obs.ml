@@ -82,7 +82,7 @@ let test_no_sink_fast_path () =
   check_bool "disabled with no sink" false !Obs.enabled;
   let ring = Obs.Ring.create () in
   (* nothing attached: emit must deliver nothing, span must not record *)
-  Obs.emit (Obs.Cache_evict { meth = "x"; mid = 0; occ = 0 });
+  Obs.emit (Obs.Cache_evict { meth = "x"; mid = 0; occ = 0; cap = 1 });
   Obs.span "dead" (fun () -> ());
   check_int "nothing recorded" 0 (Obs.Ring.seen ring);
   let s = Obs.Ring.sink ring in

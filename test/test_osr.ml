@@ -129,8 +129,8 @@ let test_nested_inner_header () =
       let entry_lines =
         List.filter_map
           (fun (d : Forensics.decision) ->
-            match (d.d_action, d.d_cause) with
-            | Forensics.Osr_in, Forensics.Loop_steps c -> Some c.line
+            match (d.d_event, d.d_cause) with
+            | Obs.Osr_entry _, Obs.Loop_steps c -> Some c.line
             | _ -> None)
           (Forensics.decisions ())
       in
@@ -242,7 +242,7 @@ let test_kind_change_declines () =
       check_bool "decline journaled" true
         (List.exists
            (fun (d : Forensics.decision) ->
-             match d.d_action with Forensics.Osr_decline _ -> true | _ -> false)
+             match d.d_event with Obs.Osr_decline _ -> true | _ -> false)
            (Forensics.decisions ())))
 
 (* Under --jit-threads 2 each program runs as a plain call: the promotion

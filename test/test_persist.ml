@@ -306,7 +306,7 @@ let test_warm_jit2 () =
     (List.exists
        (fun d ->
          match d.Forensics.d_cause with
-         | Forensics.Profile_replay _ -> true
+         | Obs.Profile_replay _ -> true
          | _ -> false)
        (Forensics.decisions ()));
   Forensics.disable ();
