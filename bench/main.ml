@@ -432,6 +432,26 @@ def assign_all(ps: farray, cs: farray, n: int, d: int, k: int): int = {
 }
 |}
 
+(* k-means' centroid update over [tiered_kmeans_src]'s [nearest] *)
+let kmeans_update_src =
+  {|
+def update(ps: farray, cs: farray, sums: farray, cnts: farray,
+           n: int, d: int, k: int): unit = {
+  for (i <- 0 until k * d) { sums[i] = 0.0 };
+  for (c <- 0 until k) { cnts[c] = 0.0 };
+  for (r <- 0 until n) {
+    val c = nearest(ps, cs, r, d, k);
+    cnts[c] = cnts[c] + 1.0;
+    for (j <- 0 until d) { sums[c * d + j] = sums[c * d + j] + ps[r * d + j] }
+  };
+  for (c <- 0 until k) {
+    if (cnts[c] > 0.0) {
+      for (j <- 0 until d) { cs[c * d + j] = sums[c * d + j] / cnts[c] }
+    }
+  }
+}
+|}
+
 let tiered_spec_src =
   {|
 def spec(x: int): int =
@@ -1620,6 +1640,8 @@ let chaos_soak_ci () =
     | l -> l
   in
   header "Chaos soak (CI gate)";
+  (* journal lines read as offsets into the soak, on the bus clock *)
+  let t0 = Obs.now () in
   match chaos_soak ~seeds ~calls:600 () with
   | rows -> pr "chaos soak ok (%d seeds)\n" (List.length rows)
   | exception e ->
@@ -1628,7 +1650,7 @@ let chaos_soak_ci () =
       (Printf.sprintf "chaos soak failed: %s\n\nforensics journal:\n"
          (Printexc.to_string e));
     List.iter
-      (fun d -> output_string oc (Forensics.decision_to_string d ^ "\n"))
+      (fun d -> output_string oc (Forensics.decision_to_string ~t0 d ^ "\n"))
       (Forensics.decisions ());
     close_out oc;
     prerr_endline
@@ -1646,10 +1668,13 @@ let chaos_soak_ci () =
    called once untimed first, so that the register file exists before the
    measured calls.  [nearest] runs the threaded [if (dd < bd)] diamond
    around a native loop, [assign_all] nests native loops in two outer
-   ones. *)
+   ones, and [update] holds every region shape of the typed lowering: a
+   nest with diamonds, stores and a loop inside an [if] arm. *)
 let typed_alloc_gate () =
   let rt = Lancet.Api.boot () in
-  let p = Mini.Front.load rt (reduction_src ^ tiered_kmeans_src) in
+  let p =
+    Mini.Front.load rt (reduction_src ^ tiered_kmeans_src ^ kmeans_update_src)
+  in
   let kernel name =
     let m = Mini.Front.find_function p name in
     let g =
@@ -1690,7 +1715,15 @@ let typed_alloc_gate () =
     same "assign_all" "n" 10 10_000 (fun n ->
         words assign_all [| a; a; Int n; Int 4; Int 8 |])
   in
-  pr "check %-18s ok  (%s; %s; %s; %s)\n" "typed alloc gate" r s n aa
+  (* [n] points and [k] centroids, so that every loop of [update] grows *)
+  let update = kernel "update" in
+  let u =
+    same "update" "n=k" 8 600 (fun n ->
+        let cs = Farr (Array.init (n * 4) float_of_int) in
+        let sums = Farr (Array.make (n * 4) 0.0) in
+        words update [| a; cs; sums; Farr (Array.make n 0.0); Int n; Int 4; Int n |])
+  in
+  pr "check %-18s ok  (%s; %s; %s; %s; %s)\n" "typed alloc gate" r s n aa u
 
 (* OSR gate (part of [check]): perfbench's loop-once program, one call of
    a 40k-iteration loop under --tiered at the default threshold, must

@@ -862,7 +862,7 @@ let rec exec_range ctx ~(stop : int -> bool) : [ `Arrived | `Dead ] =
     | Bytecode c -> c
     | Native _ -> Errors.compile_error "cannot stage a native method"
   in
-  let cfg = Bcfg.of_method f.sf_meth in
+  let cfg = Bcfg.of_method ctx.rt f.sf_meth in
   let continue_ = ref true in
   let result = ref `Dead in
   while !continue_ do
@@ -1759,7 +1759,7 @@ let stage ?(opts = default_options) ?deps ?entry rt (m : meth)
       let args =
         match entry with
         | Some e ->
-          if not (Bcfg.is_loop_header (Bcfg.of_method m) e.e_pc) then
+          if not (Bcfg.is_loop_header (Bcfg.of_method rt m) e.e_pc) then
             Errors.compile_error "OSR entry @pc %d of %s is not a loop header"
               e.e_pc m.mname;
           Array.mapi (fun i k -> B.param ctx.bld i k) e.e_kinds

@@ -22,6 +22,7 @@ let create ?(tiering = false) ?(tier_threshold = 16) ?(tier_cache_size = 512)
     interp_steps = 0;
     ic_enabled = inline_caches;
     ic_sites = Hashtbl.create 64;
+    analyses = Hashtbl.create 64;
     cha_cache = Hashtbl.create 64;
     tiering =
       {

@@ -9,6 +9,11 @@
    name. *)
 type macro = ..
 
+(* A per-method analysis of bytecode that a runtime caches for the JIT (the
+   control-flow analysis of the compiler's [Bcfg]).  Its constructor is
+   defined by the analysis, which this module cannot name. *)
+type analysis = ..
+
 type value =
   | Null
   | Int of int (* ints, booleans (0/1) and characters *)
@@ -213,6 +218,9 @@ and runtime = {
     (* (mid, pc) -> quickened call site; mutator-only structure (sites are
        created and transitioned by the interpreter; JIT workers read the
        word-sized [cs_state] field of individual sites) *)
+  analyses : (int, analysis) Hashtbl.t;
+    (* mid -> the JIT's analysis of that method's bytecode; it dies with
+       the runtime.  Guarded by [t_lock]: JIT workers stage methods too *)
   cha_cache : (int * string, bool) Hashtbl.t;
     (* (cid, name) -> [Classfile.no_override_below] answer; guarded by
        [t_lock] (compile-time CHA queries arrive from worker domains) and

@@ -817,7 +817,9 @@ let gen_mini_kernel =
     in
     let cmp = oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
     let bound = oneofl [ "n"; "m"; "2"; "3" ] in
-    let rec stm vars k =
+    (* built on demand: only the branches a draw takes are constructed *)
+    let rec stm vars k = delay (fun () -> stm' vars k)
+    and stm' vars k =
       let simple =
         frequency
           [
@@ -892,6 +894,45 @@ let gen_mini_kernel =
                   Printf.sprintf "var %s = 0; while (%s < %s) { %s; %s = %s + 1 }"
                     v v b body v v)
                 bound (stm (v :: vars) (k / 2)) );
+            (* a loop with two exit edges: [&&] or [||] in its condition *)
+            ( 1,
+              let v = fresh "w" in
+              let* b = bound
+              and* x = iexp vars
+              and* op = cmp
+              and* y = iexp vars
+              and* both = bool
+              and* body = stm (v :: vars) (k / 2) in
+              let cond =
+                if both then Printf.sprintf "%s < %s && %s %s %s" v b x op y
+                else Printf.sprintf "%s < %s || (%s < %s + 2 && %s %s %s)" v b v b x op y
+              in
+              return
+                (Printf.sprintf "var %s = 0; while (%s) { %s; %s = %s + 1 }" v
+                   cond body v v) );
+            (* a loop in an arm of an [if] *)
+            ( 1,
+              let v = fresh "l" in
+              let* x = fexp vars 1
+              and* op = cmp
+              and* y = fexp vars 1
+              and* b = bound
+              and* body = stm (v :: vars) (k / 2) in
+              return
+                (Printf.sprintf "if (%s %s %s) { for (%s <- 0 until %s) { %s } }" x
+                   op y v b body) );
+            (* a nest three deep *)
+            ( 1,
+              let u = fresh "l" and v = fresh "l" and w = fresh "l" in
+              let* bu = bound
+              and* bv = bound
+              and* bw = bound
+              and* body = stm (w :: v :: u :: vars) (k / 3) in
+              return
+                (Printf.sprintf
+                   "for (%s <- 0 until %s) { for (%s <- 0 until %s) { for (%s \
+                    <- 0 until %s) { %s } } }"
+                   u bu v bv w bw body) );
           ]
     in
     sized (fun k -> stm [ "i"; "j" ] (min k 10)))
@@ -1060,6 +1101,117 @@ let test_typed_folded_load_order () =
           (Irtrace.snapshots ())
       in
       Alcotest.(check (list string)) "loads and index trees folded" [ "5"; "5" ] folded)
+
+(* The [schedule:typed] meta of the typed kernel of each named function. *)
+let typed_schedule_meta src names =
+  Irtrace.enable ();
+  Fun.protect ~finally:Irtrace.disable (fun () ->
+      let rt = Lancet.Api.boot () in
+      let p = Mini.Front.load rt src in
+      List.iter
+        (fun name ->
+          let m = Mini.Front.find_function p name in
+          let g = C.stage rt m (Array.make m.mnargs C.Dyn) in
+          ignore
+            (Lms.Typed_backend.compile ~hooks:(Lms.Closure_backend.default_hooks rt) g
+              : value array -> value))
+        names;
+      List.filter_map
+        (fun sn ->
+          if sn.Irtrace.sn_phase = "schedule:typed" then
+            Some
+              (Printf.sprintf "loops=%s trampolined=%s"
+                 (List.assoc "loops" sn.Irtrace.sn_meta)
+                 (List.assoc "trampolined" sn.Irtrace.sn_meta))
+          else None)
+        (Irtrace.snapshots ()))
+
+(* Every loop of k-means' kernels runs native: each function's own loops
+   and those of the calls inlined into it, nested, inside an [if] arm and
+   around the threaded [if (dd < bd)] diamond. *)
+let test_typed_kmeans_loops () =
+  let src = In_channel.with_open_bin "../examples/kmeans.mini" In_channel.input_all in
+  Alcotest.(check (list string))
+    "sqdist, nearest, assign_all, update"
+    [
+      "loops=1 trampolined=0";
+      "loops=3 trampolined=0";
+      "loops=4 trampolined=0";
+      "loops=9 trampolined=0";
+    ]
+    (typed_schedule_meta src [ "sqdist"; "nearest"; "assign_all"; "update" ])
+
+(* A loop with two exit edges ([&&] and [||] conditions) and a loop with a
+   loop in an [if] arm run native too, and agree with the interpreter. *)
+let test_typed_multi_exit_loops () =
+  let src =
+    "def f(xs: farray, ys: farray, zs: array[int], n: int, m: int, a: float): \
+     float = { var r = 0.0; var w = 0; while (w < n && xs[w] < a) { r = r + \
+     xs[w]; w = w + 1 }; var v = 0; while (v < m || (v < n && r > 1.0)) { r \
+     = r * 0.5 + ys[v]; v = v + 1 }; if (r > a) { for (i <- 0 until n) { r = \
+     r - xs[i] } }; r }"
+  in
+  Alcotest.(check (list string)) "three native loops" [ "loops=3 trampolined=0" ]
+    (typed_schedule_meta src [ "f" ]);
+  check_bool "all three agree" true
+    (backends_agree src "f"
+       [ [| Int 3; Int 2; Float 0.5 |]; [| Int 6; Int 1; Float (-3.0) |]; [| Int 9; Int 4; Float 4.0 |] ])
+
+(* The bytecode CFG cache keeps no dropped runtime alive: once nothing
+   else holds a runtime, the bytecode of a method staged in it can be
+   collected. *)
+let test_bcfg_cache_releases_runtime () =
+  let weak = Weak.create 1 in
+  let stage_and_drop () =
+    let rt = Lancet.Api.boot () in
+    let p =
+      Mini.Front.load rt
+        "def f(n: int): int = { var s = 0; for (i <- 0 until n) { s = s + i }; s }"
+    in
+    let m = Mini.Front.find_function p "f" in
+    ignore (C.stage rt m [| C.Dyn |] : Lms.Ir.graph);
+    match m.mcode with
+    | Bytecode code -> Weak.set weak 0 (Some code)
+    | Native _ -> Alcotest.fail "f is bytecode"
+  in
+  (stage_and_drop [@inlined never]) ();
+  Gc.full_major ();
+  Gc.full_major ();
+  check_bool "staged bytecode collected" false (Weak.check weak 0)
+
+(* Staging one runtime's methods from two domains at once, both through
+   its one CFG cache, builds the graphs one domain builds. *)
+let test_bcfg_two_domains () =
+  let src = In_channel.with_open_bin "../examples/kmeans.mini" In_channel.input_all in
+  let loaded () =
+    let rt = Lancet.Api.boot () in
+    (rt, Mini.Front.load rt src)
+  in
+  let graphs (rt, p) () =
+    List.map
+      (fun name ->
+        let m = Mini.Front.find_function p name in
+        Lms.Pretty.graph_to_string (C.stage rt m (Array.make m.mnargs C.Dyn)))
+      [ "sqdist"; "nearest"; "assign_all"; "update"; "main" ]
+  in
+  let want = graphs (loaded ()) () in
+  for _ = 1 to 8 do
+    let h = loaded () in
+    let other = Domain.spawn (graphs h) in
+    let here = graphs h () in
+    Alcotest.(check (list string)) "this domain" want here;
+    Alcotest.(check (list string)) "other domain" want (Domain.join other)
+  done
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "bcfg-cache-releases-runtime" `Quick
+        test_bcfg_cache_releases_runtime;
+      Alcotest.test_case "bcfg-two-domains" `Quick test_bcfg_two_domains;
+      Alcotest.test_case "typed-kmeans-loops" `Quick test_typed_kmeans_loops;
+      Alcotest.test_case "typed-multi-exit-loops" `Quick test_typed_multi_exit_loops;
+    ]
 
 let suite =
   suite
