@@ -1838,10 +1838,10 @@ let () =
   Lms.Pretty.register_ext (function
     | Make_cont fds -> Some (Printf.sprintf "make_cont/%d" (List.length fds))
     | _ -> None);
-  Lms.Closure_backend.register_ext (fun hooks op getters ->
+  Lms.Hooks.register_ext (fun hooks op getters ->
       match op with
       | Make_cont fds ->
-        let rt = hooks.Lms.Closure_backend.rt in
+        let rt = hooks.Lms.Hooks.rt in
         Some
           (fun env ->
             let vals = Array.map (fun g -> g env) getters in
@@ -1859,20 +1859,20 @@ let count_compiles = ref 0 (* graphs handed to a backend, every tier *)
 let count_deopts = ref 0
 let count_recompiles = ref 0
 
-(* The one backend-selection step, for explicit and tiered compiles alike:
-   runtime hooks with the caller's side-exit handler, the unboxed kernel
-   backend first, the closure backend when the graph needs something the
-   kernel backend cannot lower.  Returns the entry point, the backend that
+(* The one mode-selection step, for explicit and tiered compiles alike:
+   runtime hooks with the caller's side-exit handler, the lowering's typed
+   mode first, its boxed mode (labelled "closure") when the graph's types
+   disagree with the typed lanes.  Returns the entry point, the mode that
    ran and the fallback reason. *)
 let compile_graph rt (g : Ir.graph)
     ~(on_exit : Ir.side_exit -> value array -> value) :
     (value array -> value) * string * string option =
   incr count_compiles;
-  let hooks = { (Lms.Closure_backend.default_hooks rt) with on_exit } in
+  let hooks = { (Lms.Hooks.default_hooks rt) with on_exit } in
   match Lms.Typed_backend.compile ~hooks g with
   | fn -> (fn, "typed", None)
   | exception Lms.Typed_backend.Fallback reason ->
-    (Lms.Closure_backend.compile ~hooks g, "closure", Some reason)
+    (Lms.Typed_backend.compile_boxed ~hooks g, "closure", Some reason)
 
 (* graph of the most recent [compile_method], for tests and tooling *)
 let last_graph : Ir.graph option ref = ref None

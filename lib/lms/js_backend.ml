@@ -13,7 +13,7 @@ let () =
     | Js_call name -> Some (Printf.sprintf "js.%s" name)
     | _ -> None);
   (* executing a cross-compiled call on the VM is a mistake *)
-  Closure_backend.register_ext (fun _hooks op _getters ->
+  Hooks.register_ext (fun _hooks op _getters ->
       match op with
       | Js_call name ->
         Some (fun _ -> Vm.Types.vm_error "js.%s can only be cross-compiled" name)

@@ -287,7 +287,7 @@ let stage ?(name = "toy") ~inputs ~result prog =
 (* Interpreter + staging = compiler: produce a runnable function. *)
 let compile rt ?name ~inputs ~result prog : int list -> int =
   let g = stage ?name ~inputs ~result prog in
-  let fn = Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt) g in
   fun args ->
     let vs = Array.of_list (List.map (fun i -> Vm.Types.Int i) args) in
     Vm.Value.to_int (fn vs)

@@ -1,38 +1,54 @@
-(* A second, type-specialized execution backend: the analogue of Delite's
-   kernel code generation.  A kernel runs on a register file of three lanes:
-   an [int array] for ints and bools, a [float array] for floats and a
-   [value array] for everything else.  Every operand is a slot in one of
-   them, and every step is a closure over its slot indices, specialized on
-   its op, e.g. [fun r -> let f = r.floats in f.(d) <- f.(a) +. f.(b)].  No
-   int or float crosses a closure boundary, so a numeric loop allocates
-   nothing per iteration, which is where the paper's generated kernels get
-   their edge over library bytecode.
+(* The execution lowering of the JIT, the analogue of Delite's kernel code
+   generation: an IR graph becomes closure-threaded OCaml code.  A kernel
+   runs on a register file of three lanes: an [int array] for ints and
+   bools, a [float array] for floats and a [value array] for everything
+   else.  Every operand is a slot in one of them, and every step is a
+   closure over its slot indices, specialized on its op, e.g.
+   [fun r -> let f = r.floats in f.(d) <- f.(a) +. f.(b)].
+
+   The lowering has two modes, and the code picks one per graph.  The
+   typed mode, tried first, keeps each value in its type's lane, so no int
+   or float crosses a closure boundary and a numeric loop allocates nothing
+   per iteration, which is where the paper's generated kernels get their
+   edge over library bytecode.  It raises [Fallback] on a graph whose types
+   disagree with its lanes (a float read as an int).  The boxed mode keeps
+   every graph parameter and node in the value lane, unboxes only through
+   conversion steps at the ops that need a number, and never raises
+   [Fallback]: it runs the graphs the typed mode refuses, and the calls of a
+   typed kernel whose arguments fail its entry check.  It is labelled
+   [closure] in snapshots, spans and compile events.
 
    - A constant gets one slot in each lane it is read in, written once,
      when a register file is created.
-   - A graph parameter read as an int or a float gets one slot in that
-     lane, filled at kernel entry after a kind check ([Int] for the int
-     lane, [Int | Float] for the float lane).  A call whose arguments fail
-     the check runs the boxed backend's code for the same graph instead,
-     so an ill-typed argument raises where the boxed backend raises.
+   - In the typed mode, a graph parameter read as an int or a float gets
+     one slot in that lane, filled at kernel entry after a kind check
+     ([Int] for the int lane, [Int | Float] for the float lane).  A call
+     whose arguments fail the check runs the boxed mode's code for the same
+     graph instead, so an ill-typed argument raises where the interpreter
+     raises.
    - Any other read in another lane than the value's own, such as a call
      result used as an int, is a conversion step into a fresh slot just
      before the use.
+   - An extension op ([Ir.Ext]) is one boxed step: the compiler registered
+     in [Hooks] for it, over getters of its arguments' value-lane slots.
    - A single-use [iadd]/[isub]/[imul] over int operands folds into the
      index of its array load or store, and [a*b+c] is one index.  A float
      op on two single-use loads is one step, and so is [x +- y*z] with a
      single-use [fmul].  A folded load may only move past nodes that
      cannot raise or touch state, or past the other folded load, and the
-     two loads run in source order.
+     two loads run in source order.  (Folding needs operands in the int or
+     float lane, so the boxed mode folds nothing.)
    - A jump copies its arguments slot to slot, lane by lane; when a source
      is also a destination, the copy goes through temp slots fixed at
      compile time.  A jump passing constants to a block that only
      compares them goes straight to the successor the compare picks, and
-     empty forwarding blocks are skipped.
+     empty forwarding blocks are skipped.  A jump whose argument count is
+     not its target's parameter count is refused.
    - A node whose one use is an argument of its own block's jump takes the
      slot of the parameter it is passed to, when the block reads that
      parameter no later, so a loop's back edge need not copy it.
-   - Values are boxed only at calls, side exits and the return.
+   - In the typed mode, values are boxed only at calls, extension ops, side
+     exits and the return.
 
    Control flow is lowered from the graph's loop-nest forest
    ([Loop_forest], built once over the threaded edges), with blocks
@@ -48,10 +64,9 @@
    call site per position ([run_then], [close]), not a loop over a step
    array.  Only an edge into a cycle its target does not dominate (an
    irreducible graph) returns a block index to the kernel's trampoline;
-   the [schedule:typed] snapshot counts such blocks as [trampolined]. *)
+   the [schedule:<mode>] snapshot counts such blocks as [trampolined]. *)
 
 open Ir
-module CB = Closure_backend
 
 type lane = Lint | Lfloat | Lval
 
@@ -68,8 +83,8 @@ type regs = {
 
 type step = regs -> unit
 
-(* raised during compilation when a node cannot be handled; callers fall
-   back to the boxed backend *)
+(* raised by the typed mode when a node's type disagrees with its lane;
+   callers compile the graph in the boxed mode instead *)
 exception Fallback of string
 
 (* raised by a spliced guard step on the miss path, after running the side
@@ -360,23 +375,33 @@ let operand_lane = function
   | Fop _ | Fneg | Fcmp _ | F2i -> Some Lfloat
   | _ -> None
 
-let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
+(* The label of a mode in snapshots, spans and compile events. *)
+let mode_name ~boxed = if boxed then "closure" else "typed"
+
+(* [trace]: record the IR snapshots and missed optimizations of the
+   compile, when IR tracing is on. *)
+let rec lower ~boxed ~trace (hooks : Hooks.hooks) (g : graph) :
+    Vm.Types.value array -> Vm.Types.value =
   let open Vm.Types in
-  let hooks = match hooks with Some h -> h | None -> failwith "hooks required" in
-  let rt = hooks.CB.rt in
+  let rt = hooks.rt in
+  (* the lane of a node or block parameter of type [ty] *)
+  let lane_of ty = if boxed then Lval else lane_of_ty ty in
   let blocks = reachable_blocks g in
-  let fusion = Guard_fusion.analyse ~backend:"typed" g blocks in
+  let fusion =
+    Guard_fusion.analyse ~trace ~backend:(mode_name ~boxed) g blocks
+  in
   let fused = fusion.Guard_fusion.fused in
   (* [s] can be read in [lane] with no conversion step that could raise:
-     graph parameters are read from their entry slots, checked at entry *)
+     in the typed mode graph parameters are read from their entry slots,
+     checked at entry *)
   let native lane s =
     let n = node g s in
     match (n.op, lane) with
     | _, Lval -> true
     | Konst (Int _), (Lint | Lfloat) | Konst (Float _), Lfloat -> true
     | Konst _, _ -> false
-    | Param k, _ -> k < g.nparams
-    | _ -> lane_of_ty n.ty = lane
+    | Param k, _ -> (not boxed) && k < g.nparams
+    | _ -> lane_of n.ty = lane
   in
   (* Folding, one pass in source order over each block.  [folded_into]
      names the node a folded node is computed in and [pos] gives a node's
@@ -392,7 +417,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     Guard_fusion.single_use fusion bid s
     &&
     let m = node g s in
-    lane_of_ty m.ty = Lint
+    lane_of m.ty = Lint
     &&
     match (m.op, m.args) with
     | Iop (Add | Sub | Mul), [| x; y |] -> plain Lint x && plain Lint y
@@ -401,7 +426,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   (* [a*b+c] first, so the multiply folds too *)
   let fold_index bid ~into s =
     let m = node g s in
-    let madd = Guard_fusion.single_use fusion bid s && lane_of_ty m.ty = Lint in
+    let madd = Guard_fusion.single_use fusion bid s && lane_of m.ty = Lint in
     let mul t = int_tree bid t && (node g t).op = Iop Mul in
     match (m.op, m.args) with
     | Iop Add, [| x; y |] when madd && mul x && plain Lint y ->
@@ -416,14 +441,14 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     Guard_fusion.single_use fusion bid s
     &&
     let m = node g s in
-    m.op = Faload && lane_of_ty m.ty = Lfloat
+    m.op = Faload && lane_of m.ty = Lfloat
     && (is_folded m.args.(1) || plain Lint m.args.(1))
   in
   let fmul bid s =
     Guard_fusion.single_use fusion bid s
     &&
     let m = node g s in
-    m.op = Fop FMul && lane_of_ty m.ty = Lfloat
+    m.op = Fop FMul && lane_of m.ty = Lfloat
     && plain Lfloat m.args.(0) && plain Lfloat m.args.(1)
   in
   let quiet (n : node) =
@@ -447,7 +472,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
           (match (n.op, n.args) with
           | (Aload | Astore | Faload | Fastore), _ ->
             fold_index bid ~into:n.id n.args.(1)
-          | Fop op, [| x; y |] when lane_of_ty n.ty = Lfloat ->
+          | Fop op, [| x; y |] when lane_of n.ty = Lfloat ->
             if x <> y && load bid x && load bid y then begin
               let lo = min (pos_of x) (pos_of y) in
               let hi = max (pos_of x) (pos_of y) in
@@ -467,7 +492,9 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
      constants, when the jump passes constants, goes straight to the
      successor.  Arguments must already be in the skipped block's lanes,
      so skipping it skips no conversion, and its parameters must have no
-     use outside it, as no slot of theirs is written. *)
+     use outside it, as no slot of theirs is written.  Every edge passes
+     through here first, and one whose argument count differs from its
+     target's parameter count is refused. *)
   let nblocks = List.length blocks in
   let passes_as lane s =
     match (node g s).op with
@@ -476,10 +503,14 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       | Lint, Int _ | Lfloat, Float _ | Lval, _ -> true
       | _ -> false)
     | Param _ -> lane = Lval
-    | _ -> lane_of_ty (node g s).ty = lane
+    | _ -> lane_of (node g s).ty = lane
   in
   let rec resolve hops (t : target) : target =
     let tb = block g t.tblock in
+    if List.length tb.params <> Array.length t.targs then
+      raise
+        (Hooks.Compile_unsupported
+           (Printf.sprintf "jump arity mismatch into block %d" t.tblock));
     let shape =
       match tb.term with
       | Jump t' when tb.body = [] -> Some (`Jump t')
@@ -490,7 +521,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     in
     match shape with
     | None -> t
-    | Some _ when hops = 0 || List.length tb.params <> Array.length t.targs -> t
+    | Some _ when hops = 0 -> t
     | Some shape -> (
       let params = Array.of_list tb.params in
       let arg s =
@@ -538,7 +569,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       match next with
       | Some t'
         when Array.for_all2
-               (fun (p, ty) s -> passes_as (lane_of_ty ty) s && local p)
+               (fun (p, ty) s -> passes_as (lane_of ty) s && local p)
                params t.targs ->
         resolve (hops - 1) (subst t')
       | _ -> t)
@@ -614,7 +645,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
               if
                 Guard_fusion.single_use fusion b.bid s
                 && (not (is_folded s))
-                && lane_of_ty n.ty = lane_of_ty ty
+                && lane_of n.ty = lane_of ty
                 && (not (Array.mem p t.targs))
                 && Hashtbl.find reads p <= pos_of s
               then Hashtbl.replace shared s p)
@@ -635,14 +666,14 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   in
   List.iter
     (fun b ->
-      List.iter (fun (s, ty) -> assign s (lane_of_ty ty)) b.params;
+      List.iter (fun (s, ty) -> assign s (lane_of ty)) b.params;
       List.iter
         (fun n ->
           match n.op with
           | Konst _ | Param _ -> ()
           | _ ->
             if not (is_folded n.id || Hashtbl.mem shared n.id) then
-              assign n.id (lane_of_ty n.ty))
+              assign n.id (lane_of n.ty))
         (body_in_order b))
     blocks;
   Hashtbl.iter
@@ -658,7 +689,8 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       | Param k when k < g.nparams -> (Lval, 1 + k)
       | _ when is_folded s ->
         invalid_arg (Printf.sprintf "typed kernel %s: x%d is folded" g.name s)
-      | _ -> raise (Fallback (Printf.sprintf "unassigned sym %d" s)))
+      | _ ->
+        raise (Hooks.Compile_unsupported (Printf.sprintf "unassigned sym %d" s)))
   in
   (* entry slots: (parameter, slot) per lane, filled when a call starts *)
   let entry : (int * lane, int) Hashtbl.t = Hashtbl.create 8 in
@@ -703,7 +735,8 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       match const_slot s lane v with
       | Some i -> i
       | None -> via (Lval, Option.get (const_slot s Lval v)))
-    | Param k when lane <> Lval && k < g.nparams -> entry_slot k lane
+    | Param k when (not boxed) && lane <> Lval && k < g.nparams ->
+      entry_slot k lane
     | _ ->
       let ((l, i) as src) = slot_of s in
       if l = lane then i else via src
@@ -982,12 +1015,12 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
           | Native (_, fn) ->
             Some (fun r -> let v = r.vals in v.(d) <- fn rt (gather v a))
           | Bytecode _ ->
-            let call = hooks.CB.call_static in
+            let call = hooks.call_static in
             Some (fun r -> let v = r.vals in v.(d) <- call m (gather v a)))
         | CallVirtual (name, _) ->
           let a = Array.mapi (fun k _ -> arg Lval k) n.args in
           let d = dst Lval in
-          let call = hooks.CB.call_virtual in
+          let call = hooks.call_virtual in
           Some (fun r -> let v = r.vals in v.(d) <- call name (gather v a))
         | CallClosure _ ->
           let f = arg Lval 0 in
@@ -995,9 +1028,13 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
             Array.init (Array.length n.args - 1) (fun k -> arg Lval (k + 1))
           in
           let d = dst Lval in
-          let call = hooks.CB.call_closure in
+          let call = hooks.call_closure in
           Some (fun r -> let v = r.vals in v.(d) <- call v.(f) (gather v a))
-        | Ext _ -> raise (Fallback "extension op in typed kernel")
+        | Ext op ->
+          let a = Array.mapi (fun k _ -> arg Lval k) n.args in
+          let d = dst Lval in
+          let fn = Hooks.compile_ext hooks op (Array.map (fun i v -> v.(i)) a) in
+          Some (fun r -> let v = r.vals in v.(d) <- fn v)
       in
       List.rev_append !pre (Option.to_list step @ List.rev !post)
   in
@@ -1039,7 +1076,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       |> Array.of_list
     in
     let box = seq (List.rev !pre) in
-    let handler = hooks.CB.on_exit in
+    let handler = hooks.on_exit in
     fun r ->
       box r;
       handler se (gather r.vals a)
@@ -1208,8 +1245,8 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     for i = 1 to n - 1 do
       compiled.(i) <- close (tree i)
     done;
-  if !Irtrace.on then
-    Snapshot.take g (Phases.Schedule "typed")
+  if trace && !Irtrace.on then
+    Snapshot.take g (Phases.Schedule (mode_name ~boxed))
       ~exclude:(fun s -> Hashtbl.mem fused s || is_folded s)
       ~meta:
         [
@@ -1263,16 +1300,18 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     done;
     !ok
   in
-  (* The boxed backend's code for this graph, built by the first call
-     whose arguments fail the entry check. *)
-  let boxed = Atomic.make None in
+  (* The boxed mode's code for this graph, built by the first call whose
+     arguments fail the entry check (the boxed mode has no entry slots, so
+     its own calls never do), recording no snapshot and no missed
+     optimization. *)
+  let slow = Atomic.make None in
   let boxed_code () =
-    match Atomic.get boxed with
+    match Atomic.get slow with
     | Some f -> f
     | None ->
-      let f = CB.compile_untraced ~hooks g in
-      if Atomic.compare_and_set boxed None (Some f) then f
-      else Option.get (Atomic.get boxed)
+      let f = spanned ~boxed:true ~trace:false hooks g in
+      if Atomic.compare_and_set slow None (Some f) then f
+      else Option.get (Atomic.get slow)
   in
   (* One pooled register file, taken for the length of a call.  A call that
      finds the pool empty (recursion, another domain, or an earlier call
@@ -1302,8 +1341,15 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       boxed_code () args
     end
 
-(* Span-instrumented entry point: attributes backend compile time in traces
-   (a no-op single branch when no observability sink is attached). *)
-let compile ?hooks (g : graph) =
-  Obs.span ~cat:Phases.cat_jit (Phases.span_backend "typed") (fun () ->
-      compile ?hooks g)
+(* Attributes backend compile time in traces (a no-op single branch when no
+   observability sink is attached). *)
+and spanned ~boxed ~trace hooks g =
+  Obs.span ~cat:Phases.cat_jit (Phases.span_backend (mode_name ~boxed))
+    (fun () -> lower ~boxed ~trace hooks g)
+
+(* The typed mode; raises [Fallback] when the graph's types disagree with
+   the lanes. *)
+let compile ~hooks g = spanned ~boxed:false ~trace:true hooks g
+
+(* The boxed mode, which lowers any graph. *)
+let compile_boxed ~hooks g = spanned ~boxed:true ~trace:true hooks g

@@ -32,7 +32,7 @@ type compile_info = {
   ci_tier : int; (* 1 = tiered method JIT, 0 = explicit Lancet.compile *)
   ci_worker : int; (* JIT worker domain running the compile; 0 = mutator *)
   ci_backend : string; (* "typed" | "closure" | "failed" *)
-  ci_fallback : string option; (* why the typed backend was rejected *)
+  ci_fallback : string option; (* why the typed mode refused the graph *)
   ci_nodes_in : int; (* IR nodes after staging, before optimization *)
   ci_nodes_out : int; (* after dead-code elimination *)
   ci_ms : float; (* wall time of stage + opt + backend *)

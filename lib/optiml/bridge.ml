@@ -178,12 +178,12 @@ let dispatch rt name (args : value array) : value =
   | "total_score" -> op_total_score rt args
   | _ -> vm_error "unknown Delite op %s" name
 
-(* register the closure-backend handler for Delite_call nodes *)
+(* register the lowering's handler for Delite_call nodes *)
 let () =
-  Lms.Closure_backend.register_ext (fun hooks op getters ->
+  Lms.Hooks.register_ext (fun hooks op getters ->
       match op with
       | Delite_call name ->
-        let rt = hooks.Lms.Closure_backend.rt in
+        let rt = hooks.Lms.Hooks.rt in
         Some
           (fun env ->
             let args = Array.map (fun g -> g env) getters in

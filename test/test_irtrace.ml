@@ -312,12 +312,12 @@ let test_guards_fuse_alike () =
             ~opts:{ Lancet.Compiler.default_options with feedback = true }
             rt m [| Lancet.Compiler.Dyn |]
         in
-        let hooks = Lms.Closure_backend.default_hooks rt in
+        let hooks = Lms.Hooks.default_hooks rt in
         let (_ : Vm.Types.value array -> Vm.Types.value) =
           Lms.Typed_backend.compile ~hooks g
         in
         let (_ : Vm.Types.value array -> Vm.Types.value) =
-          Lms.Closure_backend.compile ~hooks g
+          Lms.Typed_backend.compile_boxed ~hooks g
         in
         let sns =
           List.filter
@@ -362,7 +362,7 @@ let test_fallback_records_nothing () =
       let m = Mini.Front.find_function p "k" in
       let g = Lancet.Compiler.stage rt m (Array.make 2 Lancet.Compiler.Dyn) in
       let fn =
-        Lms.Typed_backend.compile ~hooks:(Lms.Closure_backend.default_hooks rt) g
+        Lms.Typed_backend.compile ~hooks:(Lms.Hooks.default_hooks rt) g
       in
       let seen = Irtrace.seen () and misses = List.length (Irtrace.misses ()) in
       check_bool "the kernel's compile recorded a miss" true (misses > 0);

@@ -641,8 +641,8 @@ let prop_typed_equals_boxed =
       let p = Mini.Front.load rt src in
       let m = Mini.Front.find_function p "f" in
       let g = C.stage rt m [| C.Dyn; C.Dyn |] in
-      let hooks = Lms.Closure_backend.default_hooks rt in
-      let boxed = Lms.Closure_backend.compile ~hooks g in
+      let hooks = Lms.Hooks.default_hooks rt in
+      let boxed = Lms.Typed_backend.compile_boxed ~hooks g in
       let typed = Lms.Typed_backend.compile ~hooks g in
       List.for_all
         (fun (a, b) ->
@@ -734,8 +734,8 @@ let prop_typed_equals_boxed_float =
       let p = Mini.Front.load rt src in
       let m = Mini.Front.find_function p "f" in
       let g = C.stage rt m [| C.Dyn; C.Dyn; C.Dyn; C.Dyn |] in
-      let hooks = Lms.Closure_backend.default_hooks rt in
-      let boxed = Lms.Closure_backend.compile ~hooks g in
+      let hooks = Lms.Hooks.default_hooks rt in
+      let boxed = Lms.Typed_backend.compile_boxed ~hooks g in
       let typed = Lms.Typed_backend.compile ~hooks g in
       (* the result and the array after the call, floats bit for bit *)
       let run f (a, b, k) =
@@ -967,8 +967,8 @@ let backends_agree ?(nulls = false) src fname args =
   let p = Mini.Front.load rt src in
   let m = Mini.Front.find_function p fname in
   let g = C.stage rt m (Array.make m.mnargs C.Dyn) in
-  let hooks = Lms.Closure_backend.default_hooks rt in
-  let boxed = Lms.Closure_backend.compile ~hooks g in
+  let hooks = Lms.Hooks.default_hooks rt in
+  let boxed = Lms.Typed_backend.compile_boxed ~hooks g in
   let typed = Lms.Typed_backend.compile ~hooks g in
   let run f args =
     if nulls then
@@ -1031,11 +1031,11 @@ let test_typed_load_stays_before_store () =
   let p = Mini.Front.load rt src in
   let m = Mini.Front.find_function p "f" in
   let g = C.stage rt m (Array.make 3 C.Dyn) in
-  let hooks = Lms.Closure_backend.default_hooks rt in
+  let hooks = Lms.Hooks.default_hooks rt in
   let engines =
     [
       ("interpreter", Vm.Interp.call rt m);
-      ("boxed", Lms.Closure_backend.compile ~hooks g);
+      ("boxed", Lms.Typed_backend.compile_boxed ~hooks g);
       ("typed", Lms.Typed_backend.compile ~hooks g);
     ]
   in
@@ -1088,7 +1088,7 @@ let test_typed_folded_load_order () =
           let g = C.stage rt m (Array.make 3 C.Dyn) in
           let (_ : Vm.Types.value array -> Vm.Types.value) =
             Lms.Typed_backend.compile
-              ~hooks:(Lms.Closure_backend.default_hooks rt) g
+              ~hooks:(Lms.Hooks.default_hooks rt) g
           in
           ())
         [ left; right ];
@@ -1113,7 +1113,7 @@ let typed_schedule_meta src names =
           let m = Mini.Front.find_function p name in
           let g = C.stage rt m (Array.make m.mnargs C.Dyn) in
           ignore
-            (Lms.Typed_backend.compile ~hooks:(Lms.Closure_backend.default_hooks rt) g
+            (Lms.Typed_backend.compile ~hooks:(Lms.Hooks.default_hooks rt) g
               : value array -> value))
         names;
       List.filter_map
@@ -1203,6 +1203,27 @@ let test_bcfg_two_domains () =
     Alcotest.(check (list string)) "other domain" want (Domain.join other)
   done
 
+(* The one path to the boxed mode from [compile_graph]: an int parameter
+   added to an [fadd] result reads a float as an int, which the typed mode
+   refuses, so the graph compiles boxed, labelled [closure] with the
+   reason, and the call raises the interpreter's error. *)
+let test_compile_graph_falls_back () =
+  let rt = Lancet.Api.boot () in
+  let b = Lms.Builder.create ~name:"mixed" ~nparams:2 () in
+  let x = Lms.Builder.param b 0 Lms.Ir.Tfloat in
+  let n = Lms.Builder.param b 1 Lms.Ir.Tint in
+  let f = Lms.Builder.emit b (Lms.Ir.Fop FAdd) [| x; x |] Lms.Ir.Tfloat in
+  Lms.Builder.ret b (Lms.Builder.iop b Add n f);
+  let fn, backend, reason =
+    C.compile_graph rt (Lms.Builder.graph b) ~on_exit:(fun _ _ -> Null)
+  in
+  Alcotest.(check string) "backend" "closure" backend;
+  Alcotest.(check (option string)) "reason" (Some "float used as int") reason;
+  Alcotest.(check string) "call" "error expected int, got float"
+    (match fn [| Float 1.5; Int 2 |] with
+    | v -> Vm.Value.to_string v
+    | exception Vm_error e -> "error " ^ e)
+
 let suite =
   suite
   @ [
@@ -1211,6 +1232,7 @@ let suite =
       Alcotest.test_case "bcfg-two-domains" `Quick test_bcfg_two_domains;
       Alcotest.test_case "typed-kmeans-loops" `Quick test_typed_kmeans_loops;
       Alcotest.test_case "typed-multi-exit-loops" `Quick test_typed_multi_exit_loops;
+      Alcotest.test_case "compile-graph-falls-back" `Quick test_compile_graph_falls_back;
     ]
 
 let suite =

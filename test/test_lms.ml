@@ -1,5 +1,6 @@
-(* Tests for the LMS-style IR layer: builder, CSE, DCE, the closure backend,
-   and the toy staged interpreter (paper Sec. 2.1-2.2, Fig. 5). *)
+(* Tests for the LMS-style IR layer: builder, CSE, DCE, the execution
+   lowering in its two modes, and the toy staged interpreter (paper Sec.
+   2.1-2.2, Fig. 5). *)
 
 open Lms
 
@@ -16,7 +17,7 @@ let test_straightline () =
   let s2 = Builder.iop b Vm.Types.Mul s (Builder.int b 3) in
   Builder.ret b s2;
   let fn =
-    Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt)
+    Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt)
       (Builder.graph b)
   in
   check_int "((4+5)*3)" 27 (Vm.Value.to_int (fn [| Int 4; Int 5 |]))
@@ -40,7 +41,7 @@ let test_dce () =
   let g = Builder.graph b in
   Ir.dead_code_elim g;
   check_int "only live node remains" 1 (Ir.node_count g);
-  let fn = Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt) g in
   check_int "x+1" 8 (Vm.Value.to_int (fn [| Int 7 |]))
 
 let test_branch_join () =
@@ -57,7 +58,7 @@ let test_branch_join () =
   let p = Ir.add_block_param g bjoin Ir.Tint in
   Builder.switch_to b bjoin;
   Builder.ret b p;
-  let fn = Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt) g in
   check_int "abs -5" 5 (Vm.Value.to_int (fn [| Int (-5) |]));
   check_int "abs 9" 9 (Vm.Value.to_int (fn [| Int 9 |]))
 
@@ -81,16 +82,16 @@ let test_loop () =
   Builder.jump b head [| i'; acc' |];
   Builder.switch_to b exit;
   Builder.ret b acc;
-  let fn = Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt) g in
   check_int "sum 10" 45 (Vm.Value.to_int (fn [| Int 10 |]));
   check_int "sum 0" 0 (Vm.Value.to_int (fn [| Int 0 |]))
 
-(* Both execution backends on one graph: the closure backend's uniform
-   boxed registers and the typed backend's int/float/value lanes. *)
+(* Both modes of the lowering on one graph: the boxed mode's value lane
+   and the typed mode's int/float/value lanes. *)
 let backends g =
-  let hooks = Closure_backend.default_hooks rt in
+  let hooks = Hooks.default_hooks rt in
   [
-    ("closure", Closure_backend.compile ~hooks g);
+    ("boxed", Typed_backend.compile_boxed ~hooks g);
     ("typed", Typed_backend.compile ~hooks g);
   ]
 
@@ -206,7 +207,7 @@ let test_typed_two_domains () =
   let x = Builder.param b 0 Ir.Tint in
   Builder.ret b (Builder.iop b Vm.Types.Mul x (Builder.int b 3));
   let fn =
-    Typed_backend.compile ~hooks:(Closure_backend.default_hooks rt)
+    Typed_backend.compile ~hooks:(Hooks.default_hooks rt)
       (Builder.graph b)
   in
   let run base () =
@@ -229,7 +230,7 @@ let test_typed_two_domains () =
   let p = Mini.Front.load rt src in
   let m = Mini.Front.find_function p "pick" in
   let g = Lancet.Compiler.stage rt m [| Lancet.Compiler.Dyn; Dyn |] in
-  let fn = Typed_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile ~hooks:(Hooks.default_hooks rt) g in
   let builds = Atomic.make 0 in
   let sink =
     {
@@ -280,7 +281,7 @@ let test_typed_entry_check () =
   let p = Mini.Front.load rt src in
   let m = Mini.Front.find_function p "k" in
   let g = Lancet.Compiler.stage rt m (Array.make 3 Lancet.Compiler.Dyn) in
-  let fn = Typed_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile ~hooks:(Hooks.default_hooks rt) g in
   let run f n flag =
     let xs = [| 0.0; 1.0 |] in
     let v =
@@ -328,7 +329,7 @@ let test_heap_ops () =
   let ry = Builder.emit b (Ir.Getfield fy) [| o |] Ir.Tint in
   Builder.ret b (Builder.iop b Vm.Types.Add rx ry);
   let fn =
-    Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt)
+    Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt)
       (Builder.graph b)
   in
   check_int "field roundtrip" 30 (Vm.Value.to_int (fn [| Int 10; Int 20 |]))
@@ -375,14 +376,14 @@ let test_toy_const_fold () =
   in
   let g = stage ~inputs:[] ~result:"res" prog in
   check_int "fully static program residualizes to nothing" 0 (Ir.node_count g);
-  let fn = Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt) g in
   check_int "result" 32 (Vm.Value.to_int (fn [||]))
 
 let test_toy_partially_static () =
   (* base static, n dynamic: multiplications stay, bookkeeping folds *)
   let prog = Seq [ Assign ("base", Const 2); toy_pow ] in
   let g = stage ~inputs:[ "n" ] ~result:"res" prog in
-  let fn = Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt) g in
   check_int "2^8" 256 (Vm.Value.to_int (fn [| Int 8 |]))
 
 let test_toy_if_join () =
@@ -535,7 +536,7 @@ let test_dce_cross_block () =
   let g = Builder.graph b in
   Ir.dead_code_elim g;
   check_int "all three ops survive" 3 (Ir.node_count g);
-  let fn = Closure_backend.compile ~hooks:(Closure_backend.default_hooks rt) g in
+  let fn = Typed_backend.compile_boxed ~hooks:(Hooks.default_hooks rt) g in
   check_int "(b-0)+(a-b) = a" 3 (Vm.Value.to_int (fn [| Int 3; Int 9 |]))
 
 let suite = suite @ [ Alcotest.test_case "dce-cross-block" `Quick test_dce_cross_block ]
@@ -556,8 +557,8 @@ let typed_meta compile =
 
 (* A cycle with two entries: the entry branches into either of blocks A and
    B, which jump to each other until [i] reaches [n].  Neither dominates
-   the other, so the graph is irreducible; the typed backend must run the
-   cycle through its trampoline and agree with the boxed backend. *)
+   the other, so the graph is irreducible; the typed mode must run the
+   cycle through its trampoline and agree with the boxed mode. *)
 let two_entry_cycle () =
   let b = Builder.create ~name:"two-entry" ~nparams:1 () in
   let g = Builder.graph b in
@@ -656,9 +657,37 @@ let test_loop_forest_nest () =
   check_int "join's idom is the if" (at 5) f.Loop_forest.idom.(at 9);
   Alcotest.(check bool) "back edge" true (Loop_forest.back_edge f (at 9) (at 1))
 
+(* A jump passing 0 or 2 arguments to a block of 1 parameter: both modes
+   refuse the graph, naming the block. *)
+let test_jump_arity () =
+  List.iter
+    (fun nargs ->
+      let b = Builder.create ~name:"arity" ~nparams:1 () in
+      let g = Builder.graph b in
+      let x = Builder.param b 0 Ir.Tint in
+      let join = Builder.new_block b in
+      Builder.jump b join (Array.make nargs x);
+      let p = Ir.add_block_param g join Ir.Tint in
+      Builder.switch_to b join;
+      Builder.ret b p;
+      let want = Printf.sprintf "jump arity mismatch into block %d" join.Ir.bid in
+      List.iter
+        (fun (name, compile) ->
+          let got =
+            match compile ~hooks:(Hooks.default_hooks rt) g with
+            | (_ : Vm.Types.value array -> Vm.Types.value) -> "compiled"
+            | exception Hooks.Compile_unsupported msg -> msg
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %d arguments" name nargs)
+            want got)
+        [ ("typed", Typed_backend.compile); ("boxed", Typed_backend.compile_boxed) ])
+    [ 0; 2 ]
+
 let suite =
   suite
   @ [
       Alcotest.test_case "irreducible-trampolines" `Quick test_irreducible_trampolines;
       Alcotest.test_case "loop-forest-nest" `Quick test_loop_forest_nest;
+      Alcotest.test_case "jump-arity" `Quick test_jump_arity;
     ]

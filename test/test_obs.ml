@@ -319,16 +319,22 @@ let test_disasm_mark () =
 
 (* An explicit compile's Compile_end names the backend that compiled its
    own graph.  OptiML name score with accelerator macros: the macro for
-   ArrayOps.total_score compiles ArrayOps.score (typed) while the outer
-   thunk is still staging, and the thunk's graph holds a Delite extension
-   op, so it falls back to the closure backend. *)
+   ArrayOps.total_score compiles ArrayOps.score while the outer thunk is
+   still staging, and the thunk's graph holds a Delite extension op, which
+   the typed lowering runs as one boxed step: both compile typed, with no
+   fallback, and the thunk's typed schedule holds the Delite op. *)
 let test_tier0_backend_label () =
   let sizes = { Optiml.Harness.default_sizes with Optiml.Harness.ns_n = 50 } in
-  let evs =
-    record (fun () ->
-        ignore
-          (Optiml.Harness.run Optiml.Harness.Namescore
-             (Optiml.Harness.Lancet_delite Delite.Exec.Seq) sizes))
+  Irtrace.enable ();
+  let evs, snapshots =
+    Fun.protect ~finally:Irtrace.disable (fun () ->
+        let evs =
+          record (fun () ->
+              ignore
+                (Optiml.Harness.run Optiml.Harness.Namescore
+                   (Optiml.Harness.Lancet_delite Delite.Exec.Seq) sizes))
+        in
+        (evs, Irtrace.snapshots ()))
   in
   let ends =
     List.filter_map
@@ -347,9 +353,16 @@ let test_tier0_backend_label () =
         String.starts_with ~prefix:"Fn$" l
         && String.ends_with ~suffix:".apply" l)
   in
-  check_string "outer compile backend" "closure" outer.Obs.ci_backend;
-  check_bool "outer compile fallback reason" true
-    (outer.Obs.ci_fallback = Some "extension op in typed kernel")
+  check_string "outer compile backend" "typed" outer.Obs.ci_backend;
+  check_bool "outer compile has no fallback" true (outer.Obs.ci_fallback = None);
+  check_bool "a typed schedule holds the Delite op" true
+    (List.exists
+       (fun sn ->
+         sn.Irtrace.sn_phase = "schedule:typed"
+         && List.exists
+              (fun (kind, _) -> String.starts_with ~prefix:"delite." kind)
+              sn.Irtrace.sn_ops)
+       snapshots)
 
 let suite =
   [
