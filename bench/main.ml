@@ -5,19 +5,16 @@
    see EXPERIMENTS.md for the paper-vs-measured discussion.
 
    Usage: bench/main.exe [table1|table2-kmeans|table2-logreg|
-                          table2-namescore|ablate|micro|tiered|obs|profile|
-                          bgjit|dispatch|warmup|chaos|chaos-soak|check|all]
+                          table2-namescore|ablate|micro|chaos-soak|check|all]
 
-   [tiered] compares the pure interpreter against the tiered execution
-   engine (hotness-driven method JIT) and writes BENCH_tiered.json (with
-   an event-kind breakdown per workload); [obs] measures the cost of one
-   observability emit site with no sink, a ring sink and the decision
-   journal and writes BENCH_obs.json; [bgjit] compares synchronous promotion against the
-   background compile queue (mutator compile pauses, time-to-tier-up) and
-   writes BENCH_bgjit.json; [check] is the fast correctness-only gate
-   wired into the runtest alias (now including a Chrome-trace smoke test,
-   the bgjit sync-vs-async equivalence gate and the no-sink emit-overhead
-   guard). *)
+   [micro] runs one Bechamel test per paper table, and [all] runs the
+   tables, the ablations and [micro].  [check] is the correctness gate
+   wired into the runtest alias: tiered, background-JIT, dispatch, OSR,
+   warm-start and chaos runs must compute the interpreter's result, typed
+   kernels must not allocate per loop iteration and every disabled
+   checkpoint must stay within its budget.  [chaos-soak [seeds...]] is
+   the CI fault-injection soak.  Workload timings with repeated trials are
+   perfbench's (perfbench/run.py). *)
 
 open Vm.Types
 module Exec = Delite.Exec
@@ -458,108 +455,87 @@ def spec(x: int): int =
   if (Lancet.speculate(x < 100000)) x * 3 + 1 else x - 7
 |}
 
+(* [tiered_kmeans_src]'s [assign_all] over [rows] fixed 4-d points and 3
+   centroids, as a thunk returning the assignment sum *)
+let kmeans_assign p ~rows =
+  let d = 4 and k = 3 in
+  let ps =
+    Array.init (rows * d) (fun i -> float_of_int ((i * 37 mod 101) - 50) /. 7.)
+  in
+  let cs = Array.init (k * d) (fun i -> float_of_int ((i * 53 mod 23) - 11) /. 3.) in
+  fun () ->
+    Vm.Value.to_int
+      (Mini.Front.call p "assign_all"
+         [| Farr ps; Farr cs; Int rows; Int d; Int k |])
+
 type tier_row = {
   tr_name : string;
-  tr_interp_ms : float;
-  tr_tiered_ms : float;
   tr_compiles : int;
   tr_hits : int;
   tr_deopts : int;
-  tr_events : (string * int) list; (* observed event kind -> count *)
+  tr_compile_end : bool; (* the instrumented run emitted a Compile_end *)
 }
 
-(* Run one workload twice — pure interpreter and tiered runtime — check the
-   results agree and report the timings plus the tiered counters.  The
-   tiered timing includes JIT compilation (that is the deal a tiered VM
-   offers).  A third, untimed tiered run executes with a ring-buffer sink
-   attached and reports the event-kind breakdown, so speedup claims ship
-   with compile/deopt evidence; the timed legs stay sink-free. *)
-let tier_workload name src (driver : Vm.Types.runtime -> Mini.Front.program -> value) =
+(* Run one workload on the pure interpreter and on the tiered runtime,
+   check the results agree and report the tiered counters.  A second
+   tiered run executes with a ring-buffer sink attached and must agree
+   too; the first stays sink-free. *)
+let tier_workload name src (driver : Mini.Front.program -> value) =
   let run tiered =
     let rt =
       if tiered then Lancet.Api.boot ~tiering:true ~tier_threshold:16 ()
       else Vm.Natives.boot ()
     in
-    let p = Mini.Front.load rt src in
-    let t0 = Unix.gettimeofday () in
-    let v = driver rt p in
-    (rt, v, (Unix.gettimeofday () -. t0) *. 1000.)
+    (rt, driver (Mini.Front.load rt src))
   in
-  let _, vi, ti = run false in
-  let rtt, vt, tt = run true in
+  let _, vi = run false in
+  let rtt, vt = run true in
   if not (Vm.Value.equal vi vt) then
     failwith (Printf.sprintf "tiered %s: result mismatch" name);
   let ring = Obs.Ring.create ~capacity:65536 () in
-  let ve =
-    Obs.with_sink (Obs.Ring.sink ring) (fun () ->
-        let _, ve, _ = run true in
-        ve)
-  in
+  let _, ve = Obs.with_sink (Obs.Ring.sink ring) (fun () -> run true) in
   if not (Vm.Value.equal vi ve) then
     failwith (Printf.sprintf "tiered %s: instrumented result mismatch" name);
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      let k = Obs.kind_to_string ev in
-      Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-    (Obs.Ring.events ring);
-  let events =
-    Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   {
     tr_name = name;
-    tr_interp_ms = ti;
-    tr_tiered_ms = tt;
     tr_compiles = rtt.tiering.t_compiles;
     tr_hits = rtt.tiering.t_cache_hits;
     tr_deopts = rtt.tiering.t_deopts;
-    tr_events = events;
+    tr_compile_end =
+      List.exists
+        (function Obs.Compile_end _ -> true | _ -> false)
+        (Obs.Ring.events ring);
   }
 
-let tier_rows ~small =
-  let calc_calls = if small then 200 else 2000 in
-  let calc_n = if small then 100 else 400 in
-  let km_rows = if small then 40 else 200 in
-  let km_calls = if small then 20 else 150 in
-  let csv_bytes = if small then 40_000 else 250_000 in
-  let spec_calls = if small then 300 else 20_000 in
+let tier_rows () =
   let calc =
-    tier_workload "calc" tiered_calc_src (fun _ p ->
+    tier_workload "calc" tiered_calc_src (fun p ->
         let acc = ref 0 in
-        for k = 1 to calc_calls do
+        for k = 1 to 200 do
           acc :=
-            (!acc + Vm.Value.to_int (Mini.Front.call p "calc" [| Int calc_n; Int k |]))
+            (!acc + Vm.Value.to_int (Mini.Front.call p "calc" [| Int 100; Int k |]))
             land 0xFFFFFF
         done;
         Int !acc)
   in
-  let d = 4 and k = 3 in
-  let ps =
-    Array.init (km_rows * d) (fun i -> float_of_int ((i * 37 mod 101) - 50) /. 7.)
-  in
-  let cs = Array.init (k * d) (fun i -> float_of_int ((i * 53 mod 23) - 11) /. 3.) in
   let kmeans =
-    tier_workload "kmeans-assign" tiered_kmeans_src (fun _ p ->
+    tier_workload "kmeans-assign" tiered_kmeans_src (fun p ->
+        let assign = kmeans_assign p ~rows:40 in
         let acc = ref 0 in
-        for _ = 1 to km_calls do
-          acc :=
-            !acc
-            + Vm.Value.to_int
-                (Mini.Front.call p "assign_all"
-                   [| Farr ps; Farr cs; Int km_rows; Int d; Int k |])
+        for _ = 1 to 20 do
+          acc := !acc + assign ()
         done;
         Int !acc)
   in
-  let text = Csvlib.Gen.generate ~seed:7 ~bytes:csv_bytes in
+  let text = Csvlib.Gen.generate ~seed:7 ~bytes:40_000 in
   let csv =
-    tier_workload "csv-generic" Csvlib.Mini_src.generic (fun _ p ->
+    tier_workload "csv-generic" Csvlib.Mini_src.generic (fun p ->
         Mini.Front.call p "run_generic" [| Str text |])
   in
   let spec =
-    tier_workload "speculate-deopt" tiered_spec_src (fun _ p ->
+    tier_workload "speculate-deopt" tiered_spec_src (fun p ->
         let acc = ref 0 in
-        for i = 1 to spec_calls do
+        for i = 1 to 300 do
           (* every 50th call breaks the speculation: deopt, then back to
              the compiled fast path *)
           let x = if i mod 50 = 0 then 1_000_000 + i else i in
@@ -570,47 +546,6 @@ let tier_rows ~small =
         Int !acc)
   in
   [ calc; kmeans; csv; spec ]
-
-let tier_json rows =
-  let row r =
-    let events =
-      String.concat ", "
-        (List.map (fun (k, n) -> Printf.sprintf "%S: %d" k n) r.tr_events)
-    in
-    Printf.sprintf
-      "    {\"workload\": %S, \"interp_ms\": %.3f, \"tiered_ms\": %.3f, \
-       \"speedup\": %.3f, \"compiles\": %d, \"cache_hits\": %d, \"deopts\": \
-       %d, \"events\": {%s}}"
-      r.tr_name r.tr_interp_ms r.tr_tiered_ms
-      (r.tr_interp_ms /. r.tr_tiered_ms)
-      r.tr_compiles r.tr_hits r.tr_deopts events
-  in
-  Printf.sprintf "{\n  \"workloads\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map row rows))
-
-let tiered () =
-  header "Tiered execution: interpreter vs hotness-driven method JIT";
-  let rows = tier_rows ~small:false in
-  pr "\n%-18s %12s %12s %9s %9s %10s %7s\n" "workload" "interp(ms)"
-    "tiered(ms)" "speedup" "compiles" "cache_hits" "deopts";
-  List.iter
-    (fun r ->
-      pr "%-18s %12.1f %12.1f %8.2fx %9d %10d %7d\n" r.tr_name r.tr_interp_ms
-        r.tr_tiered_ms
-        (r.tr_interp_ms /. r.tr_tiered_ms)
-        r.tr_compiles r.tr_hits r.tr_deopts)
-    rows;
-  pr "\nevent breakdown (instrumented re-run, ring-buffer sink):\n";
-  List.iter
-    (fun r ->
-      pr "%-18s %s\n" r.tr_name
-        (String.concat " "
-           (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.tr_events)))
-    rows;
-  let oc = open_out "BENCH_tiered.json" in
-  output_string oc (tier_json rows);
-  close_out oc;
-  pr "\nwrote BENCH_tiered.json\n"
 
 (* ------------------------------------------------------------------ *)
 (* Disabled-checkpoint gate, shared by the obs, profiler, irtrace, chaos
@@ -638,10 +573,6 @@ let ns_per_iter f =
   let t0 = Obs.now () in
   f gate_iters;
   (Obs.now () -. t0) /. float_of_int gate_iters *. 1e9
-
-(* Cost of one checkpoint, in ns per site, of a loop of [gate_sites]
-   sites per iteration over [gate_bare]'s. *)
-let ns_per_site f = (ns_per_iter f -. ns_per_iter gate_bare) /. float_of_int gate_sites
 
 (* Cost of one disabled checkpoint, in ns per site: [guarded] is
    [gate_bare] with [gate_sites] copies of the checkpoint added to the
@@ -694,55 +625,25 @@ let checkpoint_gate ~name ~budget_ns guarded =
   ns
 
 (* ------------------------------------------------------------------ *)
-(* Observability: emit-site overhead and trace smoke test               *)
+(* Observability: disabled emit-site overhead                           *)
 
-(* One guarded emit site (`if !Obs.enabled then Obs.emit ...`).  With no
-   sink attached the site must be a single load+branch; with a ring sink
-   it pays for a timestamp and an array store, and with the decision
-   journal for a journaled decision record.  The event is a decision the
-   journal keeps. *)
+(* One guarded emit site (`if !Obs.enabled then Obs.emit ...`): with no
+   sink attached it must be a single load+branch.  The event is a
+   decision the journal keeps. *)
 let[@inline] obs_site i =
   if !Obs.enabled then
     Obs.emit (Obs.Cache_install { meth = "bench"; mid = 0; gen = i; occ = 0 })
 
-let obs_sites iters =
-  for i = 1 to iters do
-    gate_body i;
-    obs_site i; obs_site i; obs_site i; obs_site i;
-    obs_site i; obs_site i; obs_site i; obs_site i
-  done
-
 let obs_gate () =
-  checkpoint_gate ~name:"obs emit site" ~budget_ns:1.4 obs_sites
-
-let obs_bench () =
-  header "Observability: emit-site overhead (no sink, ring buffer, journal)";
-  let no_sink_ns = obs_gate () in
-  let ring = Obs.Ring.create ~capacity:4096 () in
-  let ring_ns = Obs.with_sink (Obs.Ring.sink ring) (fun () -> ns_per_site obs_sites) in
-  let cap = 4096 in
-  Forensics.enable ~capacity:cap ();
-  let journal_ns = ns_per_site obs_sites in
-  let recorded = Forensics.seen () in
-  Forensics.disable ();
-  pr "\n%-28s %10.2f ns/site\n" "no sink (single branch)" no_sink_ns;
-  pr "%-28s %10.2f ns/site  (%d events)\n" "ring-buffer sink" ring_ns
-    (Obs.Ring.seen ring);
-  pr "%-28s %10.2f ns/site  (%d recorded, cap %d)\n" "decision-journal sink"
-    journal_ns recorded cap;
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\n  \"iters\": %d,\n  \"sites_per_iter\": %d,\n  \
-        \"no_sink_ns_per_emit\": %.3f,\n  \"ring_ns_per_emit\": %.3f,\n  \
-        \"journal_ns_per_emit\": %.3f,\n  \"journal_recorded\": %d,\n  \
-        \"journal_capacity\": %d\n}\n"
-       gate_iters gate_sites no_sink_ns ring_ns journal_ns recorded cap);
-  close_out oc;
-  pr "\nwrote BENCH_obs.json\n"
+  checkpoint_gate ~name:"obs emit site" ~budget_ns:1.4 (fun iters ->
+      for i = 1 to iters do
+        gate_body i;
+        obs_site i; obs_site i; obs_site i; obs_site i;
+        obs_site i; obs_site i; obs_site i; obs_site i
+      done)
 
 (* ------------------------------------------------------------------ *)
-(* Sampling profiler: disabled-checkpoint overhead and run overhead     *)
+(* Sampling profiler: disabled-checkpoint overhead                      *)
 
 (* The interpreter's per-step profiler checkpoint
    (`if !Obs.sampling && Obs.sample_due () then ...`) with sampling off.
@@ -757,69 +658,6 @@ let profile_gate () =
         profile_site i; profile_site i; profile_site i; profile_site i
       done)
 
-(* The tiered kmeans workload with and without the sampling profiler
-   attached: end-to-end overhead of profiling a real run. *)
-let profile_kmeans ~interval_ms =
-  let run prof =
-    let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:16 () in
-    let p = Mini.Front.load rt tiered_kmeans_src in
-    let d = 4 and k = 3 in
-    let rows = 200 in
-    let ps =
-      Array.init (rows * d) (fun i -> float_of_int ((i * 37 mod 101) - 50) /. 7.)
-    in
-    let cs =
-      Array.init (k * d) (fun i -> float_of_int ((i * 53 mod 23) - 11) /. 3.)
-    in
-    let driver () =
-      let acc = ref 0 in
-      for _ = 1 to 150 do
-        acc :=
-          !acc
-          + Vm.Value.to_int
-              (Mini.Front.call p "assign_all"
-                 [| Farr ps; Farr cs; Int rows; Int d; Int k |])
-      done;
-      !acc
-    in
-    let t0 = Unix.gettimeofday () in
-    let v =
-      match prof with
-      | Some pr -> Profiler.profiled pr driver
-      | None -> driver ()
-    in
-    (v, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  let v_off, ms_off = run None in
-  let prof = Profiler.create ~interval_ms () in
-  let v_on, ms_on = run (Some prof) in
-  if v_off <> v_on then failwith "profile bench: result mismatch";
-  (ms_off, ms_on, prof)
-
-let profile_bench () =
-  header "Sampling profiler: checkpoint overhead and run overhead";
-  let ns = profile_gate () in
-  pr "\n%-36s %10.2f ns/step\n" "disabled checkpoint (sampling off)" ns;
-  let interval_ms = 1.0 in
-  let ms_off, ms_on, prof = profile_kmeans ~interval_ms in
-  pr "%-36s %10.1f ms\n" "tiered kmeans, profiler off" ms_off;
-  pr "%-36s %10.1f ms  (%.1f%% overhead)\n" "tiered kmeans, profiler on" ms_on
-    (100. *. ((ms_on /. Float.max ms_off 1e-9) -. 1.));
-  pr "%-36s %10d samples, coverage %.0f%%\n" "profile"
-    prof.Profiler.samples
-    (100. *. Profiler.coverage prof);
-  let oc = open_out "BENCH_profile.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\n  \"iters\": %d,\n  \"disabled_checkpoint_ns_per_step\": %.3f,\n  \
-        \"kmeans_ms_profiler_off\": %.3f,\n  \
-        \"kmeans_ms_profiler_on\": %.3f,\n  \"interval_ms\": %.3f,\n  \
-        \"samples\": %d,\n  \"coverage\": %.3f\n}\n"
-       gate_iters ns ms_off ms_on interval_ms prof.Profiler.samples
-       (Profiler.coverage prof));
-  close_out oc;
-  pr "\nwrote BENCH_profile.json\n"
-
 (* ------------------------------------------------------------------ *)
 (* Pipeline introspection: disabled-checkpoint overhead                 *)
 
@@ -827,43 +665,20 @@ let profile_bench () =
    sites sit inside the staging emit path, the DCE filter and the backends'
    guard-lowering analysis — hotter code than the journal's tiering slow
    paths — so the disabled form must stay a single load+branch with the
-   miss payload allocated only under the guard.  Enabled, sites dedup by
-   (mid, pc, reason), so steady-state records are a hash probe plus a
-   counter bump. *)
+   miss payload allocated only under the guard. *)
 let[@inline] irtrace_site i =
   if !Irtrace.on then
     Irtrace.record_miss ~phase:"stage" ~mid:0 ~pc:(i land 63) ~line:1
       (Irtrace.Cse_effect_barrier { op = "bench" })
 
-let irtrace_sites iters =
-  for i = 1 to iters do
-    gate_body i;
-    irtrace_site i; irtrace_site i; irtrace_site i; irtrace_site i;
-    irtrace_site i; irtrace_site i; irtrace_site i; irtrace_site i
-  done
-
 let irtrace_gate () =
   Irtrace.disable ();
-  checkpoint_gate ~name:"irtrace checkpoint" ~budget_ns:1.4 irtrace_sites
-
-let irtrace_bench () =
-  header "Pipeline introspection: IR-trace checkpoint overhead";
-  let off_ns = irtrace_gate () in
-  pr "\n%-36s %10.2f ns/site\n" "irtrace disabled (single branch)" off_ns;
-  Irtrace.enable ();
-  let on_ns = ns_per_site irtrace_sites in
-  let sites = List.length (Irtrace.misses ()) in
-  Irtrace.disable ();
-  pr "%-36s %10.2f ns/site  (%d deduped sites)\n"
-    "irtrace enabled (dedup counter)" on_ns sites;
-  let oc = open_out "BENCH_irtrace.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\n  \"iters\": %d,\n  \"disabled_checkpoint_ns_per_site\": %.3f,\n  \
-        \"enabled_record_ns_per_site\": %.3f,\n  \"deduped_sites\": %d\n}\n"
-       gate_iters off_ns on_ns sites);
-  close_out oc;
-  pr "\nwrote BENCH_irtrace.json\n"
+  checkpoint_gate ~name:"irtrace checkpoint" ~budget_ns:1.4 (fun iters ->
+      for i = 1 to iters do
+        gate_body i;
+        irtrace_site i; irtrace_site i; irtrace_site i; irtrace_site i;
+        irtrace_site i; irtrace_site i; irtrace_site i; irtrace_site i
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch: interpreter inline caches and speculative devirtualization *)
@@ -972,35 +787,33 @@ let dispatch_expect ~nrecv ~iters =
 (* One interpreter configuration on a fresh runtime.  [ic = false] is the
    pre-feedback baseline: no quickening AND no CHA memoization (both are
    this layer), so every dispatch is the full superclass chain walk.
-   Returns the runtime, the checksum of one (warmup) run, and a thunk that
-   runs the workload once more — the caller times it. *)
-let dispatch_interp_make ~ic ~nrecv ~iters =
+   Returns the runtime and the checksum of one run. *)
+let dispatch_interp ~ic ~nrecv ~iters =
   let rt = Vm.Natives.boot () in
   if not ic then rt.ic_enabled <- false;
   let _, recvs = dispatch_setup rt in
   let driver = dispatch_driver rt in
   let arr = Arr (Array.sub recvs 0 nrecv) in
-  let run () =
-    (* the CHA memo is a global flag: pin it to this configuration for the
-       duration of the run (the no-ic runtime never memoizes, so flipping
-       the flag per run keeps its vtables pristine) *)
-    let old_memo = !Vm.Classfile.cha_memo in
-    Vm.Classfile.cha_memo := ic;
+  (* the CHA memo is a global flag: pin it to this configuration for the
+     duration of the run (the no-ic runtime never memoizes, so its vtables
+     stay pristine) *)
+  let old_memo = !Vm.Classfile.cha_memo in
+  Vm.Classfile.cha_memo := ic;
+  let v =
     Fun.protect
       ~finally:(fun () -> Vm.Classfile.cha_memo := old_memo)
       (fun () -> Vm.Value.to_int (Vm.Interp.call rt driver [| arr; Int iters |]))
   in
-  (* warmup quickens the site (when enabled) before any timing *)
-  let v = run () in
-  (rt, v, run)
+  (rt, v)
 
 (* One feedback-directed compile of the driver.  [`Guarded]: mono profile,
    no CHA help -> class-id guard + direct call with a deopt side exit.
    [`Cha]: static hint + no overrides -> unguarded direct call.  [`Poly]:
    3-entry dispatch chain.  [`Generic]: megamorphic profile -> residual
-   generic dispatch.  Returns the checksum, a run thunk for timing and the
-   compile's devirtualization deps (empty iff nothing was speculated). *)
-let dispatch_compiled_make ~mode ~iters =
+   generic dispatch.  Returns the checksum of one run of the compiled code
+   and the compile's devirtualization deps (empty iff nothing was
+   speculated). *)
+let dispatch_compiled ~mode ~iters =
   let rt = Lancet.Api.boot () in
   let root, recvs = dispatch_setup rt in
   let hint = match mode with `Cha -> Some root | _ -> None in
@@ -1011,106 +824,8 @@ let dispatch_compiled_make ~mode ~iters =
      speculates on ([`Generic] trains past poly_limit, leaving mega) *)
   ignore (Vm.Interp.call rt driver [| arr; Int (50 * nrecv) |]);
   match Lancet.Tiering.compile rt driver with
-  | None -> failwith "dispatch bench: compile declined"
-  | Some (fn, deps, _) ->
-    let v = fn [| arr; Int iters |] in
-    (Vm.Value.to_int v, (fun () -> ignore (fn [| arr; Int iters |])), deps)
-
-(* One timed execution.  Configurations under comparison are timed in
-   interleaved rounds with the per-configuration minimum kept: round-robin
-   cancels machine drift between measurement windows, and the minimum is
-   the standard noise-robust statistic for a fixed-work microbenchmark. *)
-let time_once f =
-  let t0 = Unix.gettimeofday () in
-  ignore (f ());
-  Unix.gettimeofday () -. t0
-
-let dispatch_rounds = 5
-
-let dispatch_bench () =
-  header "Dispatch: inline caches (interpreter) and devirtualization (JIT)";
-  let iters = 300_000 in
-  let shapes = [ ("mono", 1); ("poly", 3); ("mega", 6) ] in
-  pr "\n-- interpreter, %d calls through one site (ms; ic off = chain walk) --\n"
-    iters;
-  let interp =
-    List.map
-      (fun (name, nrecv) ->
-        let expect = dispatch_expect ~nrecv ~iters in
-        let _, v_ic, run_ic = dispatch_interp_make ~ic:true ~nrecv ~iters in
-        let _, v_no, run_no = dispatch_interp_make ~ic:false ~nrecv ~iters in
-        if v_ic <> expect || v_no <> expect then
-          failwith ("dispatch bench: interpreter checksum mismatch at " ^ name);
-        let t_ic = ref infinity and t_no = ref infinity in
-        for _ = 1 to dispatch_rounds do
-          t_ic := min !t_ic (time_once run_ic);
-          t_no := min !t_no (time_once run_no)
-        done;
-        let t_ic = !t_ic and t_no = !t_no in
-        pr "%-8s ic %8.1f   no-ic %8.1f   speedup %5.2fx\n" name
-          (t_ic *. 1000.) (t_no *. 1000.) (t_no /. t_ic);
-        (name, t_ic, t_no))
-      shapes
-  in
-  pr "\n-- compiled, same site (ms) --\n";
-  let configs =
-    List.map
-      (fun (name, mode, nrecv) ->
-        let v, run, deps = dispatch_compiled_make ~mode ~iters in
-        if v <> dispatch_expect ~nrecv ~iters then
-          failwith ("dispatch bench: compiled checksum mismatch at " ^ name);
-        (name, run, deps, ref infinity))
-      [
-        ("guarded-direct (mono)", `Guarded, 1);
-        ("cha-direct (mono)", `Cha, 1);
-        ("dispatch-chain (poly)", `Poly, 3);
-        ("generic (mega)", `Generic, 6);
-      ]
-  in
-  for _ = 1 to dispatch_rounds do
-    List.iter (fun (_, run, _, best) -> best := min !best (time_once run)) configs
-  done;
-  let compiled =
-    List.map
-      (fun (name, _, deps, best) ->
-        pr "%-24s %8.1f   (deps: %s)\n" name (!best *. 1000.)
-          (if deps = [] then "none" else String.concat "," deps);
-        (name, !best))
-      configs
-  in
-  let tof n = List.assoc n compiled in
-  let guarded = tof "guarded-direct (mono)" and cha = tof "cha-direct (mono)" in
-  pr "\nguarded vs unguarded CHA on the mono site: %.2fx\n" (cha /. guarded);
-  let _, poly_ic, poly_no =
-    List.find (fun (n, _, _) -> n = "poly") interp
-  in
-  pr "interpreter poly speedup (acceptance floor 1.5x): %.2fx\n"
-    (poly_no /. poly_ic);
-  if poly_no /. poly_ic < 1.5 then
-    pr "WARNING: poly speedup below the 1.5x acceptance floor\n";
-  if cha /. guarded < 0.9 then
-    pr "WARNING: guarded direct call more than 10%% behind the CHA baseline\n";
-  let oc = open_out "BENCH_dispatch.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\n  \"iters\": %d,\n  \"interp\": {\n%s\n  },\n  \"compiled\": \
-        {\n%s,\n    \"guarded_vs_cha\": %.3f\n  }\n}\n"
-       iters
-       (String.concat ",\n"
-          (List.map
-             (fun (n, t_ic, t_no) ->
-               Printf.sprintf
-                 "    %S: {\"ic_ms\": %.3f, \"no_ic_ms\": %.3f, \"speedup\": \
-                  %.3f}"
-                 n (t_ic *. 1000.) (t_no *. 1000.) (t_no /. t_ic))
-             interp))
-       (String.concat ",\n"
-          (List.map
-             (fun (n, t) -> Printf.sprintf "    %S: %.3f" n (t *. 1000.))
-             compiled))
-       (cha /. guarded));
-  close_out oc;
-  pr "\nwrote BENCH_dispatch.json\n"
+  | None -> failwith "dispatch check: compile declined"
+  | Some (fn, deps, _) -> (Vm.Value.to_int (fn [| arr; Int iters |]), deps)
 
 (* Correctness gate for the dispatch layer (part of [check]): all
    interpreter and compiled configurations must agree on the checksum, the
@@ -1122,8 +837,8 @@ let dispatch_check () =
   List.iter
     (fun (name, nrecv) ->
       let expect = dispatch_expect ~nrecv ~iters in
-      let rt_ic, v_ic, _ = dispatch_interp_make ~ic:true ~nrecv ~iters in
-      let _, v_no, _ = dispatch_interp_make ~ic:false ~nrecv ~iters in
+      let rt_ic, v_ic = dispatch_interp ~ic:true ~nrecv ~iters in
+      let _, v_no = dispatch_interp ~ic:false ~nrecv ~iters in
       if v_ic <> expect || v_no <> expect then
         failwith ("dispatch check: checksum mismatch at " ^ name);
       let _, _, mono, poly, mega = Vm.Runtime.ic_stats rt_ic in
@@ -1142,7 +857,7 @@ let dispatch_check () =
     [ ("mono", 1); ("poly", 3); ("mega", 6) ];
   List.iter
     (fun (name, mode, nrecv, want_deps) ->
-      let v, _, deps = dispatch_compiled_make ~mode ~iters in
+      let v, deps = dispatch_compiled ~mode ~iters in
       if v <> dispatch_expect ~nrecv ~iters then
         failwith ("dispatch check: compiled checksum mismatch at " ^ name);
       if want_deps && deps = [] then
@@ -1158,115 +873,21 @@ let dispatch_check () =
 (* ------------------------------------------------------------------ *)
 (* Background JIT: compile-queue promotion vs synchronous promotion     *)
 
-type bgjit_run = {
-  bj_result : int;
-  bj_total_ms : float;
-  bj_mutator_compile_ms : float; (* Compile_end wall time on the mutator *)
-  bj_worker_compile_ms : float; (* Compile_end wall time on worker domains *)
-  bj_tier_up_ms : float; (* start -> last Cache_install *)
-  bj_stats : Bgjit.stats option; (* None in synchronous mode *)
-}
-
-(* The tiered kmeans workload under a given compile mode.  A lightweight
-   sink splits compile wall time by worker id — in synchronous mode all of
-   it lands on the mutator (worker 0), i.e. it is interpreter pause time;
-   with a pool it moves to the worker tracks — and records the timestamp of
-   the last code-cache install, giving time-to-tier-up. *)
+(* The tiered kmeans workload under a given compile mode: the assignment
+   checksum and, with a pool, its queue counters. *)
 let bgjit_kmeans ~jit_threads ~rows ~calls =
   let rt, pool =
     Lancet.Api.boot_bg ~tiering:true ~tier_threshold:8 ~jit_threads ()
   in
-  let p = Mini.Front.load rt tiered_kmeans_src in
-  let d = 4 and k = 3 in
-  let ps =
-    Array.init (rows * d) (fun i -> float_of_int ((i * 37 mod 101) - 50) /. 7.)
-  in
-  let cs = Array.init (k * d) (fun i -> float_of_int ((i * 53 mod 23) - 11) /. 3.) in
-  let mutator_ms = ref 0.0 and worker_ms = ref 0.0 in
-  let last_install = ref nan in
-  let sink =
-    {
-      Obs.sink_name = "bgjit-bench";
-      sink_emit =
-        (fun ~ts ev ->
-          match ev with
-          | Obs.Compile_end { ci_worker; ci_ms; _ } ->
-            if ci_worker = 0 then mutator_ms := !mutator_ms +. ci_ms
-            else worker_ms := !worker_ms +. ci_ms
-          | Obs.Cache_install _ -> last_install := ts
-          | _ -> ());
-      sink_flush = ignore;
-    }
-  in
-  Obs.attach sink;
-  let t0 = Obs.now () in
+  let assign = kmeans_assign (Mini.Front.load rt tiered_kmeans_src) ~rows in
   let acc = ref 0 in
   for _ = 1 to calls do
-    acc :=
-      !acc
-      + Vm.Value.to_int
-          (Mini.Front.call p "assign_all"
-             [| Farr ps; Farr cs; Int rows; Int d; Int k |])
+    acc := !acc + assign ()
   done;
   (match pool with Some b -> Bgjit.drain b | None -> ());
-  let total_ms = (Obs.now () -. t0) *. 1000. in
-  Obs.flush ();
-  Obs.detach sink;
   let stats = Option.map Bgjit.stats pool in
   (match pool with Some b -> Bgjit.shutdown b | None -> ());
-  {
-    bj_result = !acc;
-    bj_total_ms = total_ms;
-    bj_mutator_compile_ms = !mutator_ms;
-    bj_worker_compile_ms = !worker_ms;
-    bj_tier_up_ms =
-      (if Float.is_nan !last_install then 0.0 else (!last_install -. t0) *. 1000.);
-    bj_stats = stats;
-  }
-
-let bgjit_bench () =
-  header "Background JIT: synchronous vs compile-queue promotion (kmeans)";
-  let rows = 200 and calls = 150 in
-  let sync = bgjit_kmeans ~jit_threads:0 ~rows ~calls in
-  let async = bgjit_kmeans ~jit_threads:2 ~rows ~calls in
-  if sync.bj_result <> async.bj_result then
-    failwith "bgjit bench: sync/async result mismatch";
-  let line name r =
-    pr "%-28s %10.1f ms total %10.2f ms mutator-compile %10.2f ms tier-up\n"
-      name r.bj_total_ms r.bj_mutator_compile_ms r.bj_tier_up_ms
-  in
-  line "sync (--jit-threads 0)" sync;
-  line "async (--jit-threads 2)" async;
-  (match async.bj_stats with
-  | Some s ->
-    pr "%-28s enqueued=%d coalesced=%d dropped=%d installed=%d stale=%d \
-        blacklisted=%d\n"
-      "queue" s.Bgjit.s_enqueued s.Bgjit.s_coalesced s.Bgjit.s_dropped
-      s.Bgjit.s_installed s.Bgjit.s_stale s.Bgjit.s_blacklisted
-  | None -> ());
-  let stat_json = function
-    | None -> "null"
-    | Some (s : Bgjit.stats) ->
-      Printf.sprintf
-        "{\"enqueued\": %d, \"coalesced\": %d, \"dropped\": %d, \"installed\": \
-         %d, \"stale\": %d, \"blacklisted\": %d}"
-        s.Bgjit.s_enqueued s.Bgjit.s_coalesced s.Bgjit.s_dropped
-        s.Bgjit.s_installed s.Bgjit.s_stale s.Bgjit.s_blacklisted
-  in
-  let run_json name r =
-    Printf.sprintf
-      "  %S: {\n    \"total_ms\": %.3f,\n    \"mutator_compile_ms\": %.3f,\n   \
-       \ \"worker_compile_ms\": %.3f,\n    \"tier_up_ms\": %.3f,\n    \
-       \"result\": %d,\n    \"queue\": %s\n  }"
-      name r.bj_total_ms r.bj_mutator_compile_ms r.bj_worker_compile_ms
-      r.bj_tier_up_ms r.bj_result (stat_json r.bj_stats)
-  in
-  let oc = open_out "BENCH_bgjit.json" in
-  output_string oc
-    (Printf.sprintf "{\n%s,\n%s\n}\n" (run_json "sync" sync)
-       (run_json "async" async));
-  close_out oc;
-  pr "\nwrote BENCH_bgjit.json\n"
+  (!acc, stats)
 
 (* Correctness gate for the compile queue (part of [check], so it runs
    under dune runtest): the async run must produce the sync checksum, every
@@ -1274,13 +895,13 @@ let bgjit_bench () =
    enqueued), and nothing may be left queued or stuck in flight. *)
 let bgjit_check () =
   let rows = 40 and calls = 30 in
-  let sync = bgjit_kmeans ~jit_threads:0 ~rows ~calls in
-  let async = bgjit_kmeans ~jit_threads:2 ~rows ~calls in
-  if sync.bj_result <> async.bj_result then
+  let sync, _ = bgjit_kmeans ~jit_threads:0 ~rows ~calls in
+  let async, stats = bgjit_kmeans ~jit_threads:2 ~rows ~calls in
+  if sync <> async then
     failwith
       (Printf.sprintf "bgjit check: checksum mismatch (sync %d, async %d)"
-         sync.bj_result async.bj_result);
-  (match async.bj_stats with
+         sync async);
+  match stats with
   | None -> failwith "bgjit check: no pool stats"
   | Some s ->
     pr
@@ -1297,8 +918,7 @@ let bgjit_check () =
       failwith
         (Printf.sprintf "bgjit check: lost requests (%d enqueued, %d resolved)"
            s.Bgjit.s_enqueued
-           (s.Bgjit.s_installed + s.Bgjit.s_stale + s.Bgjit.s_blacklisted)));
-  ()
+           (s.Bgjit.s_installed + s.Bgjit.s_stale + s.Bgjit.s_blacklisted))
 
 (* Trace smoke test for the runtest gate: a small tiered kmeans run with a
    Chrome sink attached must produce well-formed JSON containing at least
@@ -1333,23 +953,16 @@ let trace_smoke () =
     (String.length data)
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start benchmark: cold vs profile-replayed warm runs of the
-   tiered k-means kernel.  Measures time-to-peak (boot to first
-   code-cache install) and first-N-iteration latency, and gates on
-   cold/warm checksum equivalence plus the warm run reaching tiered code
-   strictly earlier (the replayed profile compiles before iteration 0). *)
+(* Warm start (part of [check]): cold vs profile-replayed warm runs of
+   the tiered k-means kernel must agree on the checksum, and the warm run
+   must reach tiered code strictly earlier (the replayed profile compiles
+   before iteration 0). *)
 
-type warm_leg = {
-  wl_checksum : int;
-  wl_install_iter : int; (* iteration of the first install; -1 = pre-loop *)
-  wl_ttp_ms : float; (* boot -> first code-cache install *)
-  wl_lat : float array; (* per-iteration latency, ms *)
-}
-
+(* One leg: the checksum and the iteration of the first code-cache install
+   ([iters] if none, -1 if the pre-loop replay installed it). *)
 let warmup_leg ?profile_in ?profile_out ~iters ~rows () =
   Persist.reset ();
   if profile_out <> None then Persist.collect ();
-  let t_boot = Unix.gettimeofday () in
   let rt, pool =
     Lancet.Api.boot_bg ~tiering:true ~tier_threshold:8 ~jit_threads:0 ()
   in
@@ -1357,7 +970,6 @@ let warmup_leg ?profile_in ?profile_out ~iters ~rows () =
      the iteration (or the pre-loop replay) that triggered it *)
   let cur_iter = ref (-1) in
   let install_iter = ref min_int in
-  let install_ts = ref nan in
   let sink =
     {
       Obs.sink_name = "warmup";
@@ -1365,8 +977,7 @@ let warmup_leg ?profile_in ?profile_out ~iters ~rows () =
         (fun ~ts:_ ev ->
           match ev with
           | Obs.Cache_install _ when !install_iter = min_int ->
-            install_iter := !cur_iter;
-            install_ts := Unix.gettimeofday ()
+            install_iter := !cur_iter
           | _ -> ());
       sink_flush = ignore;
     }
@@ -1376,92 +987,40 @@ let warmup_leg ?profile_in ?profile_out ~iters ~rows () =
   (match profile_in with
   | Some path -> ignore (Persist.replay_file ?pool rt path)
   | None -> ());
-  let d = 4 and k = 3 in
-  let ps =
-    Array.init (rows * d) (fun i -> float_of_int ((i * 37 mod 101) - 50) /. 7.)
-  in
-  let cs =
-    Array.init (k * d) (fun i -> float_of_int ((i * 53 mod 23) - 11) /. 3.)
-  in
-  let lat = Array.make iters 0.0 in
+  let assign = kmeans_assign p ~rows in
   let checksum = ref 0 in
   for i = 0 to iters - 1 do
     cur_iter := i;
-    let t0 = Unix.gettimeofday () in
-    checksum :=
-      (!checksum
-      + Vm.Value.to_int
-          (Mini.Front.call p "assign_all"
-             [| Farr ps; Farr cs; Int rows; Int d; Int k |]))
-      land 0xFFFFFF;
-    lat.(i) <- (Unix.gettimeofday () -. t0) *. 1000.
+    checksum := (!checksum + assign ()) land 0xFFFFFF
   done;
   Obs.detach sink;
   (match profile_out with Some path -> Persist.save rt path | None -> ());
   (match pool with Some b -> Bgjit.shutdown b | None -> ());
-  {
-    wl_checksum = !checksum;
-    wl_install_iter = (if !install_iter = min_int then iters else !install_iter);
-    wl_ttp_ms =
-      (if Float.is_nan !install_ts then 0.0
-       else (!install_ts -. t_boot) *. 1000.);
-    wl_lat = lat;
-  }
+  (!checksum, if !install_iter = min_int then iters else !install_iter)
 
-let warmup ~small () =
-  if not small then header "Warm start: profile snapshot replay";
-  let iters = if small then 10 else 30 in
-  let rows = if small then 40 else 200 in
+let warmup_check () =
+  let iters = 10 and rows = 40 in
   let path = Filename.temp_file "lancet_warm" ".lprof" in
-  let cold = warmup_leg ~profile_out:path ~iters ~rows () in
-  let warm = warmup_leg ~profile_in:path ~iters ~rows () in
+  let cold_sum, cold_iter = warmup_leg ~profile_out:path ~iters ~rows () in
+  let warm_sum, warm_iter = warmup_leg ~profile_in:path ~iters ~rows () in
   let warm_ok = Persist.warm_matches () in
-  let warm_stale = Persist.warm_stale () in
   Sys.remove path;
-  if cold.wl_checksum <> warm.wl_checksum then
+  if cold_sum <> warm_sum then
     failwith
-      (Printf.sprintf "warmup: checksum mismatch cold=%d warm=%d"
-         cold.wl_checksum warm.wl_checksum);
-  if warm.wl_install_iter >= cold.wl_install_iter then
+      (Printf.sprintf "warmup: checksum mismatch cold=%d warm=%d" cold_sum
+         warm_sum);
+  if warm_iter >= cold_iter then
     failwith
       (Printf.sprintf
          "warmup: warm start did not reach tiered code earlier (cold iter \
           %d, warm iter %d)"
-         cold.wl_install_iter warm.wl_install_iter);
+         cold_iter warm_iter);
   if warm_ok = 0 then
     failwith "warmup: no warm compile matched its recorded fingerprint";
   pr
-    "warmup: cold first install at iter %d (%.2fms), warm at iter %d \
-     (%.2fms), %d fingerprint match(es), checksums equal\n"
-    cold.wl_install_iter cold.wl_ttp_ms warm.wl_install_iter warm.wl_ttp_ms
-    warm_ok;
-  (* [check] runs the small legs for their assertions only; the warmup mode
-     records its legs *)
-  if not small then begin
-    let oc = open_out "BENCH_warmup.json" in
-    let lat_json a =
-      String.concat ", "
-        (List.map (Printf.sprintf "%.3f")
-           (Array.to_list (Array.sub a 0 (min 8 (Array.length a)))))
-    in
-    Printf.fprintf oc
-      "{\n\
-      \  \"workload\": \"kmeans-assign\",\n\
-      \  \"iters\": %d,\n\
-      \  \"rows\": %d,\n\
-      \  \"warm_fp_matches\": %d,\n\
-      \  \"warm_fp_stale\": %d,\n\
-      \  \"cold\": {\"checksum\": %d, \"first_install_iter\": %d, \
-       \"time_to_peak_ms\": %.3f, \"first_iters_ms\": [%s]},\n\
-      \  \"warm\": {\"checksum\": %d, \"first_install_iter\": %d, \
-       \"time_to_peak_ms\": %.3f, \"first_iters_ms\": [%s]}\n\
-       }\n"
-      iters rows warm_ok warm_stale cold.wl_checksum cold.wl_install_iter
-      cold.wl_ttp_ms (lat_json cold.wl_lat) warm.wl_checksum
-      warm.wl_install_iter warm.wl_ttp_ms (lat_json warm.wl_lat);
-    close_out oc;
-    pr "warmup: wrote BENCH_warmup.json\n"
-  end;
+    "warmup: cold first install at iter %d, warm at iter %d, %d fingerprint \
+     match(es), checksums equal\n"
+    cold_iter warm_iter warm_ok;
   Persist.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -1579,13 +1138,13 @@ let chaos_soak_leg ~seed ~calls =
   Chaos.disable ();
   (checksum, ms, fires, gov_report, bg)
 
-(* THE soak invariant (gated here and in CI): under any seeded fault
-   schedule the program computes the pure-interpreter checksum, and the
-   process neither crashes nor wedges — every leg exits through the
+(* THE soak invariant (gated in [check] and in CI): under any seeded
+   fault schedule the program computes the pure-interpreter checksum, and
+   the process neither crashes nor wedges — every leg exits through the
    bounded drain/shutdown path above. *)
 let chaos_soak ?(quiet = false) ~seeds ~calls () =
   let expect = chaos_soak_interp ~calls in
-  List.map
+  List.iter
     (fun seed ->
       let sum, ms, fires, gov, bg = chaos_soak_leg ~seed ~calls in
       if sum <> expect then
@@ -1598,38 +1157,8 @@ let chaos_soak ?(quiet = false) ~seeds ~calls () =
         pr "            fires: %s\n" fires;
         pr "            governor: %s\n" gov;
         if bg <> "" then pr "            bgjit: %s\n" bg
-      end;
-      (seed, ms, fires, gov))
+      end)
     seeds
-
-let chaos_bench () =
-  header "Chaos engineering: checkpoint overhead + seeded fault soak";
-  let chaos_ns = chaos_gate () in
-  let gov_ns = governor_gate () in
-  pr "\n%-36s %10.2f ns/site\n" "chaos disabled (single branch)" chaos_ns;
-  pr "%-36s %10.2f ns/site\n" "governor detached (option load)" gov_ns;
-  pr "\nsoak: checksum vs pure interpreter under seeded faults\n";
-  let rows = chaos_soak ~seeds:[ 11; 23; 42 ] ~calls:400 () in
-  Forensics.disable ();
-  let row (seed, ms, fires, gov) =
-    Printf.sprintf
-      "    {\"seed\": %d, \"ms\": %.3f, \"fires\": %S, \"governor\": %S}" seed
-      ms fires gov
-  in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\n\
-       \  \"chaos_checkpoint_ns\": %.4f,\n\
-       \  \"governor_checkpoint_ns\": %.4f,\n\
-       \  \"soak\": [\n\
-        %s\n\
-       \  ]\n\
-        }\n"
-       chaos_ns gov_ns
-       (String.concat ",\n" (List.map row rows)));
-  close_out oc;
-  pr "\nwrote BENCH_chaos.json\n"
 
 (* CI entry point (`bench/main.exe chaos-soak [seeds...]`): soak each
    seed; on any failure dump the forensics journal to chaos-journal.txt
@@ -1647,7 +1176,7 @@ let chaos_soak_ci () =
   (* journal lines read as offsets into the soak, on the bus clock *)
   let t0 = Obs.now () in
   match chaos_soak ~seeds ~calls:600 () with
-  | rows -> pr "chaos soak ok (%d seeds)\n" (List.length rows)
+  | () -> pr "chaos soak ok (%d seeds)\n" (List.length seeds)
   | exception e ->
     let oc = open_out "chaos-journal.txt" in
     output_string oc
@@ -1779,11 +1308,12 @@ let osr_gate () =
   pr "check %-18s ok  (1 OSR compile, interpreted %d of %d steps, %.0f%%)\n"
     "osr gate" rt.interp_steps plain.interp_steps (100. *. share)
 
-(* Fast correctness gate (runs under the dune [runtest] alias): same
-   workloads at small sizes, results must match the interpreter and the
-   tiered counters must move; no timing assertions, so it cannot flake. *)
-let tier_check () =
-  let rows = tier_rows ~small:true in
+(* Fast correctness gate (runs under the dune [runtest] alias): small
+   workloads whose results must match the interpreter and whose tiered
+   counters must move, then the exact allocation gate and the
+   disabled-checkpoint budgets. *)
+let check () =
+  let rows = tier_rows () in
   List.iter
     (fun r ->
       pr "check %-18s ok  (compiles=%d cache_hits=%d deopts=%d)\n" r.tr_name
@@ -1797,8 +1327,8 @@ let tier_check () =
   | _ -> failwith "speculate workload: expected deopts");
   List.iter
     (fun r ->
-      if r.tr_compiles > 0 && List.assoc_opt "compile-end" r.tr_events = None
-      then failwith (r.tr_name ^ ": compiles counted but no compile-end event"))
+      if r.tr_compiles > 0 && not r.tr_compile_end then
+        failwith (r.tr_name ^ ": compiles counted but no compile-end event"))
     rows;
   trace_smoke ();
   bgjit_check ();
@@ -1816,10 +1346,10 @@ let tier_check () =
       ("chaos", chaos_gate);
       ("governor", governor_gate);
     ];
-  ignore (chaos_soak ~quiet:true ~seeds:[ 42 ] ~calls:120 ());
+  chaos_soak ~quiet:true ~seeds:[ 42 ] ~calls:120 ();
   Forensics.disable ();
   pr "check chaos soak        ok  (seed 42)\n";
-  warmup ~small:true ();
+  warmup_check ();
   pr "tiered execution check ok\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1836,31 +1366,15 @@ let () =
     table2 H.Namescore "Table 2c: name score" ~with_manual:false ()
   | "ablate" -> ablate ()
   | "micro" -> micro ()
-  | "tiered" -> tiered ()
-  | "obs" -> obs_bench ()
-  | "profile" -> profile_bench ()
-  | "irtrace" -> irtrace_bench ()
-  | "bgjit" -> bgjit_bench ()
-  | "dispatch" -> dispatch_bench ()
-  | "warmup" -> warmup ~small:false ()
-  | "chaos" -> chaos_bench ()
   | "chaos-soak" -> chaos_soak_ci ()
-  | "check" -> tier_check ()
+  | "check" -> check ()
   | "all" ->
     table1 ();
     table2 H.Kmeans "Table 2a: k-means clustering" ~with_manual:false ();
     table2 H.Logreg "Table 2b: logistic regression" ~with_manual:true ();
     table2 H.Namescore "Table 2c: name score" ~with_manual:false ();
     ablate ();
-    micro ();
-    tiered ();
-    obs_bench ();
-    profile_bench ();
-    irtrace_bench ();
-    bgjit_bench ();
-    dispatch_bench ();
-    chaos_bench ();
-    warmup ~small:false ()
+    micro ()
   | other ->
     prerr_endline ("unknown benchmark: " ^ other);
     exit 1

@@ -14,8 +14,7 @@
 
    1. Disabled cost is a single load+branch: every site is guarded as
       `if !Chaos.on && Chaos.fire Chaos.some_site then ...` and [on] starts
-      false.  The overhead gate runs in `bench/main.exe check` and
-      `bench/main.exe chaos`.
+      false.  The overhead gate runs in `bench/main.exe check`.
    2. Determinism: each site draws from its own splitmix64 stream, seeded
       from the global seed mixed with the site name, so arming one site
       never perturbs another's schedule and a (seed, spec) pair replays

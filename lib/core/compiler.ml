@@ -184,12 +184,6 @@ let resolve ctx r =
       r)
   | _ -> r
 
-let is_live_virtual ctx r =
-  match evalA ctx r with
-  | Absval.Partial (vid, _) ->
-    IntMap.mem vid ctx.heap.virtuals && not (IntMap.mem vid ctx.heap.mat)
-  | _ -> false
-
 let check_alloc_watch ctx what =
   List.iter (fun coll -> coll := what :: !coll) ctx.alloc_watch
 
@@ -1719,8 +1713,13 @@ let make_ctx ?(opts = default_options) rt nparams =
    Returns the optimized graph, whose parameters are the Dyn arguments in
    order. *)
 (* IR node counts of the most recent [stage] call: (after staging, after
-   dead-code elimination).  Read by [Tiering] to fill [Compile_end] events. *)
+   dead-code elimination), process-wide, for tooling that stages by hand. *)
 let last_node_counts = ref (0, 0)
+
+(* The same counts per domain: [with_compile_events] fills [Compile_end]
+   from its own domain's copy, which a background worker's [stage] cannot
+   overwrite. *)
+let node_counts_key = Domain.DLS.new_key (fun () -> (0, 0))
 
 (* "dsd" = dyn,static,dyn — the specialization key rendered for Irtrace;
    an OSR entry renders as "@pc:" and its parameter kinds, "@12:iid". *)
@@ -1789,7 +1788,9 @@ let stage ?(opts = default_options) ?deps ?entry rt (m : meth)
       Obs.span ~cat:Phases.cat_jit Phases.span_dce (fun () ->
           Ir.dead_code_elim g);
       if !Irtrace.on then Lms.Snapshot.take g Phases.Dce;
-      last_node_counts := (before, Ir.node_count g);
+      let counts = (before, Ir.node_count g) in
+      last_node_counts := counts;
+      Domain.DLS.set node_counts_key counts;
       (match deps with Some r -> r := ctx.devirt_deps | None -> ());
       g)
 
@@ -1889,9 +1890,11 @@ let with_compile_events ~tier ?label (m : meth) build =
     let meth = Option.value label ~default:(Vm.Runtime.meth_label m)
     and mid = m.mid in
     Obs.emit (Obs.Compile_start { meth; mid; tier; worker = Obs.worker_id () });
+    (* a build that fails before [stage] finishes reports no nodes *)
+    Domain.DLS.set node_counts_key (0, 0);
     let t0 = Obs.now () in
     let emit_end backend fallback =
-      let nodes_in, nodes_out = !last_node_counts in
+      let nodes_in, nodes_out = Domain.DLS.get node_counts_key in
       Obs.emit
         (Obs.Compile_end
            {

@@ -161,20 +161,7 @@ let add_node ?prov g b ~op ~args ~ty =
   b.body <- n :: b.body;
   s
 
-(* Register an externally-created node object (used when moving or cloning
-   nodes between graphs). *)
-let intern ?prov g ~op ~args ~ty ~eff b =
-  let s = fresh_sym g in
-  let n = { id = s; op; args; ty; eff; prov } in
-  Hashtbl.replace g.nodes s n;
-  b.body <- n :: b.body;
-  s
-
 let body_in_order b = List.rev b.body
-
-let blocks_in_order g =
-  Hashtbl.fold (fun _ b acc -> b :: acc) g.blocks []
-  |> List.sort (fun a b -> compare a.bid b.bid)
 
 (* Reachable blocks from entry, in reverse-postorder-ish DFS order. *)
 let reachable_blocks g =

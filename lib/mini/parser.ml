@@ -365,12 +365,3 @@ let parse_program (src : string) : program =
     | _ -> go (parse_decl lx :: acc)
   in
   go []
-
-let parse_expr_string (src : string) : expr =
-  let lx = Lexer.create src in
-  let e = parse_expr lx in
-  (match Lexer.peek lx with
-  | Lexer.EOF -> ()
-  | tok ->
-    syntax_error (Lexer.pos lx) "trailing input: %s" (Lexer.token_to_string tok));
-  e

@@ -147,9 +147,6 @@ type env = {
 
 let lookup_local env name = List.assoc_opt name env.locals
 
-let with_locals env binds =
-  { env with locals = binds @ env.locals }
-
 (* ---------------- builtin native signatures ---------------- *)
 
 (* Concrete monomorphic builtins; generic ones are special-cased below. *)

@@ -15,7 +15,7 @@
 
    1. Disabled cost is a single load+branch: every site is
       `if !Irtrace.on then ...` and tracing starts disabled.  The overhead
-      gate lives in `bench/main.exe irtrace`.
+      gate runs in `bench/main.exe check`.
    2. Bounded memory: snapshots land in a fixed ring and missed-optimization
       records dedupe by site into a capped table with counts.
    3. Domain-safe: background JIT workers compile concurrently; the current

@@ -594,16 +594,6 @@ let span ?(cat = "phase") name f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Text sink (PrintCompilation-style log lines)                        *)
-
-let text_sink ?(out = prerr_string) () =
-  {
-    sink_name = "text";
-    sink_emit = (fun ~ts:_ ev -> out ("[obs] " ^ to_string ev ^ "\n"));
-    sink_flush = ignore;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Ring-buffer sink                                                    *)
 
 module Ring = struct

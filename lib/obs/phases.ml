@@ -26,8 +26,6 @@ let name = function
 (* Pipeline order, used to render phase sequences consistently. *)
 let index = function Stage -> 0 | Dce -> 1 | Guards _ -> 2 | Schedule _ -> 3
 
-let all_names = [ "stage"; "dce"; "guards:<backend>"; "schedule:<backend>" ]
-
 (* Loose match for CLI filters: "--phase dce" and "--phase typed" both work.
    Substring search is inlined here: obs sits below Vm so it cannot reuse
    [Vm.Strutil.contains_sub]. *)

@@ -11,9 +11,8 @@ type Lms.Ir.ext_op += Delite_call of string
 (* device used by Delite ops triggered from bytecode, set by benches *)
 let device : Delite.Exec.device ref = ref Delite.Exec.Seq
 
-(* accumulated modeled seconds spent in Delite ops (reset per measurement) *)
+(* accumulated modeled seconds spent in Delite ops *)
 let op_seconds : float ref = ref 0.0
-let reset_op_seconds () = op_seconds := 0.0
 let note (t : Delite.Exec.timing) = op_seconds := !op_seconds +. t.modeled
 
 (* ---- closure compilation cache ---- *)
@@ -59,17 +58,6 @@ let call1 rt clo =
 (* ---- VM value accessors ---- *)
 
 let obj_field o i = o.ofields.(i)
-
-let matrix_of rt v =
-  match v with
-  | Obj o when o.ocls.cname = "DenseMatrix" ->
-    let data = Vm.Value.to_farr (obj_field o 0) in
-    let rows = Vm.Value.to_int (obj_field o 1) in
-    let cols = Vm.Value.to_int (obj_field o 2) in
-    (data, rows, cols)
-  | _ ->
-    ignore rt;
-    vm_error "expected a DenseMatrix"
 
 let vector_data v =
   match v with

@@ -51,11 +51,9 @@ let field cls name =
   in
   go 0
 
-let has_field cls name =
-  Array.exists (fun f -> String.equal f.fname name) cls.cfields
-
-(* Gate for the resolution memoization below; benches flip it off (together
-   with [rt.ic_enabled]) to measure the unmemoized superclass-chain walk. *)
+(* Gate for the resolution memoization below; `bench/main.exe check` flips
+   it off (together with [rt.ic_enabled]) to run the unmemoized
+   superclass-chain walk. *)
 let cha_memo = ref true
 
 let add_method rt cls ~name ?(static = false) ~nargs code =
@@ -155,8 +153,6 @@ let is_subclass sub super =
     c.cid = super.cid || match c.csuper with Some s -> go s | None -> false
   in
   go sub
-
-let has_flag cls f = List.mem f cls.cflags
 
 (* Class-hierarchy analysis: no strict subclass of [cls] (re)defines
    [name], so a virtual call on a receiver statically typed [cls] always

@@ -249,6 +249,47 @@ let test_async_recompile () =
     ((Bgjit.stats pool).Bgjit.s_blacklisted = 0)
 
 (* ------------------------------------------------------------------ *)
+(* Each Compile_end carries the node counts of its own compile, not those
+   of a compile that another domain staged meanwhile.                   *)
+
+let test_compile_end_own_counts () =
+  let src = Util.read_example "coach.mini" in
+  (* (method, (nodes in, nodes out)) of each Compile_end of one run of
+     main; area_of is left out, as its graph depends on the inline-cache
+     profile at the moment it compiles *)
+  let run jit_threads =
+    let ring = Obs.Ring.create ~capacity:4096 () in
+    Obs.with_sink (Obs.Ring.sink ring) (fun () ->
+        let rt, pool = Lancet.Api.boot_bg ~tiering:true ~jit_threads () in
+        ignore (Mini.Front.call (Mini.Front.load rt src) "main" [||]);
+        match pool with
+        | Some b ->
+          Bgjit.drain b;
+          Bgjit.shutdown b
+        | None -> ());
+    List.filter_map
+      (function
+        | Obs.Compile_end c when not (Util.contains_sub c.Obs.ci_meth "area_of")
+          ->
+          Some (c.Obs.ci_meth, (c.Obs.ci_nodes_in, c.Obs.ci_nodes_out))
+        | _ -> None)
+      (Obs.Ring.events ring)
+  in
+  let sync = run 0 in
+  check_bool "the synchronous run compiled" true (sync <> []);
+  for _ = 1 to 50 do
+    let async = run 2 in
+    check_bool "the background run compiled" true (async <> []);
+    List.iter
+      (fun (meth, counts) ->
+        match List.assoc_opt meth sync with
+        | Some want ->
+          Alcotest.(check (pair int int)) (meth ^ " node counts") want counts
+        | None -> Alcotest.failf "%s compiled only in the background" meth)
+      async
+  done
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -257,4 +298,6 @@ let suite =
     Alcotest.test_case "stale-never-installs" `Quick test_stale_never_installs;
     Alcotest.test_case "saturation-coalesces" `Quick test_saturation_coalesces;
     Alcotest.test_case "async-recompile" `Quick test_async_recompile;
+    Alcotest.test_case "compile-end-own-counts" `Quick
+      test_compile_end_own_counts;
   ]

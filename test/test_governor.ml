@@ -350,9 +350,7 @@ let test_evict_repromote () =
 let test_governed_trace () =
   let rt = Lancet.Api.boot ~tiering:true () in
   let gov = G.attach rt in
-  let src =
-    In_channel.with_open_bin "../examples/kmeans.mini" In_channel.input_all
-  in
+  let src = Util.read_example "kmeans.mini" in
   let p = Mini.Front.load ~file:"kmeans.mini" rt src in
   let c = Obs.Chrome.create () in
   Obs.with_sink (Obs.Chrome.sink c) (fun () ->

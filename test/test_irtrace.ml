@@ -339,9 +339,7 @@ let test_guards_fuse_alike () =
       check_bool "devirt guard staged" true
         (List.mem_assoc "classid" stage.Irtrace.sn_ops);
       check_int "classid and compare fused into the guard" 2 fused;
-      let coach =
-        In_channel.with_open_bin "../examples/coach.mini" In_channel.input_all
-      in
+      let coach = Util.read_example "coach.mini" in
       let p = Mini.Front.load ~file:"coach.mini" rt coach in
       ignore (check_alike rt p "clamp"))
 

@@ -1130,7 +1130,7 @@ let typed_schedule_meta src names =
    and those of the calls inlined into it, nested, inside an [if] arm and
    around the threaded [if (dd < bd)] diamond. *)
 let test_typed_kmeans_loops () =
-  let src = In_channel.with_open_bin "../examples/kmeans.mini" In_channel.input_all in
+  let src = Util.read_example "kmeans.mini" in
   Alcotest.(check (list string))
     "sqdist, nearest, assign_all, update"
     [
@@ -1182,7 +1182,7 @@ let test_bcfg_cache_releases_runtime () =
 (* Staging one runtime's methods from two domains at once, both through
    its one CFG cache, builds the graphs one domain builds. *)
 let test_bcfg_two_domains () =
-  let src = In_channel.with_open_bin "../examples/kmeans.mini" In_channel.input_all in
+  let src = Util.read_example "kmeans.mini" in
   let loaded () =
     let rt = Lancet.Api.boot () in
     (rt, Mini.Front.load rt src)

@@ -301,7 +301,7 @@ let test_bgjit () =
 (* kmeans stays under the trigger at the default threshold: its longest
    activation runs far fewer than 2^18 steps of its own. *)
 let test_kmeans_no_osr () =
-  let src = In_channel.with_open_bin "../examples/kmeans.mini" In_channel.input_all in
+  let src = Util.read_example "kmeans.mini" in
   let want, _ = plain_call src "main" [||] in
   let rt = Lancet.Api.boot ~tiering:true () in
   let p = Mini.Front.load rt src in

@@ -152,14 +152,8 @@ let test_prov_stage () =
 (* ------------------------------------------------------------------ *)
 (* Sampling profiler                                                   *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let test_profiler_kmeans () =
-  let src = read_file "../examples/kmeans.mini" in
+  let src = Util.read_example "kmeans.mini" in
   let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:8 () in
   let p = Mini.Front.load ~file:"kmeans.mini" rt src in
   let prof = Profiler.create ~interval_ms:0.2 () in
