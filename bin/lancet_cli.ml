@@ -23,7 +23,7 @@ let load path =
   let p = Mini.Front.load ~file:path rt (read_file path) in
   (rt, p)
 
-(* ---- observability sinks shared by run/trace ---- *)
+(* ---- observability output shared by run, trace and explain ---- *)
 
 (* HotSpot-PrintCompilation-style log: the shared [Obs.compilation_event]
    subset (interp-call samples and spans would swamp the terminal).  The
@@ -39,45 +39,34 @@ let compilation_sink () =
     sink_flush = ignore;
   }
 
-(* Collect deopt sites so they can be rendered with a disassembly marker. *)
-let deopt_collector acc =
-  {
-    Obs.sink_name = "deopt-sites";
-    sink_emit =
-      (fun ~ts:_ ev ->
-        match ev with
-        | Obs.Deopt { meth; mid; tag; pc; _ } -> acc := (meth, mid, tag, pc) :: !acc
-        | _ -> ());
-    sink_flush = ignore;
-  }
-
-let print_deopt_sites rt (deopts : (string * int * string * int) list) =
-  let seen = Hashtbl.create 8 in
+(* Each deopt site the profiler saw, in (mid, pc) order, with a
+   disassembly marker. *)
+let print_deopt_sites rt prof =
   List.iter
-    (fun (meth, mid, tag, pc) ->
-      if not (Hashtbl.mem seen (mid, pc)) then begin
-        Hashtbl.replace seen (mid, pc) ();
-        match Vm.Runtime.find_method_by_id rt mid with
-        | Some m ->
-          Format.printf "@.deopt site: %s (%s)@." (Vm.Runtime.meth_loc m pc) tag;
-          (* the decision journal, when on, knows *why*: guard identity for
-             the deopt itself, plus what the engine did about it afterwards *)
-          (match Lancet.Explain.deopt_causes mid pc with
-          | [] -> ()
-          | cs -> Format.printf "  cause: %s@." (String.concat "; " cs));
-          List.iter
-            (fun c -> Format.printf "  then: %s@." c)
-            (Lancet.Explain.deopt_consequences mid);
-          Format.printf "%s@." (Vm.Disasm.method_to_string ~mark:pc m)
-        | None -> Format.printf "@.deopt site: %s at pc %d (%s)@." meth pc tag
-      end)
-    (List.rev deopts)
+    (fun ((pm : Profiler.meth_stat), pc, (d : Profiler.deopt_site)) ->
+      match Vm.Runtime.find_method_by_id rt pm.pm_mid with
+      | Some m ->
+        Format.printf "@.deopt site: %s (%s)@." (Vm.Runtime.meth_loc m pc)
+          d.ds_tag;
+        (* the decision journal, when on, knows *why*: guard identity for
+           the deopt itself, plus what the engine did about it afterwards *)
+        (match Lancet.Explain.deopt_causes pm.pm_mid pc with
+        | [] -> ()
+        | cs -> Format.printf "  cause: %s@." (String.concat "; " cs));
+        List.iter
+          (fun c -> Format.printf "  then: %s@." c)
+          (Lancet.Explain.deopt_consequences pm.pm_mid);
+        Format.printf "%s@." (Vm.Disasm.method_to_string ~mark:pc m)
+      | None ->
+        Format.printf "@.deopt site: %s at pc %d (%s)@." pm.pm_label pc d.ds_tag)
+    (Profiler.deopt_sites prof)
 
 (* ---- metrics export shared by run/health ---- *)
 
-(* Fill the export-time gauges and write the registry; a .prom suffix
-   selects Prometheus text exposition, anything else JSON. *)
-let export_metrics rt (j : Metrics.jit) path =
+(* Fill the export-time gauges, add the governor's counts when it ran, and
+   write the registry; a .prom suffix selects Prometheus text exposition,
+   anything else JSON. *)
+let export_metrics ?gov rt (j : Metrics.jit) path =
   let hits, misses, _, _, _ = Vm.Runtime.ic_stats rt in
   if hits + misses > 0 then
     Metrics.set j.Metrics.j_ic_hit_ratio
@@ -88,6 +77,17 @@ let export_metrics rt (j : Metrics.jit) path =
     (float_of_int (Persist.warm_matches ()));
   Metrics.set j.Metrics.j_profile_warm_stale
     (float_of_int (Persist.warm_stale ()));
+  (match gov with
+  | Some g ->
+    let s = Lancet.Governor.stats g in
+    List.iter
+      (fun (name, n) -> Metrics.add (Metrics.counter j.Metrics.j_reg name) n)
+      [ ("governor_throttles", s.Lancet.Governor.g_throttle_ups);
+        ("watchdog_kills", s.g_watchdog_kills);
+        ("governor_blacklists", s.g_blacklists);
+        ("governor_backoffs", s.g_backoffs);
+        ("governor_demotions", s.g_demotions) ]
+  | None -> ());
   let data =
     if Filename.check_suffix path ".prom" then
       Metrics.to_prometheus j.Metrics.j_reg
@@ -122,14 +122,8 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
     Persist.collect ();
     Persist.register_writer rt path
   | None -> ());
-  let jm =
-    if metrics <> None || health then begin
-      let j = Metrics.jit () in
-      Obs.attach (Metrics.jit_sink j);
-      Some j
-    end
-    else None
-  in
+  let jm = if metrics <> None || health then Some (Metrics.jit ()) else None in
+  Option.iter (fun j -> Obs.attach (Metrics.jit_sink j)) jm;
   if health then Forensics.enable ();
   (* the governor rides on the pool and journal: attach after boot so it
      sees the final hooks, detach before the pool shuts down *)
@@ -141,7 +135,6 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
              { Lancet.Governor.default_config with
                Lancet.Governor.g_watchdog_ms = watchdog_ms
              }
-           ?reg:(Option.map (fun j -> j.Metrics.j_reg) jm)
            ?pool ~ticker:true rt)
     else None
   in
@@ -156,14 +149,8 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
       trace
   in
   if print_compilation then Obs.attach (compilation_sink ());
-  let profile =
-    if stats then begin
-      let p = Obs.Profile.create () in
-      Obs.attach (Obs.Profile.sink p);
-      Some p
-    end
-    else None
-  in
+  let profile = if stats then Some (Profiler.create ()) else None in
+  Option.iter (fun p -> Obs.attach (Profiler.sink p)) profile;
   let p = Mini.Front.load ~file rt (read_file file) in
   (* profile replay: seed hotness/IC/blacklist state from a prior run and
      batch-enqueue formerly-hot methods before the mutator starts.  A file
@@ -194,7 +181,7 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
     Format.eprintf "[obs] %d events -> %s@." (Obs.Chrome.event_count c) path
   | None -> ());
   (match profile with
-  | Some p -> Format.eprintf "@[<v>per-method profile:@,%s@]@." (Obs.Profile.table p)
+  | Some p -> Format.eprintf "@[<v>per-method profile:@,%s@]@." (Profiler.table p)
   | None -> ());
   if stats && Hashtbl.length rt.Vm.Types.ic_sites > 0 then
     Format.eprintf "@[<v>ic sites:@,%s@]@." (Vm.Inlinecache.site_table rt);
@@ -202,7 +189,7 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
   | Some path -> Format.eprintf "[profile] -> %s@." path
   | None -> ());
   (match (jm, metrics) with
-  | Some j, Some path -> export_metrics rt j path
+  | Some j, Some path -> export_metrics ?gov rt j path
   | _ -> ());
   if health then print_string (Lancet.Explain.health_report rt);
   (match gov with
@@ -224,69 +211,76 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
     Format.eprintf "[tier] %s@." (Vm.Runtime.tier_stats_string rt);
   0
 
-(* ---- trace: run tiered, write a Chrome trace + profile table ---- *)
+(* ---- the report verbs' run ---- *)
 
-let trace_cmd threshold jit_threads jit_queue repeat out file fn args =
+(* Boot the tiered engine (with [jit_threads] background compile
+   workers), attach [sinks], load FILE, call FUNCTION [repeat] times (under
+   the stack sampler when [sample] names a profiler), let queued compiles
+   finish, flush the bus and stop the pool.  Returns the runtime, the pool
+   (for its stats), the source and the last result. *)
+let drive ?(jit_threads = 0) ?(jit_queue = 32) ?(sinks = []) ?sample
+    ~threshold ~repeat file fn args =
   let rt, pool =
     Lancet.Api.boot_bg ~tiering:true ~tier_threshold:threshold ~jit_threads
       ~jit_queue ()
   in
-  let chrome = Obs.Chrome.create () in
-  let profile = Obs.Profile.create () in
-  let deopts = ref [] in
-  Obs.attach (Obs.Chrome.sink chrome);
-  Obs.attach (Obs.Profile.sink profile);
-  Obs.attach (deopt_collector deopts);
-  let out =
-    match out with
-    | Some o -> o
-    | None -> Filename.remove_extension (Filename.basename file) ^ ".trace.json"
+  List.iter Obs.attach sinks;
+  let src = read_file file in
+  let p = Mini.Front.load ~file rt src in
+  let argv = Array.of_list (List.map parse_arg args) in
+  let v = ref Vm.Types.Null in
+  let calls () =
+    for _ = 1 to max 1 repeat do
+      v := Mini.Front.call p fn argv
+    done
   in
+  (match sample with
+  | Some prof -> Profiler.sampled prof calls
+  | None -> calls ());
+  (match pool with Some b -> Bgjit.drain b | None -> ());
+  Obs.flush ();
+  (match pool with Some b -> Bgjit.shutdown b | None -> ());
+  (rt, pool, src, !v)
+
+(* ---- trace: run tiered, write a Chrome trace + profile table ---- *)
+
+let trace_cmd threshold jit_threads jit_queue repeat out file fn args =
+  let chrome = Obs.Chrome.create () in
+  let prof = Profiler.create () in
+  let stem = Filename.remove_extension (Filename.basename file) in
+  let out = Option.value out ~default:(stem ^ ".trace.json") in
   (* register before running so a trapping program still leaves a
      well-formed trace behind *)
   let write_now = Obs.Chrome.write_at_exit chrome out in
-  let p = Mini.Front.load ~file rt (read_file file) in
-  let argv = Array.of_list (List.map parse_arg args) in
-  let v = ref Vm.Types.Null in
-  for _ = 1 to max 1 repeat do
-    v := Mini.Front.call p fn argv
-  done;
-  (match pool with Some b -> Bgjit.drain b | None -> ());
-  Obs.flush ();
+  let rt, pool, _, v =
+    drive ~jit_threads ~jit_queue
+      ~sinks:[ Obs.Chrome.sink chrome; Profiler.sink prof ]
+      ~threshold ~repeat file fn args
+  in
   write_now ();
-  Format.printf "result: %a@." Vm.Value.pp !v;
+  Format.printf "result: %a@." Vm.Value.pp v;
   Format.printf "trace:  %s (%d events; open in chrome://tracing or ui.perfetto.dev)@."
     out (Obs.Chrome.event_count chrome);
-  Format.printf "@.per-method profile:@.%s" (Obs.Profile.table profile);
-  print_deopt_sites rt !deopts;
-  (match pool with
-  | Some b ->
-    Bgjit.shutdown b;
-    Format.printf "@.[bgjit] %s@." (Bgjit.stats_string b)
-  | None -> ());
+  Format.printf "@.per-method profile:@.%s" (Profiler.table prof);
+  print_deopt_sites rt prof;
+  Option.iter
+    (fun b -> Format.printf "@.[bgjit] %s@." (Bgjit.stats_string b))
+    pool;
   Format.printf "@.[tier] %s@." (Vm.Runtime.tier_stats_string rt);
   0
 
 (* ---- profile: sampling profiler + folded stacks for flamegraphs ---- *)
 
 let profile_cmd threshold repeat interval out file fn args =
-  let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:threshold () in
   let prof = Profiler.create ~interval_ms:interval () in
-  let p = Mini.Front.load ~file rt (read_file file) in
-  let argv = Array.of_list (List.map parse_arg args) in
-  let v = ref Vm.Types.Null in
-  Profiler.profiled prof (fun () ->
-      for _ = 1 to max 1 repeat do
-        v := Mini.Front.call p fn argv
-      done);
-  Obs.flush ();
-  let out =
-    match out with
-    | Some o -> o
-    | None -> Filename.remove_extension (Filename.basename file) ^ ".folded"
+  let _, _, _, v =
+    drive ~sinks:[ Profiler.sink prof ] ~sample:prof ~threshold ~repeat file fn
+      args
   in
+  let stem = Filename.remove_extension (Filename.basename file) in
+  let out = Option.value out ~default:(stem ^ ".folded") in
   Profiler.write_folded prof out;
-  Format.printf "result: %a@.@." Vm.Value.pp !v;
+  Format.printf "result: %a@.@." Vm.Value.pp v;
   print_string (Profiler.report prof);
   Format.printf
     "folded stacks: %s (feed to flamegraph.pl, inferno or speedscope)@." out;
@@ -299,28 +293,16 @@ let explain_cmd threshold repeat interval no_residency ir file fn args =
      per-site disasm *)
   Forensics.enable ();
   if ir then Irtrace.enable ();
-  let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:threshold () in
-  let x = Lancet.Explain.create () in
-  Obs.attach (Lancet.Explain.sink x);
-  let deopts = ref [] in
-  Obs.attach (deopt_collector deopts);
-  let src = read_file file in
-  let p = Mini.Front.load ~file rt src in
-  let argv = Array.of_list (List.map parse_arg args) in
-  let v = ref Vm.Types.Null in
-  let run () =
-    for _ = 1 to max 1 repeat do
-      v := Mini.Front.call p fn argv
-    done
+  let prof = Profiler.create ~interval_ms:interval () in
+  let rt, _, src, v =
+    drive ~sinks:[ Profiler.sink prof ]
+      ?sample:(if no_residency then None else Some prof)
+      ~threshold ~repeat file fn args
   in
-  let prof =
-    if no_residency then None else Some (Profiler.create ~interval_ms:interval ())
-  in
-  (match prof with Some pr -> Profiler.profiled pr run | None -> run ());
-  Obs.flush ();
-  Format.printf "result: %a@.@." Vm.Value.pp !v;
-  print_string (Lancet.Explain.render ~ir ?profiler:prof x rt ~src);
-  print_deopt_sites rt !deopts;
+  Format.printf "result: %a@.@." Vm.Value.pp v;
+  print_string
+    (Lancet.Explain.render ~ir ~residency:(not no_residency) prof rt ~src);
+  print_deopt_sites rt prof;
   0
 
 (* ---- ir: per-phase IR snapshots of every compile, with pass diffs ---- *)
@@ -328,21 +310,11 @@ let explain_cmd threshold repeat interval no_residency ir file fn args =
 let ir_cmd threshold jit_threads jit_queue repeat meth phase diff file fn args =
   (* keep the pretty-printed IR text around: this verb exists to show it *)
   Irtrace.enable ~keep_text:true ();
-  let rt, pool =
-    Lancet.Api.boot_bg ~tiering:true ~tier_threshold:threshold ~jit_threads
-      ~jit_queue ()
+  let _, _, _, v =
+    drive ~jit_threads ~jit_queue ~threshold ~repeat file fn args
   in
-  let p = Mini.Front.load ~file rt (read_file file) in
-  let argv = Array.of_list (List.map parse_arg args) in
-  let v = ref Vm.Types.Null in
-  for _ = 1 to max 1 repeat do
-    v := Mini.Front.call p fn argv
-  done;
-  (match pool with Some b -> Bgjit.drain b | None -> ());
-  Obs.flush ();
-  Format.printf "result: %a@.@." Vm.Value.pp !v;
+  Format.printf "result: %a@.@." Vm.Value.pp v;
   print_string (Lancet.Explain.ir_report ?meth ?phase ~diff ());
-  (match pool with Some b -> Bgjit.shutdown b | None -> ());
   0
 
 (* ---- coach: ranked missed-optimization report with fix suggestions ---- *)
@@ -350,17 +322,12 @@ let ir_cmd threshold jit_threads jit_queue repeat meth phase diff file fn args =
 let coach_cmd threshold repeat interval file fn args =
   (* node counts and fingerprints only — no need to retain IR text *)
   Irtrace.enable ();
-  let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:threshold () in
   let prof = Profiler.create ~interval_ms:interval () in
-  let p = Mini.Front.load ~file rt (read_file file) in
-  let argv = Array.of_list (List.map parse_arg args) in
-  let v = ref Vm.Types.Null in
-  Profiler.profiled prof (fun () ->
-      for _ = 1 to max 1 repeat do
-        v := Mini.Front.call p fn argv
-      done);
-  Obs.flush ();
-  Format.printf "result: %a@.@." Vm.Value.pp !v;
+  let rt, _, _, v =
+    drive ~sinks:[ Profiler.sink prof ] ~sample:prof ~threshold ~repeat file fn
+      args
+  in
+  Format.printf "result: %a@.@." Vm.Value.pp v;
   print_string (Lancet.Explain.coach_report ~profiler:prof rt);
   0
 
@@ -368,21 +335,11 @@ let coach_cmd threshold repeat interval file fn args =
 
 let why_cmd threshold jit_threads jit_queue repeat meth file fn args =
   Forensics.enable ();
-  let rt, pool =
-    Lancet.Api.boot_bg ~tiering:true ~tier_threshold:threshold ~jit_threads
-      ~jit_queue ()
+  let rt, _, _, v =
+    drive ~jit_threads ~jit_queue ~threshold ~repeat file fn args
   in
-  let p = Mini.Front.load ~file rt (read_file file) in
-  let argv = Array.of_list (List.map parse_arg args) in
-  let v = ref Vm.Types.Null in
-  for _ = 1 to max 1 repeat do
-    v := Mini.Front.call p fn argv
-  done;
-  (match pool with Some b -> Bgjit.drain b | None -> ());
-  Obs.flush ();
-  Format.printf "result: %a@.@." Vm.Value.pp !v;
+  Format.printf "result: %a@.@." Vm.Value.pp v;
   print_string (Lancet.Explain.why_report ?meth rt);
-  (match pool with Some b -> Bgjit.shutdown b | None -> ());
   0
 
 (* ---- health: whole-run pathology report ---- *)
@@ -390,24 +347,14 @@ let why_cmd threshold jit_threads jit_queue repeat meth file fn args =
 let health_cmd threshold jit_threads jit_queue repeat metrics strict file fn
     args =
   Forensics.enable ();
-  let rt, pool =
-    Lancet.Api.boot_bg ~tiering:true ~tier_threshold:threshold ~jit_threads
-      ~jit_queue ()
-  in
   let j = Metrics.jit () in
-  Obs.attach (Metrics.jit_sink j);
-  let p = Mini.Front.load ~file rt (read_file file) in
-  let argv = Array.of_list (List.map parse_arg args) in
-  let v = ref Vm.Types.Null in
-  for _ = 1 to max 1 repeat do
-    v := Mini.Front.call p fn argv
-  done;
-  (match pool with Some b -> Bgjit.drain b | None -> ());
-  Obs.flush ();
-  Format.printf "result: %a@.@." Vm.Value.pp !v;
+  let rt, _, _, v =
+    drive ~jit_threads ~jit_queue ~sinks:[ Metrics.jit_sink j ] ~threshold
+      ~repeat file fn args
+  in
+  Format.printf "result: %a@.@." Vm.Value.pp v;
   print_string (Lancet.Explain.health_report rt);
-  (match metrics with Some path -> export_metrics rt j path | None -> ());
-  (match pool with Some b -> Bgjit.shutdown b | None -> ());
+  Option.iter (export_metrics rt j) metrics;
   (* --strict: CI and scripts gate on VM health through the exit code *)
   if strict && Forensics.detect () <> [] then 1 else 0
 

@@ -1860,6 +1860,32 @@ let count_compiles = ref 0 (* graphs handed to a backend, every tier *)
 let count_deopts = ref 0
 let count_recompiles = ref 0
 
+(* Report a side exit taken from [m]'s compiled code, explicit or tiered:
+   a [Deopt] at the innermost frame's pc and source line (with inlining the
+   exit may sit in a callee, so its own line table).  Returns the pc and
+   line for the caller's own remediation. *)
+let report_exit (m : meth) (se : Ir.side_exit) =
+  let pc, line =
+    match se.Ir.se_frames with
+    | fd :: _ -> (fd.Ir.fd_pc, Vm.Runtime.line_at fd.Ir.fd_meth fd.Ir.fd_pc)
+    | [] -> (-1, 0)
+  in
+  if !Obs.enabled then
+    Obs.emit
+      (Obs.Deopt
+         {
+           meth = Vm.Runtime.meth_label m;
+           mid = m.mid;
+           kind =
+             (match se.Ir.se_kind with
+             | `Interpret -> Obs.Interpret
+             | `Recompile -> Obs.Recompile);
+           tag = se.Ir.se_tag;
+           pc;
+           line;
+         });
+  (pc, line)
+
 (* The one mode-selection step, for explicit and tiered compiles alike:
    runtime hooks with the caller's side-exit handler, the lowering's typed
    mode first, its boxed mode (labelled "closure") when the graph's types
@@ -1933,6 +1959,7 @@ let compile_method ?(opts = default_options) rt (m : meth)
           last_graph := Some g;
           compile_graph rt g ~on_exit:(fun se vals ->
               incr count_deopts;
+              ignore (report_exit m se);
               (match se.Ir.se_kind with
               | `Recompile ->
                 incr count_recompiles;

@@ -1,95 +1,12 @@
 (* `lancet explain`: annotate a Mini source listing with what the JIT did to
    it — tier promotions, compilations (backend, node counts, time), deopt
-   sites, OSR entries at loop headers and, when a profiler ran, per-line
-   residency.  A collector sink records events keyed by method id /
-   (method id, pc); rendering resolves ids back to source lines through the
-   methods' line tables. *)
-
-type compile_rec = {
-  xc_backend : string;
-  xc_fallback : string option;
-  xc_nodes_in : int;
-  xc_nodes_out : int;
-  xc_ms : float;
-}
-
-type promote_rec = { xp_label : string; xp_calls : int; xp_backedges : int }
-
-type deopt_rec = {
-  xd_label : string;
-  xd_tag : string;
-  xd_kind : Obs.deopt_kind;
-  xd_line : int;
-  mutable xd_count : int;
-}
-
-type osr_rec = {
-  xo_label : string;
-  xo_line : int;
-  xo_steps : int; (* own steps at the first entry *)
-  mutable xo_count : int;
-}
-
-type t = {
-  promotes : (int, promote_rec) Hashtbl.t; (* mid -> first promotion *)
-  compiles : (int, compile_rec list ref) Hashtbl.t; (* mid -> in order *)
-  deopts : (int * int, deopt_rec) Hashtbl.t; (* (mid, pc) -> site *)
-  osr : (int * int, osr_rec) Hashtbl.t; (* (mid, header pc) -> entries *)
-}
-
-let create () =
-  {
-    promotes = Hashtbl.create 16;
-    compiles = Hashtbl.create 16;
-    deopts = Hashtbl.create 16;
-    osr = Hashtbl.create 4;
-  }
-
-let on_event t (ev : Obs.event) =
-  match ev with
-  | Obs.Tier_promote { mid; meth; calls; backedges } ->
-    if not (Hashtbl.mem t.promotes mid) then
-      Hashtbl.replace t.promotes mid
-        { xp_label = meth; xp_calls = calls; xp_backedges = backedges }
-  | Obs.Compile_end c ->
-    let l =
-      match Hashtbl.find_opt t.compiles c.Obs.ci_mid with
-      | Some l -> l
-      | None ->
-        let l = ref [] in
-        Hashtbl.replace t.compiles c.Obs.ci_mid l;
-        l
-    in
-    l :=
-      {
-        xc_backend = c.Obs.ci_backend;
-        xc_fallback = c.Obs.ci_fallback;
-        xc_nodes_in = c.Obs.ci_nodes_in;
-        xc_nodes_out = c.Obs.ci_nodes_out;
-        xc_ms = c.Obs.ci_ms;
-      }
-      :: !l
-  | Obs.Deopt { mid; meth; tag; kind; pc; line } -> (
-    match Hashtbl.find_opt t.deopts (mid, pc) with
-    | Some d -> d.xd_count <- d.xd_count + 1
-    | None ->
-      Hashtbl.replace t.deopts (mid, pc)
-        { xd_label = meth; xd_tag = tag; xd_kind = kind; xd_line = line;
-          xd_count = 1 })
-  | Obs.Osr_entry { mid; meth; pc; line; steps } -> (
-    match Hashtbl.find_opt t.osr (mid, pc) with
-    | Some o -> o.xo_count <- o.xo_count + 1
-    | None ->
-      Hashtbl.replace t.osr (mid, pc)
-        { xo_label = meth; xo_line = line; xo_steps = steps; xo_count = 1 })
-  | _ -> ()
-
-let sink t =
-  {
-    Obs.sink_name = "explain";
-    sink_emit = (fun ~ts:_ ev -> on_event t ev);
-    sink_flush = ignore;
-  }
+   sites, OSR entries at loop headers and, when the sampler ran, per-line
+   residency.  Everything counted comes from the run's [Profiler], keyed
+   by method id and (method id, pc); rendering resolves ids back to source
+   lines through the methods' line tables.  Deopt causes come from the
+   decision journal when it ran.  The rest of this module renders the
+   journal (`lancet why`, `health`), the IR snapshots (`lancet ir`) and the
+   missed optimizations (`lancet coach`). *)
 
 (* ---- journal lookups (used when the decision journal ran) ---- *)
 
@@ -125,30 +42,28 @@ let deopt_consequences mid =
 
 (* ---- rendering ---- *)
 
-let describe_compiles ?(timings = true) recs =
-  let recs = List.rev recs in
-  let one (r : compile_rec) =
-    Printf.sprintf "%s backend%s, %d->%d nodes%s" r.xc_backend
-      (match r.xc_fallback with
+(* [n] compiles, the last one [c]. *)
+let describe_compiles ?(timings = true) n (c : Obs.compile_info) =
+  let last =
+    Printf.sprintf "%s backend%s, %d->%d nodes%s" c.Obs.ci_backend
+      (match c.Obs.ci_fallback with
       | Some why -> Printf.sprintf " (typed fell back: %s)" why
       | None -> "")
-      r.xc_nodes_in r.xc_nodes_out
-      (if timings then Printf.sprintf ", %.2fms" r.xc_ms else "")
+      c.Obs.ci_nodes_in c.Obs.ci_nodes_out
+      (if timings then Printf.sprintf ", %.2fms" c.Obs.ci_ms else "")
   in
-  match recs with
-  | [] -> "compiled"
-  | [ r ] -> "compiled: " ^ one r
-  | r :: _ ->
-    Printf.sprintf "compiled x%d (last: %s)" (List.length recs) (one r)
+  if n = 1 then "compiled: " ^ last
+  else Printf.sprintf "compiled x%d (last: %s)" n last
 
 let kind_word = function
   | Obs.Interpret -> "to interpreter"
   | Obs.Recompile -> "recompile"
 
-(* Annotate [src] (the Mini program text) with everything [t] recorded.
-   Events whose method has no line table (or which point outside [src]) are
-   listed at the end rather than dropped. *)
-let render ?(timings = true) ?(ir = false) ?profiler t rt ~src =
+(* Annotate [src] (the Mini program text) with everything [p] recorded,
+   per-line residency only with [residency].  Events whose method has no
+   line table (or which point outside [src]) are listed at the end rather
+   than dropped. *)
+let render ?(timings = true) ?(ir = false) ~residency (p : Profiler.t) rt ~src =
   let lines = String.split_on_char '\n' src in
   let nlines = List.length lines in
   let ann : (int, string list ref) Hashtbl.t = Hashtbl.create 32 in
@@ -172,46 +87,41 @@ let render ?(timings = true) ?(ir = false) ?profiler t rt ~src =
     | Some m -> Vm.Runtime.meth_def_line m
     | None -> 0
   in
-  Hashtbl.iter
-    (fun mid (p : promote_rec) ->
-      add_at (def_line mid)
-        (Printf.sprintf "%s: promoted to tier 1 (calls=%d backedges=%d)"
-           p.xp_label p.xp_calls p.xp_backedges))
-    t.promotes;
-  Hashtbl.iter
-    (fun mid recs ->
-      let label =
-        match Vm.Runtime.find_method_by_id rt mid with
-        | Some m -> Vm.Runtime.meth_label m
-        | None -> Printf.sprintf "mid %d" mid
-      in
-      add_at (def_line mid)
-        (Printf.sprintf "%s: %s" label (describe_compiles ~timings !recs)))
-    t.compiles;
-  (* deopt sites, stable order: by (mid, pc) *)
-  let deopt_sites =
-    Hashtbl.fold (fun k d acc -> (k, d) :: acc) t.deopts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   List.iter
-    (fun ((mid, pc), (d : deopt_rec)) ->
+    (fun (m : Profiler.meth_stat) ->
+      let line = def_line m.pm_mid in
+      (match m.pm_promoted with
+      | Some (calls, backedges) ->
+        add_at line
+          (Printf.sprintf "%s: promoted to tier 1 (calls=%d backedges=%d)"
+             m.pm_label calls backedges)
+      | None -> ());
+      match m.pm_last_compile with
+      | Some c ->
+        add_at line
+          (Printf.sprintf "%s: %s" m.pm_label
+             (describe_compiles ~timings m.pm_compiles c))
+      | None -> ())
+    (Profiler.methods p);
+  List.iter
+    (fun ((m : Profiler.meth_stat), pc, (d : Profiler.deopt_site)) ->
       let causes =
-        match deopt_causes mid pc with
+        match deopt_causes m.pm_mid pc with
         | [] -> ""
         | cs -> "; cause: " ^ String.concat "; " cs
       in
-      add_at d.xd_line
-        (Printf.sprintf "%s: deopt x%d @pc %d (%s, %s)%s" d.xd_label d.xd_count
-           pc d.xd_tag (kind_word d.xd_kind) causes))
-    deopt_sites;
+      add_at d.ds_line
+        (Printf.sprintf "%s: deopt x%d @pc %d (%s, %s)%s" m.pm_label
+           d.ds_count pc d.ds_tag (kind_word d.ds_kind) causes))
+    (Profiler.deopt_sites p);
   (* OSR entries, at their loop header's line *)
-  Hashtbl.fold (fun k o acc -> (k, o) :: acc) t.osr []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun ((_, pc), (o : osr_rec)) ->
-         add_at o.xo_line
-           (Printf.sprintf "%s: OSR entry x%d at loop header @pc %d (after %d \
-                            own steps)"
-              o.xo_label o.xo_count pc o.xo_steps));
+  List.iter
+    (fun ((m : Profiler.meth_stat), pc, (o : Profiler.osr_site)) ->
+      add_at o.os_line
+        (Printf.sprintf "%s: OSR entry x%d at loop header @pc %d (after %d \
+                         own steps)"
+           m.pm_label o.os_count pc o.os_steps))
+    (Profiler.osr_sites p);
   (* inline-cache sites, stable order: by (mid, pc).  State is read live
      from the runtime (the sites ARE the profile), not replayed from
      events, so this shows where each site ended up: mono:Cls, poly:{A,B}
@@ -231,16 +141,14 @@ let render ?(timings = true) ?(ir = false) ?profiler t rt ~src =
              (Vm.Inlinecache.state_string site)
              site.Vm.Types.cs_hits site.Vm.Types.cs_misses))
     ic_sites;
-  (match profiler with
-  | None -> ()
-  | Some p ->
+  if residency then
     List.iter
       (fun (line, (ls : Profiler.line_stat)) ->
-        if ls.Profiler.ls_samples > 0 || ls.Profiler.ls_exec_ms > 0.0 then
+        if ls.ls_samples > 0 || ls.ls_exec_ms > 0.0 then
           add_at line
             (Printf.sprintf "residency: %d interp samples, %.2fms compiled"
-               ls.Profiler.ls_samples ls.Profiler.ls_exec_ms))
-      (Profiler.line_stats p));
+               ls.ls_samples ls.ls_exec_ms))
+      (Profiler.line_stats p);
   (* --ir: per-line surviving-node counts per phase, from each method's most
      recent compile (Irtrace must have been enabled during the run) *)
   if ir then begin

@@ -93,12 +93,6 @@ type t = {
   mutable last_evictions : int;
   mutable stop : bool;
   mutable ticker : unit Domain.t option;
-  (* metrics, when a registry was supplied *)
-  m_demotions : Metrics.counter option;
-  m_backoffs : Metrics.counter option;
-  m_blacklists : Metrics.counter option;
-  m_watchdog_kills : Metrics.counter option;
-  m_throttles : Metrics.counter option;
 }
 
 let locked t f =
@@ -110,8 +104,6 @@ let locked t f =
   | exception e ->
     Mutex.unlock t.lock;
     raise e
-
-let mcount c = match c with Some c -> Metrics.inc c | None -> ()
 
 let entry_for t mid =
   match Hashtbl.find_opt t.entries mid with
@@ -127,7 +119,6 @@ let stats t = t.st
 let blacklist t (m : meth) ~why err =
   m.mtier <- Tier_blacklisted;
   t.st.g_blacklists <- t.st.g_blacklists + 1;
-  mcount t.m_blacklists;
   if !Obs.enabled then
     Obs.emit
       (Obs.Compile_blacklist
@@ -173,8 +164,6 @@ let on_deopt t (m : meth) tag pc _line =
           e.e_bar <- t.base_threshold * (1 lsl e.e_level);
           t.st.g_demotions <- t.st.g_demotions + 1;
           t.st.g_backoffs <- t.st.g_backoffs + 1;
-          mcount t.m_demotions;
-          mcount t.m_backoffs;
           if !Obs.enabled then
             Obs.emit
               (Obs.Demote
@@ -226,10 +215,7 @@ let throttle t ~knob ~cause ~up =
   in
   if now <> was then begin
     tr.t_threshold <- now;
-    if up then begin
-      t.st.g_throttle_ups <- t.st.g_throttle_ups + 1;
-      mcount t.m_throttles
-    end
+    if up then t.st.g_throttle_ups <- t.st.g_throttle_ups + 1
     else t.st.g_throttle_downs <- t.st.g_throttle_downs + 1;
     if !Obs.enabled then Obs.emit (Obs.Throttle { knob; was; now; cause })
   end
@@ -275,7 +261,6 @@ let watchdog t =
                  worker eventually returns is discarded at install *)
               Vm.Runtime.tier_invalidate ~why t.rt m;
               t.st.g_watchdog_kills <- t.st.g_watchdog_kills + 1;
-              mcount t.m_watchdog_kills;
               if !Obs.enabled then
                 Obs.emit
                   (Obs.Watchdog_kill
@@ -325,8 +310,7 @@ let tick t =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
-let attach ?(cfg = default_config) ?reg ?pool ?(ticker = false) rt =
-  let c name = Option.map (fun r -> Metrics.counter r name) reg in
+let attach ?(cfg = default_config) ?pool ?(ticker = false) rt =
   let t =
     {
       rt;
@@ -353,11 +337,6 @@ let attach ?(cfg = default_config) ?reg ?pool ?(ticker = false) rt =
       last_evictions = rt.tiering.t_evictions;
       stop = false;
       ticker = None;
-      m_demotions = c "governor_demotions";
-      m_backoffs = c "governor_backoffs";
-      m_blacklists = c "governor_blacklists";
-      m_watchdog_kills = c "watchdog_kills";
-      m_throttles = c "governor_throttles";
     }
   in
   rt.tiering.t_on_deopt <- Some (fun m tag pc line -> on_deopt t m tag pc line);

@@ -17,9 +17,9 @@
    recompile alike — goes through [build], which is the single place that
    counts [t_compiles]; it emits [Compile_start]/[Compile_end] through
    [Compiler.with_compile_events], as explicit compiles do.  Side
-   exits emit [Deopt] with the bytecode pc of the innermost frame, and the
-   installed entry point samples its own execution time into [Exec_sample]
-   events when a sink is attached.
+   exits emit [Deopt] through [Compiler.report_exit], as explicit
+   compiles' exits do, and the installed entry point samples its own
+   execution time into [Exec_sample] events when a sink is attached.
 
    OSR-in: [osr], the runtime's [t_osr] hook, builds the rest of a method
    from a loop header for one interpreter activation through the same
@@ -99,32 +99,7 @@ let compile_method_dyn ?entry rt (m : meth) :
   let rec on_exit se vals =
     let t = rt.tiering in
     t.t_deopts <- t.t_deopts + 1;
-    let se_pc =
-      match se.Lms.Ir.se_frames with
-      | fd :: _ -> fd.Lms.Ir.fd_pc
-      | [] -> -1
-    in
-    let se_line =
-      match se.Lms.Ir.se_frames with
-      | fd :: _ -> Vm.Runtime.line_at fd.Lms.Ir.fd_meth fd.Lms.Ir.fd_pc
-      | [] -> 0
-    in
-    if !Obs.enabled then
-      Obs.emit
-        (Obs.Deopt
-           {
-             meth = label;
-             mid = m.mid;
-             kind =
-               (match se.Lms.Ir.se_kind with
-               | `Interpret -> Obs.Interpret
-               | `Recompile -> Obs.Recompile);
-             tag = se.Lms.Ir.se_tag;
-             (* the innermost frame's own pc/line table: with inlining the
-                deopt site may sit in a callee *)
-             pc = se_pc;
-             line = se_line;
-           });
+    let se_pc, se_line = C.report_exit m se in
     (* the governor's circuit breaker sees every deopt; when it acts (demote
        to interpreter, blacklist) the normal remediation below is skipped —
        re-enqueueing a recompile would defeat the backoff *)

@@ -16,7 +16,7 @@
    1. Disabled cost is a single load+branch: every site is
       `if !Irtrace.on then ...` and tracing starts disabled.  The overhead
       gate runs in `bench/main.exe check`.
-   2. Bounded memory: snapshots land in a fixed ring and missed-optimization
+   2. Bounded memory: snapshots land in an [Obs.Ring] and missed-optimization
       records dedupe by site into a capped table with counts.
    3. Domain-safe: background JIT workers compile concurrently; the current
       compile's identity is domain-local ([Domain.DLS]) and a mutex guards
@@ -74,9 +74,7 @@ type missed = {
 (* The store                                                           *)
 
 type store = {
-  cap : int; (* snapshot ring capacity *)
-  snaps : snapshot array;
-  mutable n : int; (* total snapshots ever recorded *)
+  snaps : snapshot Obs.Ring.t;
   misses : (int * int * string, missed) Hashtbl.t; (* (mid, pc, key) *)
   mutable miss_order : (int * int * string) list; (* newest-first keys *)
   miss_cap : int;
@@ -87,22 +85,6 @@ type store = {
   lock : Mutex.t;
 }
 
-let dummy_snapshot =
-  {
-    sn_cid = -1;
-    sn_mid = -1;
-    sn_meth = "";
-    sn_spec = "";
-    sn_phase = "";
-    sn_blocks = 0;
-    sn_nodes = 0;
-    sn_ops = [];
-    sn_lines = [];
-    sn_fp = "";
-    sn_text = None;
-    sn_meta = [];
-  }
-
 (* THE fast-path flag, mirroring [Obs.enabled]: capturing a snapshot walks
    the graph, so this layer keeps a flag of its own. *)
 let on = ref false
@@ -110,13 +92,10 @@ let on = ref false
 let store : store option ref = ref None
 
 let enable ?(capacity = 1024) ?(keep_text = false) () =
-  let cap = max 16 capacity in
   store :=
     Some
       {
-        cap;
-        snaps = Array.make cap dummy_snapshot;
-        n = 0;
+        snaps = Obs.Ring.create ~capacity:(max 16 capacity) ();
         misses = Hashtbl.create 64;
         miss_order = [];
         miss_cap = 4096;
@@ -135,7 +114,7 @@ let disable () =
    lock: it is fixed for the lifetime of one [enable]. *)
 let keep_text () = match !store with Some s -> s.keep_text | None -> false
 
-let seen () = match !store with Some s -> s.n | None -> 0
+let seen () = match !store with Some s -> Obs.Ring.seen s.snaps | None -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Current compile (domain-local)                                      *)
@@ -194,8 +173,7 @@ let record_snapshot ~phase ~blocks ~nodes ~ops ~lines ~fp ?text ?(meta = []) () 
       }
     in
     Mutex.lock s.lock;
-    s.snaps.(s.n mod s.cap) <- sn;
-    s.n <- s.n + 1;
+    Obs.Ring.push s.snaps sn;
     let key = (mid, spec, phase) in
     let same = Hashtbl.find_opt s.fps key = Some fp in
     if same then s.refits <- s.refits + 1 else Hashtbl.replace s.fps key fp;
@@ -260,8 +238,7 @@ let snapshots () =
   | None -> []
   | Some s ->
     Mutex.lock s.lock;
-    let k = min s.n s.cap in
-    let l = List.init k (fun i -> s.snaps.((s.n - k + i) mod s.cap)) in
+    let l = Obs.Ring.contents s.snaps in
     Mutex.unlock s.lock;
     l
 

@@ -10,10 +10,9 @@
    2. The bus is below every other library (it knows nothing about the VM),
       so events carry plain strings and ints: method ids, "Cls.name" labels,
       bytecode pcs.  The VM/JIT layers translate at the emit site.
-   3. Sinks are synchronous and composable: a ring buffer for tests and
-      post-mortem dumps, a text log in the spirit of HotSpot's
-      -XX:+PrintCompilation, a Chrome trace_event JSON writer for
-      chrome://tracing, and a per-method profile aggregator; elsewhere the
+   3. Sinks are synchronous and composable: here a ring buffer for tests
+      and post-mortem dumps and a Chrome trace_event JSON writer for
+      chrome://tracing; elsewhere the run aggregate ([Profiler]), the
       decision journal ([Forensics]) and the metrics bundle ([Metrics]).
       The engine emits each JIT decision once, with its [cause], and every
       sink sees the same stream.
@@ -598,9 +597,9 @@ let span ?(cat = "phase") name f =
 
 module Ring = struct
   (* A bounded ring of any element type: the stock sink below keeps
-     (timestamp, event) pairs, the decision journal ([Forensics]) keeps
-     its decisions.  Pushes and reads of a ring fed by a sink run under
-     [bus_lock]. *)
+     (timestamp, event) pairs, the decision journal ([Forensics]) its
+     decisions and [Irtrace] its IR snapshots.  Pushes and reads of a ring
+     fed by a sink run under [bus_lock]; Irtrace's under its own lock. *)
   type 'a t = {
     cap : int;
     mutable data : 'a array; (* allocated by the first push *)
@@ -811,130 +810,6 @@ module Chrome = struct
     {
       sink_name = "chrome";
       sink_emit = (fun ~ts ev -> on_event t ~ts ev);
-      sink_flush = ignore;
-    }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Per-method profile aggregation                                      *)
-
-module Profile = struct
-  type entry = {
-    pe_mid : int;
-    mutable pe_meth : string;
-    mutable pe_calls : int; (* latest sampled interpreter invocation count *)
-    mutable pe_backedges : int;
-    mutable pe_promotes : int;
-    mutable pe_compiles : int;
-    mutable pe_deopts : int;
-    mutable pe_installs : int;
-    mutable pe_evicts : int;
-    mutable pe_invalidates : int;
-    mutable pe_compile_ms : float;
-    mutable pe_exec_calls : int; (* compiled entry-point invocations *)
-    mutable pe_exec_ms : float; (* cumulative compiled execution time *)
-  }
-
-  type t = { tbl : (int, entry) Hashtbl.t }
-
-  let create () = { tbl = Hashtbl.create 64 }
-
-  let entry t mid meth =
-    match Hashtbl.find_opt t.tbl mid with
-    | Some e ->
-      if e.pe_meth = "" then e.pe_meth <- meth;
-      e
-    | None ->
-      let e =
-        {
-          pe_mid = mid;
-          pe_meth = meth;
-          pe_calls = 0;
-          pe_backedges = 0;
-          pe_promotes = 0;
-          pe_compiles = 0;
-          pe_deopts = 0;
-          pe_installs = 0;
-          pe_evicts = 0;
-          pe_invalidates = 0;
-          pe_compile_ms = 0.0;
-          pe_exec_calls = 0;
-          pe_exec_ms = 0.0;
-        }
-      in
-      Hashtbl.replace t.tbl mid e;
-      e
-
-  let on_event t ev =
-    let p () =
-      let mid, meth = about ev in
-      entry t mid meth
-    in
-    match ev with
-    | Interp_call { calls; backedges; _ } ->
-      let p = p () in
-      p.pe_calls <- max p.pe_calls calls;
-      p.pe_backedges <- max p.pe_backedges backedges
-    | Tier_promote { calls; backedges; _ } ->
-      let p = p () in
-      p.pe_promotes <- p.pe_promotes + 1;
-      p.pe_calls <- max p.pe_calls calls;
-      p.pe_backedges <- max p.pe_backedges backedges
-    | Compile_end c ->
-      let p = p () in
-      p.pe_compiles <- p.pe_compiles + 1;
-      p.pe_compile_ms <- p.pe_compile_ms +. c.ci_ms
-    | Deopt _ ->
-      let p = p () in
-      p.pe_deopts <- p.pe_deopts + 1
-    | Cache_install _ ->
-      let p = p () in
-      p.pe_installs <- p.pe_installs + 1
-    | Cache_evict _ ->
-      let p = p () in
-      p.pe_evicts <- p.pe_evicts + 1
-    | Cache_invalidate _ ->
-      let p = p () in
-      p.pe_invalidates <- p.pe_invalidates + 1
-    | Exec_sample e ->
-      let p = p () in
-      p.pe_exec_calls <- p.pe_exec_calls + e.calls;
-      p.pe_exec_ms <- p.pe_exec_ms +. e.ms
-    | _ -> ()
-
-  let find t mid = Hashtbl.find_opt t.tbl mid
-
-  let entries t =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
-    |> List.sort (fun a b ->
-           match compare b.pe_exec_ms a.pe_exec_ms with
-           | 0 -> (
-             match compare b.pe_compiles a.pe_compiles with
-             | 0 -> compare b.pe_calls a.pe_calls
-             | c -> c)
-           | c -> c)
-
-  (* Sorted per-method table (hottest compiled-execution time first). *)
-  let table t =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b
-      (Printf.sprintf "%-32s %8s %9s %5s %5s %5s %5s %5s %9s %9s %9s\n" "method"
-         "calls" "backedges" "promo" "comp" "deopt" "inst" "evict" "c-ms"
-         "x-calls" "x-ms");
-    List.iter
-      (fun e ->
-        Buffer.add_string b
-          (Printf.sprintf "%-32s %8d %9d %5d %5d %5d %5d %5d %9.2f %9d %9.2f\n"
-             e.pe_meth e.pe_calls e.pe_backedges e.pe_promotes e.pe_compiles
-             e.pe_deopts e.pe_installs e.pe_evicts e.pe_compile_ms
-             e.pe_exec_calls e.pe_exec_ms))
-      (entries t);
-    Buffer.contents b
-
-  let sink t =
-    {
-      sink_name = "profile";
-      sink_emit = (fun ~ts:_ ev -> on_event t ev);
       sink_flush = ignore;
     }
 end

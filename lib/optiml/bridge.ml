@@ -11,10 +11,6 @@ type Lms.Ir.ext_op += Delite_call of string
 (* device used by Delite ops triggered from bytecode, set by benches *)
 let device : Delite.Exec.device ref = ref Delite.Exec.Seq
 
-(* accumulated modeled seconds spent in Delite ops *)
-let op_seconds : float ref = ref 0.0
-let note (t : Delite.Exec.timing) = op_seconds := !op_seconds +. t.modeled
-
 (* ---- closure compilation cache ---- *)
 
 (* Closures passed to Delite ops are Lancet-compiled once per closure class
@@ -87,24 +83,22 @@ let op_sum rt (args : value array) : value =
   let stop = Vm.Value.to_int args.(1) in
   let size = Vm.Value.to_int args.(2) in
   let block = call1 rt args.(3) in
-  let out, t =
+  let out, _ =
     Delite.Rows.sum_rows ~dev:!device ~start ~stop ~size ~block:(fun i tmp ->
         let v = block (Int i) in
         let d = vector_data v in
         Array.blit d 0 tmp 0 size)
   in
-  note t;
   wrap_vector rt out
 
 let op_sum_scalar rt (args : value array) : value =
   let start = Vm.Value.to_int args.(0) in
   let stop = Vm.Value.to_int args.(1) in
   let f = call1 rt args.(2) in
-  let out, t =
+  let out, _ =
     Delite.Rows.sum_scalar ~dev:!device ~start ~stop ~f:(fun i ->
         Vm.Value.to_float (f (Int i)))
   in
-  note t;
   Float out
 
 let op_group_sum rt (args : value array) : value =
@@ -115,7 +109,7 @@ let op_group_sum rt (args : value array) : value =
   let size = Vm.Value.to_int args.(3) in
   let key = call1 rt args.(4) in
   let block = call1 rt args.(5) in
-  let sums, _counts, t =
+  let sums, _, _ =
     Delite.Rows.group_sum ~dev:!device ~start ~stop ~groups ~size
       ~key:(fun i -> Vm.Value.to_int (key (Int i)))
       ~block:(fun i acc _g ->
@@ -124,7 +118,6 @@ let op_group_sum rt (args : value array) : value =
           acc.(j) <- acc.(j) +. d.(j)
         done)
   in
-  note t;
   let flat = Array.make (groups * size) 0.0 in
   Array.iteri (fun g row -> Array.blit row 0 flat (g * size) size) sums;
   wrap_matrix rt flat ~rows:groups ~cols:size
@@ -134,12 +127,11 @@ let op_group_count rt (args : value array) : value =
   let stop = Vm.Value.to_int args.(1) in
   let groups = Vm.Value.to_int args.(2) in
   let key = call1 rt args.(3) in
-  let _sums, counts, t =
+  let _, counts, _ =
     Delite.Rows.group_sum ~dev:!device ~start ~stop ~groups ~size:0
       ~key:(fun i -> Vm.Value.to_int (key (Int i)))
       ~block:(fun _ _ _ -> ())
   in
-  note t;
   Farr (Array.map float_of_int counts)
 
 (* the whole-pipeline accelerator for totalScore: one fused pass, SoA, no
@@ -149,12 +141,11 @@ let op_total_score rt (args : value array) : value =
   let score_clo = args.(1) in
   let score = call1 rt score_clo in
   let n = Array.length names in
-  let out, t =
+  let out, _ =
     Delite.Rows.sum_scalar ~dev:!device ~start:0 ~stop:n ~f:(fun i ->
         let s = Vm.Value.to_float (score names.(i)) in
         float_of_int (i + 1) *. s)
   in
-  note t;
   Float out
 
 let dispatch rt name (args : value array) : value =

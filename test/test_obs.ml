@@ -244,27 +244,59 @@ let test_chrome_trace () =
   | Error e -> Alcotest.failf "escaping broke JSON: %s" e
 
 let test_profile () =
-  let profile = Obs.Profile.create () in
+  let profile = Profiler.create () in
   let rt = boot_tiered ~threshold:4 () in
   let p = Mini.Front.load rt hot_src in
-  Obs.with_sink (Obs.Profile.sink profile) (fun () ->
+  Obs.with_sink (Profiler.sink profile) (fun () ->
       for k = 0 to 199 do
         ignore (Mini.Front.call p "hot" [| Int 50; Int k |])
       done);
   let m = Mini.Front.find_function p "hot" in
-  (match Obs.Profile.find profile m.mid with
+  (match Profiler.find profile m.mid with
   | None -> Alcotest.fail "hot method missing from profile"
   | Some e ->
     check_bool "label" true
-      (String.ends_with ~suffix:".hot" e.Obs.Profile.pe_meth);
-    check_int "one promotion" 1 e.Obs.Profile.pe_promotes;
-    check_int "one compile" 1 e.Obs.Profile.pe_compiles;
-    check_int "one install" 1 e.Obs.Profile.pe_installs;
-    check_int "no deopts" 0 e.Obs.Profile.pe_deopts;
-    check_bool "compile time accumulated" true (e.Obs.Profile.pe_compile_ms > 0.);
-    check_bool "compiled calls sampled" true (e.Obs.Profile.pe_exec_calls > 0));
-  let table = Obs.Profile.table profile in
+      (String.ends_with ~suffix:".hot" e.Profiler.pm_label);
+    check_int "one promotion" 1 e.Profiler.pm_promotes;
+    check_int "one compile" 1 e.Profiler.pm_compiles;
+    check_int "one install" 1 e.Profiler.pm_installs;
+    check_int "no deopts" 0 e.Profiler.pm_deopts;
+    check_bool "compile time accumulated" true (e.Profiler.pm_compile_ms > 0.);
+    check_bool "compiled calls sampled" true (e.Profiler.pm_exec_calls > 0));
+  let table = Profiler.table profile in
   check_bool "table lists the method" true (Vm.Strutil.contains table ".hot")
+
+(* Side exits of an explicitly compiled closure are reported like tier-1
+   ones: a `speculate` that fails for half of 200 calls leaves 100 Deopt
+   events at the guard's pc and line, all about the closure's method. *)
+let test_explicit_compile_deopts () =
+  let src =
+    "def main(): int = {\n\
+    \  val f = Lancet.compile(fun (x: int) => if (Lancet.speculate(x < 100)) \
+     x * 3 else x - 7);\n\
+    \  var acc = 0;\n\
+    \  for (i <- 0 until 200) { acc = acc + f(i) };\n\
+    \  acc\n\
+     }\n"
+  in
+  let rt = Lancet.Api.boot () in
+  let p = Mini.Front.load rt src in
+  let events = record (fun () -> ignore (Mini.Front.call p "main" [||])) in
+  let deopts =
+    List.filter_map
+      (function
+        | Obs.Deopt d when d.tag = "speculate" ->
+          Some (d.mid, d.meth, d.kind, d.line)
+        | _ -> None)
+      events
+  in
+  check_int "one deopt per failed speculation" 100 (List.length deopts);
+  match List.sort_uniq compare deopts with
+  | [ (_, meth, kind, line) ] ->
+    check_bool "about the closure" true (String.ends_with ~suffix:".apply" meth);
+    check_bool "to the interpreter" true (kind = Obs.Interpret);
+    check_int "at the guard's line" 2 line
+  | _ -> Alcotest.fail "deopts from more than one site"
 
 let test_spans () =
   let events =
@@ -374,6 +406,8 @@ let suite =
     Alcotest.test_case "eviction-events" `Quick test_eviction_events;
     Alcotest.test_case "chrome-trace" `Quick test_chrome_trace;
     Alcotest.test_case "profile" `Quick test_profile;
+    Alcotest.test_case "explicit-compile-deopts" `Quick
+      test_explicit_compile_deopts;
     Alcotest.test_case "spans" `Quick test_spans;
     Alcotest.test_case "json-validator" `Quick test_json_validator;
     Alcotest.test_case "disasm-mark" `Quick test_disasm_mark;

@@ -181,15 +181,17 @@ let spec_src =
 
 let test_explain () =
   let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:4 () in
-  let x = Lancet.Explain.create () in
-  Obs.with_sink (Lancet.Explain.sink x) (fun () ->
+  let x = Profiler.create () in
+  Obs.with_sink (Profiler.sink x) (fun () ->
       let p = Mini.Front.load ~file:"spec.mini" rt spec_src in
       for i = 1 to 40 do
         (* every 10th call breaks the speculation: 4 deopts, deterministic *)
         let xv = if i mod 10 = 0 then 100_000 + i else i in
         ignore (Mini.Front.call p "spec" [| Int xv |])
       done);
-  let out = Lancet.Explain.render ~timings:false x rt ~src:spec_src in
+  let out =
+    Lancet.Explain.render ~timings:false ~residency:false x rt ~src:spec_src
+  in
   check_bool "promotion annotated" true
     (Util.contains_sub out "promoted to tier 1");
   check_bool "compilation annotated" true (Util.contains_sub out "compiled");
@@ -221,11 +223,13 @@ let test_explain () =
      }\n"
   in
   let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:2 () in
-  let x = Lancet.Explain.create () in
-  Obs.with_sink (Lancet.Explain.sink x) (fun () ->
+  let x = Profiler.create () in
+  Obs.with_sink (Profiler.sink x) (fun () ->
       let p = Mini.Front.load ~file:"count.mini" rt loop_src in
       ignore (Mini.Front.call p "count" [| Int 20_000 |]));
-  let out = Lancet.Explain.render ~timings:false x rt ~src:loop_src in
+  let out =
+    Lancet.Explain.render ~timings:false ~residency:false x rt ~src:loop_src
+  in
   let lines = String.split_on_char '\n' out in
   let rec after_while = function
     | l :: next :: _ when Util.contains_sub l "   4 | " -> next
@@ -236,6 +240,49 @@ let test_explain () =
     (Util.contains_sub (after_while lines)
        "Main$1.count: OSR entry x1 at loop header @pc 8")
 
+(* A `Lancet.stable` flip rebuilds the method against the new value, and
+   the `false` arm is the larger graph: explain's "last:" must carry the
+   node counts of the rebuild, the last Compile_end of the method. *)
+let test_explain_last_compile () =
+  let src =
+    "var fast: bool = true\n\
+     def f(x: int): int = if (Lancet.stable(fun () => fast)) x + 1 else (x * \
+     7 + x / 3 - 5) % 1009\n\
+     def main(): int = {\n\
+    \  var acc = 0;\n\
+    \  for (i <- 0 until 100) { acc = acc + f(i) };\n\
+    \  fast = false;\n\
+    \  for (i <- 0 until 100) { acc = acc + f(i) };\n\
+    \  acc\n\
+     }\n"
+  in
+  let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:4 () in
+  let x = Profiler.create () in
+  let ring = Obs.Ring.create () in
+  let p = Mini.Front.load ~file:"flip.mini" rt src in
+  Obs.with_sink (Obs.Ring.sink ring) (fun () ->
+      Obs.with_sink (Profiler.sink x) (fun () ->
+          ignore (Mini.Front.call p "main" [||])));
+  let f = (Mini.Front.find_function p "f").mid in
+  let counts =
+    List.filter_map
+      (function
+        | Obs.Compile_end c when c.Obs.ci_mid = f ->
+          Some (c.Obs.ci_nodes_in, c.Obs.ci_nodes_out)
+        | _ -> None)
+      (Obs.Ring.events ring)
+  in
+  match counts with
+  | [ (in1, _); (in2, out2) ] ->
+    check_bool "the rebuild is the larger graph" true (in2 > in1);
+    let out = Lancet.Explain.render ~timings:false ~residency:false x rt ~src in
+    check_bool "last names the rebuild" true
+      (Util.contains_sub out
+         (Printf.sprintf
+            "Main$1.f: compiled x2 (last: typed backend, %d->%d nodes)" in2
+            out2))
+  | _ -> Alcotest.failf "f compiled %d times, not twice" (List.length counts)
+
 let suite =
   [
     Alcotest.test_case "assembler line table" `Quick test_assembler_lines;
@@ -245,4 +292,6 @@ let suite =
     Alcotest.test_case "prov through staging" `Quick test_prov_stage;
     Alcotest.test_case "profiler on kmeans" `Quick test_profiler_kmeans;
     Alcotest.test_case "explain annotates source" `Quick test_explain;
+    Alcotest.test_case "explain names the last compile" `Quick
+      test_explain_last_compile;
   ]
