@@ -32,7 +32,10 @@
    - An extension op ([Ir.Ext]) is one boxed step: the compiler registered
      in [Hooks] for it, over getters of its arguments' value-lane slots.
    - A single-use [iadd]/[isub]/[imul] over int operands folds into the
-     index of its array load or store, and [a*b+c] is one index.  A float
+     index of its array load or store, and [a*b+c] is one index, computed
+     in place by the step that reads it.  Every array access unwraps its
+     array with an inline match; only another kind of value reaches
+     [Vm.Value.to_farr]/[to_arr], which raise the interpreter's error.  A float
      op on two single-use loads is one step, and so is [x +- y*z] with a
      single-use [fmul].  A folded load may only move past nodes that
      cannot raise or touch state, or past the other folded load, and the
@@ -194,27 +197,23 @@ let class_id a d : step =
   r.ints.(d) <-
     (match r.vals.(a) with Vm.Types.Obj o -> o.ocls.cid | _ -> -1)
 
-(* An array index: an int slot, or a folded int expression computed in
-   place. *)
-type index = Islot of int | Ifun of (regs -> int)
+(* An array index: an int slot, or a folded [a*b + c] that the step reading
+   it computes in place.  A folded [a+b], [a-b] or [a*b] is [1*a + b],
+   [-1*b + a] or [a*b + 0], its constant in a pooled slot.  One [wrap32]
+   gives what the interpreter's [wrap32] per op gives, as both keep the
+   value mod 2^32. *)
+type index = Islot of int | Imadd of int * int * int
 
-let index_fn = function Islot a -> fun r -> r.ints.(a) | Ifun f -> f
+let[@inline] index_at (r : regs) = function
+  | Islot a -> r.ints.(a)
+  | Imadd (a, b, c) -> let i = r.ints in Vm.Value.wrap32 ((i.(a) * i.(b)) + i.(c))
 
-let index_op (op : Vm.Types.iop) a b : regs -> int =
-  match op with
-  | Add -> fun r -> let i = r.ints in Vm.Value.wrap32 (i.(a) + i.(b))
-  | Sub -> fun r -> let i = r.ints in Vm.Value.wrap32 (i.(a) - i.(b))
-  | Mul -> fun r -> let i = r.ints in Vm.Value.wrap32 (i.(a) * i.(b))
-  | _ -> invalid_arg "index_op"
+(* The array in a value, unwrapped in place; any other value raises the
+   interpreter's error. *)
+let[@inline] arr = function Vm.Types.Arr a -> a | v -> Vm.Value.to_arr v
+let[@inline] farr = function Vm.Types.Farr a -> a | v -> Vm.Value.to_farr v
 
-(* [a*b + c] *)
-let index_madd a b c : regs -> int =
- fun r ->
-  let i = r.ints in
-  Vm.Value.wrap32 (Vm.Value.wrap32 (i.(a) * i.(b)) + i.(c))
-
-let[@inline] fload (r : regs) a (ix : regs -> int) =
-  (Vm.Value.to_farr r.vals.(a)).(ix r)
+let[@inline] fload (r : regs) a ix = (farr r.vals.(a)).(index_at r ix)
 
 (* [d <- x op y] where x and y are the folded loads [(array, index)];
    [left_first] says x's load comes first in the source, and so runs first. *)
@@ -722,6 +721,17 @@ let rec lower ~boxed ~trace (hooks : Hooks.hooks) (g : graph) :
       | Lval, v -> pool kvals v
       | (Lint | Lfloat), _ -> None)
   in
+  (* a pooled int slot holding [v], for the folded indices *)
+  let int_consts = Hashtbl.create 4 in
+  let int_const v =
+    match Hashtbl.find_opt int_consts v with
+    | Some i -> i
+    | None ->
+      let i = fresh Lint in
+      kints := (i, v) :: !kints;
+      Hashtbl.replace int_consts v i;
+      i
+  in
   (* The slot holding [s] in [lane].  A read from another lane adds a
      conversion step to [pre], the steps that run right before the use. *)
   let read pre lane s =
@@ -804,14 +814,19 @@ let rec lower ~boxed ~trace (hooks : Hooks.hooks) (g : graph) :
       match (m.op, m.args) with
       | Iop Add, [| x; y |] when is_folded x ->
         let a, b = mul x in
-        Ifun (index_madd a b (opnd y))
+        Imadd (a, b, opnd y)
       | Iop Add, [| x; y |] when is_folded y ->
         let c = opnd x in
         let a, b = mul y in
-        Ifun (index_madd a b c)
-      | Iop op, [| x; y |] ->
+        Imadd (a, b, c)
+      | Iop op, [| x; y |] -> (
         let a = opnd x in
-        Ifun (index_op op a (opnd y))
+        let b = opnd y in
+        match op with
+        | Add -> Imadd (int_const 1, a, b)
+        | Sub -> Imadd (int_const (-1), b, a)
+        | Mul -> Imadd (a, b, int_const 0)
+        | _ -> invalid_arg "typed kernel: folded index")
       | _ -> invalid_arg "typed kernel: folded index"
   in
   let compile_node n : step list =
@@ -838,7 +853,7 @@ let rec lower ~boxed ~trace (hooks : Hooks.hooks) (g : graph) :
             let load s =
               let m = node g s in
               let a = read pre Lval m.args.(0) in
-              (a, index_fn (index pre m.args.(1)))
+              (a, index pre m.args.(1))
             in
             let lx = load x in
             let ly = load y in
@@ -928,58 +943,26 @@ let rec lower ~boxed ~trace (hooks : Hooks.hooks) (g : graph) :
           let a = arg Lint 0 in
           let d = dst Lval in
           Some (fun r -> r.vals.(d) <- Farr (Array.make r.ints.(a) 0.0))
-        | Aload -> (
+        | Aload ->
           let a = arg Lval 0 in
           let ix = index pre n.args.(1) in
           let d = dst Lval in
-          match ix with
-          | Islot i ->
-            Some
-              (fun r ->
-                let v = r.vals in
-                v.(d) <- (Vm.Value.to_arr v.(a)).(r.ints.(i)))
-          | Ifun ix ->
-            Some
-              (fun r ->
-                let v = r.vals in
-                v.(d) <- (Vm.Value.to_arr v.(a)).(ix r)))
-        | Astore -> (
+          Some (fun r -> let v = r.vals in v.(d) <- (arr v.(a)).(index_at r ix))
+        | Astore ->
           let a = arg Lval 0 in
           let ix = index pre n.args.(1) in
           let x = arg Lval 2 in
-          match ix with
-          | Islot i ->
-            Some
-              (fun r ->
-                let v = r.vals in
-                (Vm.Value.to_arr v.(a)).(r.ints.(i)) <- v.(x))
-          | Ifun ix ->
-            Some
-              (fun r ->
-                let v = r.vals in
-                (Vm.Value.to_arr v.(a)).(ix r) <- v.(x)))
-        | Faload -> (
+          Some (fun r -> let v = r.vals in (arr v.(a)).(index_at r ix) <- v.(x))
+        | Faload ->
           let a = arg Lval 0 in
           let ix = index pre n.args.(1) in
           let d = dst Lfloat in
-          match ix with
-          | Islot i ->
-            Some
-              (fun r ->
-                r.floats.(d) <- (Vm.Value.to_farr r.vals.(a)).(r.ints.(i)))
-          | Ifun ix -> Some (fun r -> r.floats.(d) <- fload r a ix))
-        | Fastore -> (
+          Some (fun r -> r.floats.(d) <- fload r a ix)
+        | Fastore ->
           let a = arg Lval 0 in
           let ix = index pre n.args.(1) in
           let x = arg Lfloat 2 in
-          match ix with
-          | Islot i ->
-            Some
-              (fun r ->
-                (Vm.Value.to_farr r.vals.(a)).(r.ints.(i)) <- r.floats.(x))
-          | Ifun ix ->
-            Some
-              (fun r -> (Vm.Value.to_farr r.vals.(a)).(ix r) <- r.floats.(x)))
+          Some (fun r -> (farr r.vals.(a)).(index_at r ix) <- r.floats.(x))
         | Alen ->
           let a = arg Lval 0 in
           let d = dst Lint in

@@ -1061,7 +1061,9 @@ let test_typed_load_stays_before_store () =
     [ (true, 0); (false, 10) ]
 
 (* Both loads of one folded op out of range, and a null first array: the
-   load that comes first in the source raises, whichever side it is on. *)
+   load that comes first in the source raises, whichever side it is on.
+   Stores and [array[int]] accesses through a folded index raise the
+   interpreter's errors too, on a null array and out of range. *)
 let test_typed_folded_load_order () =
   let left = "def f(xs: farray, ys: farray, i: int): float = xs[i * 2 + 1] - ys[i + 7]" in
   let right =
@@ -1077,7 +1079,35 @@ let test_typed_folded_load_order () =
       check_bool "null left array, right out of range" true
         (backends_agree ~nulls:true src "f" [ [| Null; fs; Int 10 |] ]))
     [ left; right ];
-  (* both shapes fold the two loads into the subtract *)
+  (* each call stores what it reads back, so the three engines see the same
+     arrays *)
+  let fstore = "def f(xs: farray, i: int): float = { xs[i * 2 + 1] = 2.5; xs[1] }" in
+  let istore =
+    "def f(zs: array[int], i: int): int = { zs[i * 2 + 1] = i + 5; zs[i + 1] }"
+  in
+  List.iter
+    (fun (src, a) ->
+      check_bool "store in range" true
+        (backends_agree ~nulls:true src "f" [ [| a; Int 0 |] ]);
+      check_bool "store out of range" true
+        (backends_agree ~nulls:true src "f" [ [| a; Int 10 |] ]);
+      check_bool "store into null" true
+        (backends_agree ~nulls:true src "f" [ [| Null; Int 0 |] ]);
+      (* [i * 2] wraps to 0, so the store lands at 1 *)
+      check_bool "store index wraps" true
+        (backends_agree ~nulls:true src "f"
+           [ [| a; Int (Int32.to_int Int32.min_int) |] ]))
+    [ (fstore, fs); (istore, Arr (Array.make 4 (Int 1))) ];
+  let iload = "def f(zs: array[int], i: int): int = zs[i * 2 + 1] - zs[i + 2]" in
+  let za = Arr (Array.init 4 (fun k -> Int (k * 7))) in
+  check_bool "int loads in range" true
+    (backends_agree ~nulls:true iload "f" [ [| za; Int 1 |] ]);
+  check_bool "int load out of range" true
+    (backends_agree ~nulls:true iload "f" [ [| za; Int 2 |] ]);
+  check_bool "int load from null" true
+    (backends_agree ~nulls:true iload "f" [ [| Null; Int 0 |] ]);
+  (* both shapes fold the two loads into the subtract, and every index
+     above but [xs[1]] is folded *)
   Irtrace.enable ();
   Fun.protect ~finally:Irtrace.disable (fun () ->
       List.iter
@@ -1085,13 +1115,13 @@ let test_typed_folded_load_order () =
           let rt = Lancet.Api.boot () in
           let p = Mini.Front.load rt src in
           let m = Mini.Front.find_function p "f" in
-          let g = C.stage rt m (Array.make 3 C.Dyn) in
+          let g = C.stage rt m (Array.make m.mnargs C.Dyn) in
           let (_ : Vm.Types.value array -> Vm.Types.value) =
             Lms.Typed_backend.compile
               ~hooks:(Lms.Hooks.default_hooks rt) g
           in
           ())
-        [ left; right ];
+        [ left; right; fstore; istore; iload ];
       let folded =
         List.filter_map
           (fun sn ->
@@ -1100,7 +1130,8 @@ let test_typed_folded_load_order () =
             else None)
           (Irtrace.snapshots ())
       in
-      Alcotest.(check (list string)) "loads and index trees folded" [ "5"; "5" ] folded)
+      Alcotest.(check (list string))
+        "loads and index trees folded" [ "5"; "5"; "2"; "3"; "3" ] folded)
 
 (* The [schedule:typed] meta of the typed kernel of each named function. *)
 let typed_schedule_meta src names =
