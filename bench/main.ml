@@ -310,15 +310,6 @@ let ablate_backend () =
   pr "typed mode:                       %8.1f ms\n" (tt *. 1000.);
   pr "factor:                           %8.2fx\n" (tb /. tt)
 
-let ablate () =
-  ablate_spec ();
-  ablate_fusion ();
-  ablate_safeint ();
-  ablate_inline ();
-  ablate_cache ();
-  ablate_tree ();
-  ablate_backend ()
-
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per paper table            *)
 
@@ -448,6 +439,80 @@ def update(ps: farray, cs: farray, sums: farray, cnts: farray,
   }
 }
 |}
+
+(* k-means' step over [tiered_kmeans_src] and [kmeans_update_src]: one
+   call runs [steps] assignments and updates, every kernel inlined *)
+let kmeans_kstep_src =
+  {|
+def kstep(ps: farray, cs: farray, sums: farray, cnts: farray,
+          n: int, d: int, k: int, steps: int): int = {
+  var t = 0;
+  for (s <- 0 until steps) {
+    t = t + assign_all(ps, cs, n, d, k);
+    update(ps, cs, sums, cnts, n, d, k)
+  };
+  t
+}
+|}
+
+let ablate_native () =
+  header "Ablation: typed kernel vs native tier on k-means kstep";
+  let rt = Lancet.Api.boot () in
+  let p =
+    Mini.Front.load rt (tiered_kmeans_src ^ kmeans_update_src ^ kmeans_kstep_src)
+  in
+  let m = Mini.Front.find_function p "kstep" in
+  (* one staged graph, lowered to a typed kernel and emitted as OCaml *)
+  let g = Lancet.Compiler.stage rt m (Array.make 8 Lancet.Compiler.Dyn) in
+  let hooks = Lms.Hooks.default_hooks rt in
+  let typed = Lms.Typed_backend.compile ~hooks g in
+  let t0 = Unix.gettimeofday () in
+  match Lms.Native_tier.compile ~hooks ~typed g with
+  | Error why -> pr "native tier declined: %s\n" why
+  | Ok native ->
+    let build_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    let n = 1000 and d = 4 and k = 8 and steps = 3 in
+    let ps =
+      Array.init (n * d) (fun i -> float_of_int ((i * 37 mod 101) - 50) /. 7.)
+    in
+    let args () =
+      [| Farr ps; Farr (Array.sub ps 0 (k * d)); Farr (Array.make (k * d) 0.0);
+         Farr (Array.make k 0.0); Int n; Int d; Int k; Int steps |]
+    in
+    let outcome f =
+      let a = args () in
+      (f a, a.(1))
+    in
+    if outcome typed <> outcome native then failwith "typed and native differ";
+    (* interleaved trials of 10 calls, the median per call *)
+    let trial f =
+      let a = args () in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to 10 do
+        ignore (f a)
+      done;
+      (Unix.gettimeofday () -. t0) *. 100.
+    in
+    let pairs = List.init 9 (fun _ -> (trial typed, trial native)) in
+    let tt = median (List.map fst pairs) and tn = median (List.map snd pairs) in
+    let nodes = Lms.Ir.node_count g
+    and blocks = List.length (Lms.Ir.reachable_blocks g) in
+    pr "kstep (n=%d, d=%d, k=%d, %d steps), one graph: %d nodes, %d blocks\n" n d k
+      steps nodes blocks;
+    pr "native build (emit, ocamlopt, load): %8.1f ms\n" build_ms;
+    pr "typed kernel:                       %8.2f ms per call\n" tt;
+    pr "native code:                        %8.2f ms per call\n" tn;
+    pr "factor:                             %8.2fx\n" (tt /. tn)
+
+let ablate () =
+  ablate_spec ();
+  ablate_fusion ();
+  ablate_safeint ();
+  ablate_inline ();
+  ablate_cache ();
+  ablate_tree ();
+  ablate_backend ();
+  ablate_native ()
 
 let tiered_spec_src =
   {|
@@ -1093,10 +1158,17 @@ let chaos_soak_drive p ~calls =
   done;
   !acc
 
+(* Two rounds, the pool drained between them ([settle]), so the second
+   round runs the native code that the first round's upgrades built. *)
+let chaos_soak_rounds p ~calls ~settle =
+  let first = chaos_soak_drive p ~calls in
+  settle ();
+  (first * 31 + chaos_soak_drive p ~calls) land 0xFFFFFF
+
 let chaos_soak_interp ~calls =
   let rt = Vm.Natives.boot () in
   let p = Mini.Front.load rt chaos_soak_src in
-  chaos_soak_drive p ~calls
+  chaos_soak_rounds p ~calls ~settle:ignore
 
 (* Every fault site armed at once; only the seed varies between legs. *)
 let chaos_soak_spec seed =
@@ -1127,16 +1199,20 @@ let chaos_soak_leg ~seed ~calls =
   in
   let p = Mini.Front.load rt chaos_soak_src in
   let t0 = Unix.gettimeofday () in
-  let checksum = chaos_soak_drive p ~calls in
-  (match pool with Some b -> Bgjit.drain ~timeout_ms:2000 b | None -> ());
+  let settle () =
+    match pool with Some b -> Bgjit.drain ~timeout_ms:2000 b | None -> ()
+  in
+  let checksum = chaos_soak_rounds p ~calls ~settle in
+  settle ();
   let ms = (Unix.gettimeofday () -. t0) *. 1000. in
   Lancet.Governor.detach gov;
   let bg = match pool with Some b -> Bgjit.stats_string b | None -> "" in
+  let native = match pool with Some b -> (Bgjit.stats b).Bgjit.s_native | None -> 0 in
   (match pool with Some b -> Bgjit.shutdown ~timeout_ms:2000 b | None -> ());
   let fires = Chaos.stats_string () in
   let gov_report = Lancet.Governor.report gov in
   Chaos.disable ();
-  (checksum, ms, fires, gov_report, bg)
+  (checksum, ms, fires, gov_report, bg, native)
 
 (* THE soak invariant (gated in [check] and in CI): under any seeded
    fault schedule the program computes the pure-interpreter checksum, and
@@ -1146,12 +1222,16 @@ let chaos_soak ?(quiet = false) ~seeds ~calls () =
   let expect = chaos_soak_interp ~calls in
   List.iter
     (fun seed ->
-      let sum, ms, fires, gov, bg = chaos_soak_leg ~seed ~calls in
+      let sum, ms, fires, gov, bg, native = chaos_soak_leg ~seed ~calls in
       if sum <> expect then
         failwith
           (Printf.sprintf
              "chaos soak: seed %d checksum mismatch (interp %d, chaos %d)" seed
              expect sum);
+      (* the CI soak covers native code: its second round runs what the
+         first round's upgrades installed *)
+      if (not quiet) && native = 0 then
+        failwith (Printf.sprintf "chaos soak: seed %d installed no native code" seed);
       if not quiet then begin
         pr "seed %-6d ok %8.1f ms  checksum=%d\n" seed ms sum;
         pr "            fires: %s\n" fires;

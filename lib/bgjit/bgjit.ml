@@ -27,6 +27,17 @@
       over the PR-3 line tables).  Worker domains never let an exception
       escape: failure means "keep interpreting", not "kill the VM".
 
+   Native upgrades (the runtime's [t_native] hook, set by [install]) are
+   [Native] jobs, in a second queue that a worker turns to only when the
+   first is empty: a method's first compiled code is worth more than a
+   faster version of code that already runs.  The job builds native code
+   for the graph the typed code came from with ocamlopt in a child
+   process ([Lms.Native_tier]) and swaps it into the entry point's cell if
+   the method's generation has not moved since the job was made.  A failure
+   gives the upgrade up and leaves the typed code running: no blacklist.
+   A running native job can be cancelled ([cancel_native], the governor's
+   watchdog; a timed-out [shutdown]), which kills its compiler.
+
    OSR requests (the runtime's [t_osr] hook, replaced by [install]) travel
    the same queue.  The worker runs the synchronous OSR hook [install]
    replaced, which publishes the code into the requesting frame's cell;
@@ -52,11 +63,16 @@ type stats = {
   mutable s_blacklisted : int;
   mutable s_abandoned : int; (* queued requests walked away from at a
                                 timed-out shutdown *)
+  mutable s_native : int; (* native upgrades installed *)
+  mutable s_native_declined : int; (* given up: build failed, dropped, killed *)
+  mutable s_native_stale : int; (* built, but the generation moved *)
 }
 
 type job =
   | Promote of meth
   | Osr of { meth : meth; pc : int; locals : value array; cell : osr_state Atomic.t }
+  | Native of { nj : native_job; cell : int Atomic.t }
+      (* [cell] holds the compiler's pid while it runs; [kill_compiler] *)
 
 type t = {
   rt : runtime;
@@ -64,6 +80,10 @@ type t = {
   (* entry point, devirtualization deps, hierarchy epoch at compile start *)
   capacity : int;
   queue : job Queue.t;
+  natives : job Queue.t; (* [Native] jobs, taken when [queue] is empty *)
+  mutable native_running : (int * float * int Atomic.t) list;
+  (* (mid, dequeue timestamp, compiler-pid cell) of each running native
+     job; the watchdog reads the ages, [cancel_native] the cells *)
   pending : (int, unit) Hashtbl.t; (* mids queued, not yet picked up *)
   inflight : (int, float) Hashtbl.t;
   (* mid -> dequeue timestamp ([Obs.now] clock) for every promotion compile
@@ -97,11 +117,34 @@ let stats t = t.stats
 
 (* Nothing queued, nothing compiling (caller holds the lock). *)
 let is_idle t =
-  Queue.is_empty t.queue && Hashtbl.length t.inflight = 0 && t.osr_running = 0
+  Queue.is_empty t.queue && Queue.is_empty t.natives
+  && Hashtbl.length t.inflight = 0 && t.osr_running = 0 && t.native_running = []
 
 let pending t =
   locked t (fun () ->
-      Queue.length t.queue + Hashtbl.length t.inflight + t.osr_running)
+      Queue.length t.queue + Queue.length t.natives + Hashtbl.length t.inflight
+      + t.osr_running + List.length t.native_running)
+
+(* Cancel a native job through its compiler-pid cell: a running compiler
+   is killed, one not yet spawned never runs.  False if it was cancelled
+   before. *)
+let kill_compiler cell =
+  let pid = Atomic.exchange cell (-1) in
+  if pid > 0 then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  pid >= 0
+
+(* [(mid, age_seconds)] of every native job running on a worker. *)
+let native_ages t =
+  let now = Obs.now () in
+  locked t (fun () -> List.map (fun (mid, ts, _) -> (mid, now -. ts)) t.native_running)
+
+(* Kill the compiler of [mid]'s running native jobs; each gives its upgrade
+   up.  Whether one was running and not cancelled yet. *)
+let cancel_native t mid =
+  List.fold_left
+    (fun any (m, _, cell) -> (m = mid && kill_compiler cell) || any)
+    false
+    (locked t (fun () -> t.native_running))
 
 (* [(mid, age_seconds)] of every compile currently running on a worker;
    the governor's watchdog decides which are overdue. *)
@@ -113,11 +156,17 @@ let inflight_ages t =
 let stats_string t =
   let s = t.stats in
   Printf.sprintf
-    "enqueued=%d coalesced=%d dropped=%d installed=%d stale=%d blacklisted=%d%s"
+    "enqueued=%d coalesced=%d dropped=%d installed=%d stale=%d blacklisted=%d%s%s"
     s.s_enqueued s.s_coalesced s.s_dropped s.s_installed s.s_stale
     s.s_blacklisted
     (if s.s_abandoned > 0 then Printf.sprintf " abandoned=%d" s.s_abandoned
      else "")
+    (if s.s_native + s.s_native_declined + s.s_native_stale = 0 then ""
+     else
+       Printf.sprintf " native=%d native_declined=%d%s" s.s_native
+         s.s_native_declined
+         (if s.s_native_stale > 0 then Printf.sprintf " native_stale=%d" s.s_native_stale
+          else ""))
 
 (* ------------------------------------------------------------------ *)
 (* Enqueue (mutator side)                                              *)
@@ -125,7 +174,7 @@ let stats_string t =
 (* Saturation, shutdown or forced saturation (caller holds the lock). *)
 let full t =
   t.stop
-  || Queue.length t.queue >= t.capacity
+  || Queue.length t.queue + Queue.length t.natives >= t.capacity
   || (!Chaos.on && Chaos.fire Chaos.queue_full)
 
 (* Report a compile request for [m] that was turned away, and why. *)
@@ -202,6 +251,23 @@ let enqueue_osr t (m : meth) pc locals cell =
     Atomic.set cell Osr_failed;
     dropped m (Obs.Queue_full { capacity = t.capacity })
   end
+
+(* A native upgrade; one the queue cannot take is given up at once. *)
+let enqueue_native t (job : native_job) =
+  let rejected =
+    locked t (fun () ->
+        if full t then begin
+          t.stats.s_native_declined <- t.stats.s_native_declined + 1;
+          true
+        end
+        else begin
+          Queue.add (Native { nj = job; cell = Atomic.make 0 }) t.natives;
+          Condition.signal t.nonempty;
+          false
+        end)
+  in
+  if rejected then
+    job.nj_drop (Printf.sprintf "compile queue full (capacity %d)" t.capacity)
 
 let jit_hook t (_rt : runtime) (m : meth) : jit_result =
   match m.mcode with
@@ -326,38 +392,109 @@ let process_osr t ~meth ~pc ~locals ~cell =
       t.osr_running <- t.osr_running - 1;
       if is_idle t then Condition.broadcast t.idle)
 
-let rec worker_loop t wid =
-  let job =
-    locked t (fun () ->
-        while Queue.is_empty t.queue && not t.stop do
-          Condition.wait t.nonempty t.lock
-        done;
-        (* on shutdown, finish whatever is queued before exiting: no
-           request is ever lost or left stuck in [Tier_compiling] *)
-        match Queue.take_opt t.queue with
-        | Some (Promote m as job) ->
-          Hashtbl.remove t.pending m.mid;
-          (* [add], not [replace]: the same mid can be in flight on two
-             workers at once (requeued while compiling), and each holds
-             its own binding — [Hashtbl.length] counts both *)
-          Hashtbl.add t.inflight m.mid (Obs.now ());
-          Some (job, Queue.length t.queue)
-        | Some (Osr _ as job) ->
-          t.osr_running <- t.osr_running + 1;
-          Some (job, Queue.length t.queue)
-        | None -> None)
+(* The next job and the depth left behind it, or [None]: promotions and
+   OSR requests first, then, with [natives], native upgrades (caller holds
+   the lock). *)
+let take t ~natives =
+  let next =
+    if not (Queue.is_empty t.queue) then Queue.take_opt t.queue
+    else if natives then Queue.take_opt t.natives
+    else None
   in
+  match next with
+  | Some (Promote m as job) ->
+    Hashtbl.remove t.pending m.mid;
+    (* [add], not [replace]: the same mid can be in flight on two
+       workers at once (requeued while compiling), and each holds
+       its own binding — [Hashtbl.length] counts both *)
+    Hashtbl.add t.inflight m.mid (Obs.now ());
+    Some (job, Queue.length t.queue)
+  | Some (Osr _ as job) ->
+    t.osr_running <- t.osr_running + 1;
+    Some (job, Queue.length t.queue)
+  | Some (Native { nj; cell } as job) ->
+    t.native_running <- (nj.nj_meth.mid, Obs.now (), cell) :: t.native_running;
+    Some (job, Queue.length t.natives)
+  | None -> None
+
+let rec run t wid (job, depth) =
   match job with
-  | None -> () (* stop requested and queue drained *)
-  | Some (Osr { meth; pc; locals; cell }, _) ->
-    process_osr t ~meth ~pc ~locals ~cell;
-    worker_loop t wid
-  | Some (Promote m, depth) ->
+  | Osr { meth; pc; locals; cell } -> process_osr t ~meth ~pc ~locals ~cell
+  | Promote m ->
     if !Obs.enabled then
       Obs.emit
         (Obs.Compile_dequeue
            { meth = Vm.Runtime.meth_label m; mid = m.mid; worker = wid; depth });
-    process t wid m;
+    process t wid m
+  | Native { nj; cell } -> process_native t wid nj cell
+
+(* Run a native upgrade through the worker's chaos sites: a stall, a crash
+   (the upgrade is given up, the method keeps its typed code) and a
+   garbage result, which a generation bump makes the install refuse.
+   While the compiler runs, the worker serves the promotions and OSR
+   requests that arrive, so none waits for the child. *)
+and process_native t wid (job : native_job) cell =
+  let m = job.nj_meth in
+  let meanwhile () =
+    match locked t (fun () -> take t ~natives:false) with
+    | Some next ->
+      run t wid next;
+      true
+    | None -> false
+  in
+  let outcome =
+    if m.mtier = Tier_blacklisted then begin
+      job.nj_drop "method blacklisted while queued";
+      `Declined
+    end
+    else begin
+      if !Chaos.on && Chaos.fire Chaos.compile_stall then
+        Chaos.sleep_ms (max 1 (Chaos.ms Chaos.compile_stall));
+      if !Chaos.on && Chaos.fire Chaos.compile_crash then begin
+        job.nj_drop "chaos: injected compile crash";
+        `Declined
+      end
+      else
+        match job.nj_build { nw_pid = cell; nw_meanwhile = meanwhile } with
+        | Error _ -> `Declined
+        | Ok fn ->
+          let fn =
+            if !Chaos.on && Chaos.fire Chaos.compile_garbage then begin
+              Vm.Runtime.tier_invalidate
+                ~why:(Obs.Chaos_fault { site = "compile_garbage" })
+                t.rt m;
+              fun _ -> Vm.Types.Int 0xDEAD
+            end
+            else fn
+          in
+          if job.nj_install fn then `Installed else `Stale
+        | exception e ->
+          job.nj_drop (Printexc.to_string e);
+          `Declined
+    end
+  in
+  locked t (fun () ->
+      t.native_running <- List.filter (fun (_, _, c) -> c != cell) t.native_running;
+      (match outcome with
+      | `Installed -> t.stats.s_native <- t.stats.s_native + 1
+      | `Stale -> t.stats.s_native_stale <- t.stats.s_native_stale + 1
+      | `Declined -> t.stats.s_native_declined <- t.stats.s_native_declined + 1);
+      if is_idle t then Condition.broadcast t.idle)
+
+let rec worker_loop t wid =
+  let job =
+    locked t (fun () ->
+        while Queue.is_empty t.queue && Queue.is_empty t.natives && not t.stop do
+          Condition.wait t.nonempty t.lock
+        done;
+        (* on shutdown, finish whatever is queued before exiting: no
+           request is ever lost or left stuck in [Tier_compiling] *)
+        take t ~natives:true)
+  in
+  match job with
+  | None -> () (* stop requested and queue drained *)
+  | Some job ->
+    run t wid job;
     worker_loop t wid
 
 (* ------------------------------------------------------------------ *)
@@ -378,6 +515,8 @@ let create ?threads ?queue ?log ~compile rt =
       compile;
       capacity;
       queue = Queue.create ();
+      natives = Queue.create ();
+      native_running = [];
       pending = Hashtbl.create 64;
       inflight = Hashtbl.create 8;
       osr_running = 0;
@@ -397,6 +536,9 @@ let create ?threads ?queue ?log ~compile rt =
           s_stale = 0;
           s_blacklisted = 0;
           s_abandoned = 0;
+          s_native = 0;
+          s_native_declined = 0;
+          s_native_stale = 0;
         };
       stop = false;
       alive = Atomic.make 0;
@@ -421,6 +563,7 @@ let install t =
   t.rt.jit_hook <- Some (fun rt m -> jit_hook t rt m);
   t.saved_osr <- t.rt.tiering.t_osr;
   if Option.is_some t.saved_osr then t.rt.tiering.t_osr <- Some (enqueue_osr t);
+  t.rt.tiering.t_native <- Some (enqueue_native t);
   t.rt.tiering.t_bg_recompile <-
     Some
       (fun m ->
@@ -453,6 +596,7 @@ let restore_hooks t =
   (* restore synchronous compilation for whatever runs after the pool *)
   if t.rt.tiering.t_bg_recompile <> None then begin
     t.rt.tiering.t_bg_recompile <- None;
+    t.rt.tiering.t_native <- None;
     t.rt.jit_hook <- t.saved_hook;
     t.rt.tiering.t_osr <- t.saved_osr
   end
@@ -487,8 +631,11 @@ let shutdown ?timeout_ms t =
          rest hostage, and the mutator must never wait on it *)
       let leftovers =
         locked t (fun () ->
-            let jobs = List.of_seq (Queue.to_seq t.queue) in
+            let jobs =
+              List.of_seq (Seq.append (Queue.to_seq t.queue) (Queue.to_seq t.natives))
+            in
             Queue.clear t.queue;
+            Queue.clear t.natives;
             List.filter_map
               (fun job ->
                 t.stats.s_abandoned <- t.stats.s_abandoned + 1;
@@ -499,9 +646,21 @@ let shutdown ?timeout_ms t =
                   Some m
                 | Osr o ->
                   Atomic.set o.cell Osr_failed;
+                  None
+                | Native n ->
+                  t.stats.s_native_declined <- t.stats.s_native_declined + 1;
+                  n.nj.nj_drop (Printf.sprintf "shutdown timed out after %dms" ms);
                   None)
               jobs)
       in
+      (* a running native build is killed; its worker reaps the compiler
+         and gives the upgrade up, which takes a moment more *)
+      let running () = locked t (fun () -> t.native_running) in
+      List.iter (fun (_, _, cell) -> ignore (kill_compiler cell)) (running ());
+      let reap_deadline = Unix.gettimeofday () +. 1.0 in
+      while running () <> [] && Unix.gettimeofday () < reap_deadline do
+        Unix.sleepf 0.001
+      done;
       let n = List.length leftovers in
       if !Obs.enabled && n > 0 then begin
         let cause = Obs.Shutdown_timeout { ms } in

@@ -18,7 +18,9 @@ type t
 (** Monotone counters describing what the queue did.  Every request is
     accounted exactly once: [enqueued] splits into [installed] + [stale] +
     [blacklisted] once drained, while [coalesced] and [dropped] count
-    requests that never entered the queue. *)
+    requests that never entered the queue.  Native upgrades are counted
+    apart, in the last three: each requested upgrade ends as [native],
+    [native_declined] or [native_stale]. *)
 type stats = {
   mutable s_enqueued : int;  (** requests that entered the queue *)
   mutable s_coalesced : int;  (** merged into an already-pending request *)
@@ -28,6 +30,12 @@ type stats = {
   mutable s_blacklisted : int;  (** compile failed: method blacklisted *)
   mutable s_abandoned : int;
       (** queued requests walked away from by a timed-out [shutdown] *)
+  mutable s_native : int;  (** native upgrades swapped into their entry *)
+  mutable s_native_declined : int;
+      (** upgrades given up: turned away, build failed or killed, injected
+          crash *)
+  mutable s_native_stale : int;
+      (** upgrades built, but the generation moved: discarded *)
 }
 
 val create :
@@ -49,8 +57,10 @@ val create :
 
 val install : t -> unit
 (** Point the runtime at the pool: replaces [rt.jit_hook] with the
-    enqueueing hook and routes deopt-triggered recompiles through the
-    queue ([t_bg_recompile]).  [shutdown] restores the previous hook. *)
+    enqueueing hook, routes deopt-triggered recompiles through the queue
+    ([t_bg_recompile]) and takes native upgrades ([t_native]), which
+    workers run only when no other job waits.  [shutdown] restores the
+    previous hooks and removes [t_native]. *)
 
 val enqueue :
   ?why:Obs.cause -> t -> meth -> [ `Queued | `Coalesced | `Dropped ]
@@ -70,8 +80,9 @@ val shutdown : ?timeout_ms:int -> t -> unit
     [timeout_ms]: drain remaining requests and join the workers
     (idempotent).  With [timeout_ms]: wait at most that long; on expiry
     the remaining queue is abandoned (counted in [s_abandoned], journaled,
-    methods returned to cold) and stalled workers are leaked rather than
-    joined, so a wedged compile cannot hang process exit. *)
+    methods returned to cold), a running native build has its compiler
+    killed and reaped, and stalled workers are leaked rather than joined,
+    so a wedged compile cannot hang process exit. *)
 
 val stats : t -> stats
 
@@ -81,6 +92,14 @@ val pending : t -> int
 val inflight_ages : t -> (int * float) list
 (** [(mid, age_seconds)] for every compile currently running on a worker;
     the governor's watchdog uses the ages to find stalled compiles. *)
+
+val native_ages : t -> (int * float) list
+(** [(mid, age_seconds)] for every native upgrade running on a worker. *)
+
+val cancel_native : t -> int -> bool
+(** Kill the compiler of the native upgrades of method [mid] that are
+    running: each gives its upgrade up and the typed code keeps running.
+    False when none was running that was not cancelled already. *)
 
 val meth_src_loc : meth -> string
 (** ["Cls.meth @pc k (file.mini:12)"] at the method's first pc with a

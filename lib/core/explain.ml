@@ -518,13 +518,14 @@ let coach_report ?profiler rt =
         (ls.Profiler.ls_samples, ls.Profiler.ls_exec_ms)
       | None -> (0, 0.0)
     in
+    (* ranked by counts, which two runs of a program agree on: hits,
+       then source line, then reason; residency only annotates *)
     let ranked =
       List.sort
-        (fun a b ->
-          let sa, ma = residency a and sb, mb = residency b in
-          match compare (sb, mb) (sa, ma) with
-          | 0 -> compare b.Irtrace.ms_count a.Irtrace.ms_count
-          | c -> c)
+        (fun (a : Irtrace.missed) (b : Irtrace.missed) ->
+          compare
+            (b.ms_count, a.ms_line, Irtrace.reason_to_string a.ms_reason)
+            (a.ms_count, b.ms_line, Irtrace.reason_to_string b.ms_reason))
         misses
     in
     let loc (m : Irtrace.missed) =
@@ -545,7 +546,7 @@ let coach_report ?profiler rt =
         | None -> Printf.sprintf "mid %d" m.Irtrace.ms_mid
     in
     Buffer.add_string b
-      (Printf.sprintf "%d missed-optimization site%s, hottest first:\n\n"
+      (Printf.sprintf "%d missed-optimization site%s, most hits first:\n\n"
          (List.length ranked)
          (if List.length ranked = 1 then "" else "s"));
     List.iteri

@@ -20,7 +20,9 @@
      generation-stamp discard path (bump the stamp; whatever the stalled
      worker eventually produces is stale and thrown away at install) —
      the mutator never waits on it.  The method is retried once on the
-     queue; a second overdue instance blacklists it.
+     queue; a second overdue instance blacklists it.  An overdue native
+     upgrade has its compiler killed: only the upgrade is dropped, and the
+     method keeps its typed code, with no retry and no blacklist.
 
    - Queue backpressure.  Sustained [s_dropped] growth over a tick means
      promotion outruns compilation: the promotion threshold doubles
@@ -277,7 +279,29 @@ let watchdog t =
               end
               else blacklist t m ~why "governor: compile watchdog"
         end)
-      (Bgjit.inflight_ages pool)
+      (Bgjit.inflight_ages pool);
+    List.iter
+      (fun (mid, age_s) ->
+        let age_ms = age_s *. 1000. in
+        if age_ms > t.cfg.g_watchdog_ms && Bgjit.cancel_native pool mid then begin
+          t.st.g_watchdog_kills <- t.st.g_watchdog_kills + 1;
+          if !Obs.enabled then
+            match Vm.Runtime.find_method_by_id t.rt mid with
+            | None -> ()
+            | Some m ->
+              Obs.emit
+                (Obs.Watchdog_kill
+                   {
+                     meth = Vm.Runtime.meth_label m;
+                     mid;
+                     ms = age_ms;
+                     retry = false;
+                     cause =
+                       Obs.Watchdog_timeout
+                         { ms = age_ms; budget_ms = t.cfg.g_watchdog_ms };
+                   })
+        end)
+      (Bgjit.native_ages pool)
 
 let backpressure t =
   match t.pool with

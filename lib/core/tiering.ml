@@ -31,6 +31,9 @@
 open Vm.Types
 module C = Compiler
 
+(* a native build gave up; the typed code keeps running *)
+exception Native_declined of string
+
 (* Hot methods are compiled fully dynamically: every parameter (receiver
    included) becomes a graph parameter, so one compilation serves every call
    site.  Specialization still happens inside: constants, virtual objects
@@ -76,7 +79,24 @@ let compile_method_dyn ?entry rt (m : meth) :
       pend_ms := 0.0
     end
   in
-  let entry_point args =
+  (* The native tier: once its typed code has run [t_threshold] calls, a
+     method-entry point hands a native upgrade of itself to the request
+     hook the background JIT installs ([t_native]); without one, nothing
+     is counted or built.  A job given up for a passing reason (killed,
+     queue full) re-arms the count. *)
+  let native_calls = ref 0 and native_armed = ref (entry = None) in
+  (* the graph the typed code was lowered from, kept for its upgrade while
+     a worker may build one: staging it again would cost the worker as
+     much again, in time and in garbage *)
+  let staged = ref None in
+  let rearm () =
+    native_calls := 0;
+    native_armed := entry = None
+  in
+  let rec entry_point args =
+    (match rt.tiering.t_native with
+    | Some _ when !native_armed -> native_due ()
+    | _ -> ());
     if not !Obs.enabled then !cell args
     else begin
       if not !flusher_added then begin
@@ -91,12 +111,64 @@ let compile_method_dyn ?entry rt (m : meth) :
       if !exec_total = 1 || !pend_calls >= 64 then flush_pending ();
       v
     end
-  in
+  and native_due () =
+    incr native_calls;
+    if !native_calls >= rt.tiering.t_threshold then begin
+      native_armed := false;
+      Option.iter (fun request -> request (native_job ())) rt.tiering.t_native
+    end
+  and native_job () =
+    let gen = Vm.Runtime.tier_gen rt m.mid in
+    let built = ref ([], 0) in
+    let declined ~transient why =
+      if !Obs.enabled then
+        Obs.emit
+          (Obs.Compile_drop
+             { meth = label; mid = m.mid; cause = Obs.Native_decline { why } });
+      if transient then rearm ()
+    in
+    let nj_build (w : native_worker) =
+      let deps = ref [] and epoch0 = Vm.Runtime.hier_epoch rt in
+      let typed = !cell and kept = !staged in
+      staged := None;
+      match
+        C.with_compile_events ~tier:1 ~label:name m (fun () ->
+            let g =
+              match kept with
+              | Some (g, counts) ->
+                Domain.DLS.set C.node_counts_key counts;
+                g
+              | None -> C.stage ~opts ~deps rt m spec
+            in
+            let hooks = { (Lms.Hooks.default_hooks rt) with on_exit } in
+            match
+              Lms.Native_tier.compile ~pid:w.nw_pid ~meanwhile:w.nw_meanwhile
+                ~hooks ~typed g
+            with
+            | Ok fn -> (fn, "native", None)
+            | Error why -> raise (Native_declined why))
+      with
+      | fn ->
+        built := (!deps, epoch0);
+        Ok fn
+      | exception e ->
+        let why =
+          match e with Native_declined why -> why | e -> Printexc.to_string e
+        in
+        declined ~transient:(String.starts_with ~prefix:"cancelled" why) why;
+        Error why
+    in
+    let nj_install fn =
+      let deps, epoch = !built in
+      Vm.Runtime.tier_upgrade_if_current rt m ~gen ~epoch ~deps (fun () ->
+          cell := fn)
+    in
+    { nj_meth = m; nj_build; nj_install; nj_drop = declined ~transient:true }
   (* side exits of the compiled code: deopt accounting, the governor's
      breaker, and the [`Recompile] / failed-devirt remediation.  OSR code
      runs once, for one activation, so a recompile exit invalidates the
      method's installed code but rebuilds nothing. *)
-  let rec on_exit se vals =
+  and on_exit se vals =
     let t = rt.tiering in
     t.t_deopts <- t.t_deopts + 1;
     let se_pc, se_line = C.report_exit m se in
@@ -174,10 +246,16 @@ let compile_method_dyn ?entry rt (m : meth) :
                    });
             Persist.on_fingerprint ~mid:m.mid ~meth:label ~fp
           end;
-          C.compile_graph rt g ~on_exit)
+          let compiled = C.compile_graph rt g ~on_exit in
+          staged :=
+            if entry = None && rt.tiering.t_native <> None then
+              Some (g, Domain.DLS.get C.node_counts_key)
+            else None;
+          compiled)
     in
     cell := fn;
     devirt_fails := 0;
+    rearm ();
     (* the one place compiles are counted: initial promotions and on-exit
        recompiles share this path *)
     rt.tiering.t_compiles <- rt.tiering.t_compiles + 1;
@@ -279,3 +357,17 @@ let jit_hook rt (m : meth) : jit_result =
 let install rt =
   rt.jit_hook <- Some jit_hook;
   rt.tiering.t_osr <- Some (osr rt)
+
+(* Upgrade tier-1 code to native code on the mutator, at the call that
+   makes the upgrade due, instead of queueing it for a background worker.
+   For tests, which need the native code in place at a known call; no
+   user option reaches it. *)
+let native_sync rt =
+  rt.tiering.t_native <-
+    Some
+      (fun job ->
+        match
+          job.nj_build { nw_pid = Atomic.make 0; nw_meanwhile = (fun () -> false) }
+        with
+        | Ok fn -> ignore (job.nj_install fn)
+        | Error _ -> ())

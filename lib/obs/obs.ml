@@ -30,7 +30,7 @@ type compile_info = {
   ci_mid : int; (* method id, stable key across events *)
   ci_tier : int; (* 1 = tiered method JIT, 0 = explicit Lancet.compile *)
   ci_worker : int; (* JIT worker domain running the compile; 0 = mutator *)
-  ci_backend : string; (* "typed" | "closure" | "failed" *)
+  ci_backend : string; (* "typed" | "closure" | "native" | "failed" *)
   ci_fallback : string option; (* why the typed mode refused the graph *)
   ci_nodes_in : int; (* IR nodes after staging, before optimization *)
   ci_nodes_out : int; (* after dead-code elimination *)
@@ -83,6 +83,8 @@ type cause =
   | Loop_steps of { steps : int; pc : int; line : int }
       (* an interpreter frame ran [steps] bytecodes of its own and was at
          a back edge to the loop header at [pc] *)
+  | Native_decline of { why : string }
+      (* the native tier gave an upgrade up and kept the typed code *)
   | Unattributed
 
 type event =
@@ -264,6 +266,7 @@ let cause_to_string = function
   | Loop_steps c ->
     Printf.sprintf "loop: %d own steps, back edge to %s" c.steps
       (at_line c.pc c.line)
+  | Native_decline c -> Printf.sprintf "native code declined: %s" c.why
   | Unattributed -> ""
 
 (* THE event-kind renderer.  Every sink that prints a kind goes through

@@ -37,6 +37,7 @@ let create ?(tiering = false) ?(tier_threshold = 16) ?(tier_cache_size = 512)
         t_jit_queue = max 1 jit_queue;
         t_bg_recompile = None;
         t_osr = None;
+        t_native = None;
         t_osr_failed = Hashtbl.create 4;
         t_hier_epoch = 0;
         t_devirt_deps = Hashtbl.create 16;
@@ -49,6 +50,7 @@ let create ?(tiering = false) ?(tier_threshold = 16) ?(tier_cache_size = 512)
         t_deopts = 0;
         t_osr_compiles = 0;
         t_osr_entries = 0;
+        t_native_installs = 0;
       };
   }
 
@@ -250,15 +252,14 @@ let tier_install_unlocked rt ?(deps = []) (m : meth) fn =
 let tier_install ?deps rt m fn =
   with_tier_lock rt (fun () -> tier_install_unlocked rt ?deps m fn)
 
-(* The atomic-publish primitive of the background JIT: install [fn] only if
-   the method's generation still equals [gen] (the stamp read when the
-   worker started compiling) — and, when the compile speculated on receiver
-   types ([deps] non-empty), only if the class-hierarchy epoch still equals
-   [epoch] (read at compile start).  An invalidation or a dispatch-changing
-   [Classfile.add_method] that raced the compile bumped the corresponding
-   stamp, so the stale entry point is discarded and the caller decides
-   whether to requeue.  Returns whether the install happened. *)
-let tier_install_if_current rt (m : meth) ~gen ?epoch ?(deps = []) fn =
+(* Run [publish] under the tiering lock only if [m]'s generation still
+   equals [gen] (the stamp read when the compile or upgrade started) and,
+   when the code speculated on receiver types ([deps] non-empty), the
+   class-hierarchy epoch still equals [epoch] (read at compile start).  An
+   invalidation or a dispatch-changing [Classfile.add_method] that raced
+   the compile bumped the corresponding stamp, so nothing is published and
+   the mismatch is journaled.  Returns whether [publish] ran. *)
+let when_current rt (m : meth) ~gen ?epoch ~deps publish =
   with_tier_lock rt (fun () ->
       let epoch_ok =
         deps = []
@@ -268,7 +269,7 @@ let tier_install_if_current rt (m : meth) ~gen ?epoch ?(deps = []) fn =
         | Some e -> rt.tiering.t_hier_epoch = e
       in
       if epoch_ok && tier_gen_unlocked rt m.mid = gen then begin
-        tier_install_unlocked rt ~deps m fn;
+        publish ();
         true
       end
       else begin
@@ -291,6 +292,19 @@ let tier_install_if_current rt (m : meth) ~gen ?epoch ?(deps = []) fn =
                });
         false
       end)
+
+(* The atomic-publish primitive of the background JIT: install [fn] if the
+   compile is still current (the caller decides whether to requeue). *)
+let tier_install_if_current rt (m : meth) ~gen ?epoch ?(deps = []) fn =
+  when_current rt m ~gen ?epoch ~deps (fun () -> tier_install_unlocked rt ~deps m fn)
+
+(* The native tier's publish: [swap] puts native code into an installed
+   entry point's cell, if the upgrade is still current. *)
+let tier_upgrade_if_current rt (m : meth) ~gen ?epoch ?(deps = []) swap =
+  when_current rt m ~gen ?epoch ~deps (fun () ->
+      swap ();
+      devirt_register_unlocked rt deps m;
+      rt.tiering.t_native_installs <- rt.tiering.t_native_installs + 1)
 
 (* Drop the installed code for [m] and bump its generation stamp, so that
    stale entries can never be re-activated (the [Lancet.stable] recompile
@@ -428,7 +442,7 @@ let tier_stats_string rt =
   Printf.sprintf
     "compiles=%d cache_hits=%d cache_misses=%d evictions=%d deopts=%d \
      interp_steps=%d ic_hits=%d ic_misses=%d ic_sites=%d(mono=%d poly=%d \
-     mega=%d)%s"
+     mega=%d)%s%s"
     t.t_compiles t.t_cache_hits t.t_cache_misses t.t_evictions t.t_deopts
     rt.interp_steps ic_hits ic_misses
     (Hashtbl.length rt.ic_sites)
@@ -437,3 +451,5 @@ let tier_stats_string rt =
      else
        Printf.sprintf " osr_compiles=%d osr_entries=%d" t.t_osr_compiles
          t.t_osr_entries)
+    (if t.t_native_installs = 0 then ""
+     else Printf.sprintf " native=%d" t.t_native_installs)

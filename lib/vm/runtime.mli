@@ -105,6 +105,21 @@ val tier_install_if_current :
     [false] — and installs nothing — when an invalidation or a
     dispatch-changing method definition raced the compile. *)
 
+val tier_upgrade_if_current :
+  runtime ->
+  meth ->
+  gen:int ->
+  ?epoch:int ->
+  ?deps:string list ->
+  (unit -> unit) ->
+  bool
+(** The native tier's publish: under the tiering lock, run [swap] (which
+    puts native code into an installed entry point's cell) only if [m]'s
+    generation still equals [gen] and, when [deps] is non-empty, the
+    hierarchy epoch still equals [epoch]; registers [deps] and counts
+    [t_native_installs].  Returns [false], journaling the mismatch as a
+    [Compile_discard], when either moved. *)
+
 val tier_invalidate : ?why:Obs.cause -> runtime -> meth -> unit
 (** Drop [m]'s installed code and bump its generation stamp.  [why] is the
     cause the [Cache_invalidate] event carries: recompile exit, devirt-miss

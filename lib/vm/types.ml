@@ -107,6 +107,26 @@ and osr_state =
   | Osr_ready of osr_code
   | Osr_failed (* compile failed or the request was dropped *)
 
+(* A native upgrade of a method's installed tier-1 code, made by its entry
+   point once the code has been called [t_threshold] times and run by a
+   background JIT worker.  [nj_build] builds and loads native code for the
+   graph the typed code was lowered from.  [nj_install] swaps the code into the entry point's cell if
+   the method's generation has not moved since the job was made.
+   [nj_drop] gives the job up unbuilt (queue full, shutdown, injected
+   crash).  Each journals what it did. *)
+and native_job = {
+  nj_meth : meth;
+  nj_build : native_worker -> (value array -> value, string) result;
+  nj_install : (value array -> value) -> bool;
+  nj_drop : string -> unit;
+}
+
+(* What a worker lends a native build: the cell that holds the compiler's
+   pid while it runs (-1 once the job is cancelled), and [nw_meanwhile],
+   which runs one other waiting job, if there is one, while the compiler
+   runs, and says whether it did. *)
+and native_worker = { nw_pid : int Atomic.t; nw_meanwhile : unit -> bool }
+
 and code =
   | Bytecode of instr array
   | Native of string * (runtime -> value array -> value)
@@ -253,6 +273,10 @@ and tiering = {
        from the loop header at [pc] for a frame holding [locals] and
        publishes the outcome into [cell], synchronously or (when the
        background JIT replaced it) from a worker *)
+  mutable t_native : (native_job -> unit) option;
+    (* installed by the background JIT: queue a native upgrade (a job the
+       queue turns away is dropped).  Without a worker there is none, and
+       no code is upgraded. *)
   t_osr_failed : (int * int, unit) Hashtbl.t;
     (* (method id, header pc) pairs whose OSR compile failed: never
        retried.  Guarded by [t_lock]. *)
@@ -281,6 +305,7 @@ and tiering = {
   mutable t_deopts : int;
   mutable t_osr_compiles : int; (* OSR graphs built (also in [t_compiles]) *)
   mutable t_osr_entries : int; (* interpreter frames that entered OSR code *)
+  mutable t_native_installs : int; (* native upgrades swapped in *)
 }
 
 and cache_entry = {

@@ -996,6 +996,80 @@ let prop_typed_kernels =
           [| Int 5; Int 5; Float 2.0 |];
         ])
 
+(* The native arm of a property: [n] programs drawn from [gen] with a
+   fixed seed, each staged in a runtime of its own, built by the native
+   tier as one unit (one compiler run, not one per case).  Every kernel's
+   outcome on every argument vector must equal the interpreter's, bit for
+   bit; an argument failing the entry check goes to the typed kernel. *)
+let native_arm ~n gen src fname (outcomes : ((value array -> value) -> string) list) =
+  let rand = Random.State.make [| 26 |] in
+  let staged =
+    List.map
+      (fun stmts ->
+        let rt = Lancet.Api.boot () in
+        let m = Mini.Front.find_function (Mini.Front.load rt (src stmts)) fname in
+        (src stmts, rt, m, C.stage rt m (Array.make m.mnargs C.Dyn)))
+      (QCheck.Gen.generate ~rand ~n gen)
+  in
+  let jobs =
+    List.map
+      (fun (_, rt, _, g) ->
+        let hooks = Lms.Hooks.default_hooks rt in
+        (hooks, Lms.Typed_backend.compile ~hooks g, g))
+      staged
+  in
+  match Lms.Native_tier.compile_all jobs with
+  | Error why -> Alcotest.failf "native build declined: %s" why
+  | Ok fns ->
+    List.iter2
+      (fun (text, rt, m, _) fn ->
+        List.iter
+          (fun outcome ->
+            let want = outcome (Vm.Interp.call rt m) and got = outcome fn in
+            if want <> got then
+              Alcotest.failf "%s\ninterpreter: %s\nnative:      %s" text want got)
+          outcomes)
+      staged fns
+
+let value_or_error f =
+  match f () with
+  | Float x -> "float " ^ Int64.to_string (Int64.bits_of_float x)
+  | v -> Vm.Value.to_string v
+  | exception Vm.Types.Vm_error e -> "error " ^ e
+  | exception Invalid_argument e -> "invalid_argument " ^ e
+
+let test_native_ints () =
+  native_arm ~n:80 gen_mini_stmts
+    (Printf.sprintf "def f(a: int, b: int): int = { var c = 0; var r = 0; %s; r }")
+    "f"
+    (List.map
+       (fun (a, b) f -> value_or_error (fun () -> f [| Int a; Int b |]))
+       [ (0, 0); (3, -7); (11, 5) ])
+
+let test_native_floats () =
+  native_arm ~n:80 gen_mini_float_stmts
+    (Printf.sprintf
+       "def f(a: float, b: float, m: int, xs: farray): float = { var c = 0.0; \
+        var r = 0.0; var k = m; %s; r + i2f(k) }")
+    "f"
+    (List.map
+       (fun (a, b, k) f ->
+         let xs = [| 1.0; -2.0; 0.5; 4.0 |] in
+         let v = value_or_error (fun () -> f [| Float a; Float b; Int k; Farr xs |]) in
+         String.concat " "
+           (v :: Array.to_list (Array.map (fun x -> Int64.to_string (Int64.bits_of_float x)) xs)))
+       [ (0.5, -1.25, 3); (2.0, 0.0, -2); (-3.5, 1.5, 7) ])
+
+let test_native_kernels () =
+  native_arm ~n:150 gen_mini_kernel kernel_src "f"
+    (List.map
+       (fun args f -> kernel_outcome f args)
+       [
+         [| Int 2; Int 3; Float 0.5 |];
+         [| Int 3; Int 4; Float (-1.25) |];
+         [| Int 5; Int 5; Float 2.0 |];
+       ])
+
 (* An [fmul] of two folded loads inside an [fadd]: the multiply is a step
    of its own, as the add must not read the slots of loads folded away. *)
 let test_typed_fmul_of_loads () =
@@ -1280,6 +1354,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_typed_equals_boxed;
       QCheck_alcotest.to_alcotest prop_typed_equals_boxed_float;
       QCheck_alcotest.to_alcotest prop_typed_kernels;
+      Alcotest.test_case "native == interpreter (ints)" `Quick test_native_ints;
+      Alcotest.test_case "native == interpreter (floats)" `Quick test_native_floats;
+      Alcotest.test_case "native == interpreter (kernels)" `Quick test_native_kernels;
       Alcotest.test_case "typed-fmul-of-loads" `Quick test_typed_fmul_of_loads;
       Alcotest.test_case "typed-jump-slot-sharing" `Quick
         test_typed_jump_slot_sharing;

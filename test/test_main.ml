@@ -20,4 +20,5 @@ let () =
       ("chaos", Test_chaos.suite);
       ("governor", Test_governor.suite);
       ("osr", Test_osr.suite);
+      ("native", Test_native.suite);
     ]
