@@ -613,8 +613,8 @@ let tier_rows () =
   [ calc; kmeans; csv; spec ]
 
 (* ------------------------------------------------------------------ *)
-(* Disabled-checkpoint gate, shared by the obs, profiler, irtrace, chaos
-   and governor checkpoints                                             *)
+(* Disabled-checkpoint gate, shared by the obs, profiler, irtrace and
+   chaos checkpoints                                                    *)
 
 (* The loop body every gate times: cheap and allocation-free. *)
 let gate_acc = ref 0
@@ -1107,25 +1107,6 @@ let chaos_gate () =
         chaos_site (); chaos_site (); chaos_site (); chaos_site ()
       done)
 
-(* The governor's promotion checkpoint when no governor is attached: the
-   promotion path pays one mutable-field load plus an option match. *)
-let[@inline] governor_site (t : Vm.Types.tiering) =
-  match t.t_promote_gate with
-  | None -> ()
-  | Some _ -> gate_acc := !gate_acc lxor 1
-
-let governor_gate () =
-  let rt = Vm.Natives.boot ~tiering:true () in
-  let t = rt.tiering in
-  t.t_promote_gate <- None;
-  checkpoint_gate ~name:"governor promotion checkpoint" ~budget_ns:1.1
-    (fun iters ->
-      for i = 1 to iters do
-        gate_body i;
-        governor_site t; governor_site t; governor_site t; governor_site t;
-        governor_site t; governor_site t; governor_site t; governor_site t
-      done)
-
 (* The soak workload mixes several methods so faults land on different
    mids: a hot loop, a speculation that deopts periodically, and a cheap
    mixer, all folded into one checksum. *)
@@ -1150,8 +1131,8 @@ let chaos_soak_drive p ~calls =
   let put v = acc := (!acc + Vm.Value.to_int v) land 0xFFFFFF in
   for i = 1 to calls do
     put (Mini.Front.call p "soak_calc" [| Int 60; Int i |]);
-    (* every 40th call breaks the speculation: deopt pressure for the
-       governor's circuit breaker *)
+    (* every 40th call breaks the speculation: a side exit back to the
+       interpreter *)
     let x = if i mod 40 = 0 then 1_000_000 + i else i in
     put (Mini.Front.call p "soak_spec" [| Int x |]);
     put (Mini.Front.call p "soak_mix" [| Int i; Int !acc |])
@@ -1177,8 +1158,8 @@ let chaos_soak_spec seed =
     seed
 
 (* One seeded soak leg: tiered runtime, two JIT worker domains, small
-   code cache, governor attached with a tight watchdog, every fault site
-   armed.  Returns the checksum plus the evidence strings. *)
+   code cache, every fault site armed.  Returns the checksum plus the
+   evidence strings. *)
 let chaos_soak_leg ~seed ~calls =
   (match Chaos.configure (chaos_soak_spec seed) with
   | Ok () -> ()
@@ -1188,15 +1169,6 @@ let chaos_soak_leg ~seed ~calls =
     Lancet.Api.boot_bg ~tiering:true ~tier_threshold:8 ~tier_cache_size:4
       ~jit_threads:2 ()
   in
-  let gov =
-    Lancet.Governor.attach
-      ~cfg:
-        {
-          Lancet.Governor.default_config with
-          Lancet.Governor.g_watchdog_ms = 100.0;
-        }
-      ?pool ~ticker:true rt
-  in
   let p = Mini.Front.load rt chaos_soak_src in
   let t0 = Unix.gettimeofday () in
   let settle () =
@@ -1205,14 +1177,12 @@ let chaos_soak_leg ~seed ~calls =
   let checksum = chaos_soak_rounds p ~calls ~settle in
   settle ();
   let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  Lancet.Governor.detach gov;
   let bg = match pool with Some b -> Bgjit.stats_string b | None -> "" in
   let native = match pool with Some b -> (Bgjit.stats b).Bgjit.s_native | None -> 0 in
   (match pool with Some b -> Bgjit.shutdown ~timeout_ms:2000 b | None -> ());
   let fires = Chaos.stats_string () in
-  let gov_report = Lancet.Governor.report gov in
   Chaos.disable ();
-  (checksum, ms, fires, gov_report, bg, native)
+  (checksum, ms, fires, bg, native)
 
 (* THE soak invariant (gated in [check] and in CI): under any seeded
    fault schedule the program computes the pure-interpreter checksum, and
@@ -1222,7 +1192,7 @@ let chaos_soak ?(quiet = false) ~seeds ~calls () =
   let expect = chaos_soak_interp ~calls in
   List.iter
     (fun seed ->
-      let sum, ms, fires, gov, bg, native = chaos_soak_leg ~seed ~calls in
+      let sum, ms, fires, bg, native = chaos_soak_leg ~seed ~calls in
       if sum <> expect then
         failwith
           (Printf.sprintf
@@ -1235,7 +1205,6 @@ let chaos_soak ?(quiet = false) ~seeds ~calls () =
       if not quiet then begin
         pr "seed %-6d ok %8.1f ms  checksum=%d\n" seed ms sum;
         pr "            fires: %s\n" fires;
-        pr "            governor: %s\n" gov;
         if bg <> "" then pr "            bgjit: %s\n" bg
       end)
     seeds
@@ -1424,7 +1393,6 @@ let check () =
       ("profile", profile_gate);
       ("irtrace", irtrace_gate);
       ("chaos", chaos_gate);
-      ("governor", governor_gate);
     ];
   chaos_soak ~quiet:true ~seeds:[ 42 ] ~calls:120 ();
   Forensics.disable ();

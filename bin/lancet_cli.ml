@@ -63,10 +63,9 @@ let print_deopt_sites rt prof =
 
 (* ---- metrics export shared by run/health ---- *)
 
-(* Fill the export-time gauges, add the governor's counts when it ran, and
-   write the registry; a .prom suffix selects Prometheus text exposition,
-   anything else JSON. *)
-let export_metrics ?gov rt (j : Metrics.jit) path =
+(* Fill the export-time gauges and write the registry; a .prom suffix
+   selects Prometheus text exposition, anything else JSON. *)
+let export_metrics rt (j : Metrics.jit) path =
   let hits, misses, _, _, _ = Vm.Runtime.ic_stats rt in
   if hits + misses > 0 then
     Metrics.set j.Metrics.j_ic_hit_ratio
@@ -77,17 +76,6 @@ let export_metrics ?gov rt (j : Metrics.jit) path =
     (float_of_int (Persist.warm_matches ()));
   Metrics.set j.Metrics.j_profile_warm_stale
     (float_of_int (Persist.warm_stale ()));
-  (match gov with
-  | Some g ->
-    let s = Lancet.Governor.stats g in
-    List.iter
-      (fun (name, n) -> Metrics.add (Metrics.counter j.Metrics.j_reg name) n)
-      [ ("governor_throttles", s.Lancet.Governor.g_throttle_ups);
-        ("watchdog_kills", s.g_watchdog_kills);
-        ("governor_blacklists", s.g_blacklists);
-        ("governor_backoffs", s.g_backoffs);
-        ("governor_demotions", s.g_demotions) ]
-  | None -> ());
   let data =
     if Filename.check_suffix path ".prom" then
       Metrics.to_prometheus j.Metrics.j_reg
@@ -101,8 +89,7 @@ let export_metrics ?gov rt (j : Metrics.jit) path =
 (* ---- run ---- *)
 
 let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
-    stats metrics health chaos governor watchdog_ms lprof_out lprof_in file fn
-    args =
+    stats metrics health chaos lprof_out lprof_in file fn args =
   match
     match chaos with None -> Ok () | Some spec -> Chaos.configure spec
   with
@@ -125,19 +112,6 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
   let jm = if metrics <> None || health then Some (Metrics.jit ()) else None in
   Option.iter (fun j -> Obs.attach (Metrics.jit_sink j)) jm;
   if health then Forensics.enable ();
-  (* the governor rides on the pool and journal: attach after boot so it
-     sees the final hooks, detach before the pool shuts down *)
-  let gov =
-    if governor then
-      Some
-        (Lancet.Governor.attach
-           ~cfg:
-             { Lancet.Governor.default_config with
-               Lancet.Governor.g_watchdog_ms = watchdog_ms
-             }
-           ?pool ~ticker:true rt)
-    else None
-  in
   let chrome =
     Option.map
       (fun path ->
@@ -189,15 +163,9 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
   | Some path -> Format.eprintf "[profile] -> %s@." path
   | None -> ());
   (match (jm, metrics) with
-  | Some j, Some path -> export_metrics ?gov rt j path
+  | Some j, Some path -> export_metrics rt j path
   | _ -> ());
   if health then print_string (Lancet.Explain.health_report rt);
-  (match gov with
-  | Some g ->
-    Lancet.Governor.detach g;
-    if tiered || stats then
-      Format.eprintf "[governor] %s@." (Lancet.Governor.report g)
-  | None -> ());
   (match pool with
   | Some b ->
     if !Chaos.on then Bgjit.shutdown ~timeout_ms:2000 b else Bgjit.shutdown b;
@@ -496,28 +464,6 @@ let chaos_opt =
            duration), n (fire every nth draw); seed=N makes the schedule \
            reproducible.")
 
-let governor_flag =
-  Arg.(
-    value & flag
-    & info [ "governor" ]
-        ~doc:
-          "Enable the self-healing governor: a deopt-loop circuit breaker \
-           (demote to interpreter with exponential backoff, blacklist at \
-           the cap), a compile watchdog bounding per-compile wall time, \
-           queue backpressure and cache-thrash damping.  Decisions are \
-           journaled for $(b,lancet why) and counted in the metrics \
-           registry.")
-
-let watchdog_ms_opt =
-  Arg.(
-    value & opt float 500.0
-    & info [ "watchdog-ms" ] ~docv:"MS"
-        ~doc:
-          "Governor compile watchdog budget: an in-flight compile running \
-           longer than $(docv) milliseconds is abandoned (its install is \
-           discarded by the generation check), retried once, then \
-           blacklisted")
-
 let lprof_out_opt =
   Arg.(
     value
@@ -549,8 +495,8 @@ let run_t =
     Term.(
       const run_cmd $ tiered_flag $ tier_threshold $ jit_threads $ jit_queue
       $ trace_opt $ print_compilation_flag $ stats_flag $ metrics_opt
-      $ health_flag $ chaos_opt $ governor_flag $ watchdog_ms_opt
-      $ lprof_out_opt $ lprof_in_opt $ file $ fn_pos $ rest)
+      $ health_flag $ chaos_opt $ lprof_out_opt $ lprof_in_opt $ file $ fn_pos
+      $ rest)
 
 let trace_out =
   Arg.(

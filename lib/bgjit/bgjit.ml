@@ -35,8 +35,7 @@
    process ([Lms.Native_tier]) and swaps it into the entry point's cell if
    the method's generation has not moved since the job was made.  A failure
    gives the upgrade up and leaves the typed code running: no blacklist.
-   A running native job can be cancelled ([cancel_native], the governor's
-   watchdog; a timed-out [shutdown]), which kills its compiler.
+   A timed-out [shutdown] kills the compiler of a running native job.
 
    OSR requests (the runtime's [t_osr] hook, replaced by [install]) travel
    the same queue.  The worker runs the synchronous OSR hook [install]
@@ -81,13 +80,11 @@ type t = {
   capacity : int;
   queue : job Queue.t;
   natives : job Queue.t; (* [Native] jobs, taken when [queue] is empty *)
-  mutable native_running : (int * float * int Atomic.t) list;
-  (* (mid, dequeue timestamp, compiler-pid cell) of each running native
-     job; the watchdog reads the ages, [cancel_native] the cells *)
+  mutable native_running : int Atomic.t list;
+  (* the compiler-pid cell of each running native job *)
   pending : (int, unit) Hashtbl.t; (* mids queued, not yet picked up *)
-  inflight : (int, float) Hashtbl.t;
-  (* mid -> dequeue timestamp ([Obs.now] clock) for every promotion compile
-     a worker is running now; the governor's watchdog reads the ages *)
+  inflight : (int, unit) Hashtbl.t;
+  (* mids of the promotion compiles a worker is running now *)
   mutable osr_running : int; (* OSR compiles a worker is running now *)
   lock : Mutex.t; (* guards queue/pending/inflight/stats/stop *)
   nonempty : Condition.t; (* signaled on enqueue and shutdown *)
@@ -126,32 +123,10 @@ let pending t =
       + t.osr_running + List.length t.native_running)
 
 (* Cancel a native job through its compiler-pid cell: a running compiler
-   is killed, one not yet spawned never runs.  False if it was cancelled
-   before. *)
+   is killed, one not yet spawned never runs. *)
 let kill_compiler cell =
   let pid = Atomic.exchange cell (-1) in
-  if pid > 0 then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  pid >= 0
-
-(* [(mid, age_seconds)] of every native job running on a worker. *)
-let native_ages t =
-  let now = Obs.now () in
-  locked t (fun () -> List.map (fun (mid, ts, _) -> (mid, now -. ts)) t.native_running)
-
-(* Kill the compiler of [mid]'s running native jobs; each gives its upgrade
-   up.  Whether one was running and not cancelled yet. *)
-let cancel_native t mid =
-  List.fold_left
-    (fun any (m, _, cell) -> (m = mid && kill_compiler cell) || any)
-    false
-    (locked t (fun () -> t.native_running))
-
-(* [(mid, age_seconds)] of every compile currently running on a worker;
-   the governor's watchdog decides which are overdue. *)
-let inflight_ages t =
-  let now = Obs.now () in
-  locked t (fun () ->
-      Hashtbl.fold (fun mid ts acc -> (mid, now -. ts) :: acc) t.inflight [])
+  if pid > 0 then try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
 
 let stats_string t =
   let s = t.stats in
@@ -316,8 +291,8 @@ let process t wid (m : meth) =
   let gen = Vm.Runtime.tier_gen t.rt m.mid in
   let outcome =
     if m.mtier = Tier_blacklisted then
-      (* retired (governor or a racing failure) while the request sat in
-         the queue: never resurrect a blacklisted method *)
+      (* retired (a racing failure) while the request sat in the queue:
+         never resurrect a blacklisted method *)
       `Stale
     else
       match
@@ -407,13 +382,13 @@ let take t ~natives =
     (* [add], not [replace]: the same mid can be in flight on two
        workers at once (requeued while compiling), and each holds
        its own binding — [Hashtbl.length] counts both *)
-    Hashtbl.add t.inflight m.mid (Obs.now ());
+    Hashtbl.add t.inflight m.mid ();
     Some (job, Queue.length t.queue)
   | Some (Osr _ as job) ->
     t.osr_running <- t.osr_running + 1;
     Some (job, Queue.length t.queue)
-  | Some (Native { nj; cell } as job) ->
-    t.native_running <- (nj.nj_meth.mid, Obs.now (), cell) :: t.native_running;
+  | Some (Native { cell; _ } as job) ->
+    t.native_running <- cell :: t.native_running;
     Some (job, Queue.length t.natives)
   | None -> None
 
@@ -474,7 +449,7 @@ and process_native t wid (job : native_job) cell =
     end
   in
   locked t (fun () ->
-      t.native_running <- List.filter (fun (_, _, c) -> c != cell) t.native_running;
+      t.native_running <- List.filter (fun c -> c != cell) t.native_running;
       (match outcome with
       | `Installed -> t.stats.s_native <- t.stats.s_native + 1
       | `Stale -> t.stats.s_native_stale <- t.stats.s_native_stale + 1
@@ -656,7 +631,7 @@ let shutdown ?timeout_ms t =
       (* a running native build is killed; its worker reaps the compiler
          and gives the upgrade up, which takes a moment more *)
       let running () = locked t (fun () -> t.native_running) in
-      List.iter (fun (_, _, cell) -> ignore (kill_compiler cell)) (running ());
+      List.iter kill_compiler (running ());
       let reap_deadline = Unix.gettimeofday () +. 1.0 in
       while running () <> [] && Unix.gettimeofday () < reap_deadline do
         Unix.sleepf 0.001

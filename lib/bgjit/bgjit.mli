@@ -89,21 +89,5 @@ val stats : t -> stats
 val pending : t -> int
 (** Requests currently queued or being compiled (0 after [drain]). *)
 
-val inflight_ages : t -> (int * float) list
-(** [(mid, age_seconds)] for every compile currently running on a worker;
-    the governor's watchdog uses the ages to find stalled compiles. *)
-
-val native_ages : t -> (int * float) list
-(** [(mid, age_seconds)] for every native upgrade running on a worker. *)
-
-val cancel_native : t -> int -> bool
-(** Kill the compiler of the native upgrades of method [mid] that are
-    running: each gives its upgrade up and the typed code keeps running.
-    False when none was running that was not cancelled already. *)
-
-val meth_src_loc : meth -> string
-(** ["Cls.meth @pc k (file.mini:12)"] at the method's first pc with a
-    source line: where blacklist diagnostics point. *)
-
 val stats_string : t -> string
 (** One-line summary of the pool counters, for benches and logging. *)

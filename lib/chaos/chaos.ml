@@ -1,11 +1,12 @@
 (* Deterministic, seeded fault injection for the JIT control paths.
 
-   The engine's resilience story (governor, watchdog, generation-stamp
-   discards, bounded queues) is only as credible as the failures it has
-   been shown to survive, so this module turns "a worker crashed mid
-   compile" / "the queue saturated" / "the profile write was killed" into
-   reproducible schedules: a registry of *named injection sites* threaded
-   through the hot control paths, armed from a spec string such as
+   The engine's resilience story (generation-stamp discards, bounded
+   queues, blacklisting, bounded shutdown) is only as credible as the
+   failures it has been shown to survive, so this module turns "a worker
+   crashed mid compile" / "the queue saturated" / "the profile write was
+   killed" into reproducible schedules: a registry of *named injection
+   sites* threaded through the hot control paths, armed from a spec
+   string such as
 
        compile_crash:p=0.1,compile_stall:ms=50,seed=42
 

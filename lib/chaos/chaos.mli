@@ -25,8 +25,8 @@ val compile_crash : site
     path). *)
 
 val compile_stall : site
-(** Background compile sleeps for [ms] milliseconds (exercises the
-    watchdog and bounded shutdown). *)
+(** Background compile sleeps for [ms] milliseconds (exercises bounded
+    drain and shutdown). *)
 
 val compile_garbage : site
 (** Compile result is replaced with a garbage function; the
@@ -34,7 +34,7 @@ val compile_garbage : site
 
 val queue_full : site
 (** [Bgjit.enqueue] behaves as if the queue were saturated (exercises
-    the drop path and governor backpressure). *)
+    the drop path). *)
 
 val cache_evict : site
 (** [Runtime] code cache evicts its oldest entry on install, regardless

@@ -1862,8 +1862,8 @@ let count_recompiles = ref 0
 
 (* Report a side exit taken from [m]'s compiled code, explicit or tiered:
    a [Deopt] at the innermost frame's pc and source line (with inlining the
-   exit may sit in a callee, so its own line table).  Returns the pc and
-   line for the caller's own remediation. *)
+   exit may sit in a callee, so its own line table).  Returns the pc for
+   the caller's own remediation. *)
 let report_exit (m : meth) (se : Ir.side_exit) =
   let pc, line =
     match se.Ir.se_frames with
@@ -1884,7 +1884,7 @@ let report_exit (m : meth) (se : Ir.side_exit) =
            pc;
            line;
          });
-  (pc, line)
+  pc
 
 (* The one mode-selection step, for explicit and tiered compiles alike:
    runtime hooks with the caller's side-exit handler, the lowering's typed

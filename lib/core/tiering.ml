@@ -164,24 +164,15 @@ let compile_method_dyn ?entry rt (m : meth) :
           cell := fn)
     in
     { nj_meth = m; nj_build; nj_install; nj_drop = declined ~transient:true }
-  (* side exits of the compiled code: deopt accounting, the governor's
-     breaker, and the [`Recompile] / failed-devirt remediation.  OSR code
-     runs once, for one activation, so a recompile exit invalidates the
-     method's installed code but rebuilds nothing. *)
+  (* side exits of the compiled code: deopt accounting and the
+     [`Recompile] / failed-devirt remediation.  OSR code runs once, for one
+     activation, so a recompile exit invalidates the method's installed
+     code but rebuilds nothing. *)
   and on_exit se vals =
     let t = rt.tiering in
     t.t_deopts <- t.t_deopts + 1;
-    let se_pc, se_line = C.report_exit m se in
-    (* the governor's circuit breaker sees every deopt; when it acts (demote
-       to interpreter, blacklist) the normal remediation below is skipped —
-       re-enqueueing a recompile would defeat the backoff *)
-    let governed =
-      match t.t_on_deopt with
-      | Some f -> f m se.Lms.Ir.se_tag se_pc se_line
-      | None -> false
-    in
+    let se_pc = C.report_exit m se in
     (match se.Lms.Ir.se_kind with
-    | _ when governed -> ()
     | `Recompile -> (
       Vm.Runtime.tier_invalidate
         ~why:(Obs.Recompile_exit { tag = se.Lms.Ir.se_tag })

@@ -20,8 +20,8 @@
      allowed in a process that runs more than one domain), and waited for
      by the caller, a background JIT worker.  The caller's cancel cell
      holds the child's pid while it runs; whoever swaps -1 into the cell
-     kills that pid ([Bgjit.cancel_native]), and a build not yet spawned
-     never runs.  An [at_exit] hook kills and reaps any child still
+     kills that pid (a timed-out [Bgjit.shutdown]), and a build not yet
+     spawned never runs.  An [at_exit] hook kills and reaps any child still
      running and removes the directory.
    - Dynlink loads are serialized under one lock.
 

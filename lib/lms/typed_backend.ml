@@ -1303,9 +1303,13 @@ let rec lower ~boxed ~trace (hooks : Hooks.hooks) (g : graph) :
   let empty = { ints = [||]; floats = [||]; vals = [||] } in
   let pool = Atomic.make empty in
   fun args ->
-    if Array.length args <> nparams then
-      vm_error "typed kernel %s: expected %d args, got %d" g.name nparams
-        (Array.length args);
+    (* a short call reads its missing arguments as null, as an interpreter
+       frame does, and a long one drops the extra; a null fails the entry
+       check, so the boxed code raises the interpreter's error *)
+    let args =
+      if Array.length args >= nparams then args
+      else Array.append args (Array.make (nparams - Array.length args) Null)
+    in
     let r = Atomic.exchange pool empty in
     let r = if r == empty then registers () else r in
     if fill r args then begin

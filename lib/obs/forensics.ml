@@ -253,17 +253,23 @@ let detect () =
            values or raise --tier-threshold";
       (* cache thrash: evicted more than once — the cache is too small for
          the working set *)
-      let evicts =
-        count (fun d -> match d.d_event with Cache_evict _ -> true | _ -> false) ds
+      let caps =
+        List.filter_map
+          (fun d -> match d.d_event with Cache_evict e -> Some e.cap | _ -> None)
+          ds
       in
-      if evicts >= 2 then
+      if List.length caps >= 2 then
         add "cache-thrash"
-          (Printf.sprintf "evicted from the code cache x%d (and recompiled)" evicts)
+          (Printf.sprintf "evicted from the code cache x%d (and recompiled)"
+             (List.length caps))
           (fun d ->
             match d.d_event with
             | Cache_evict _ | Cache_install _ -> true
             | _ -> false)
-          "raise --tier-cache above the hot-method working set";
+          (Printf.sprintf
+             "the code cache holds %d method(s), fewer than the hot working \
+              set; boot the runtime with a larger ~tier_cache_size"
+             (List.hd caps));
       (* megamorphic hot site: an IC inside a promoted method went mega —
          the JIT can only emit generic dispatch there *)
       let promoted =

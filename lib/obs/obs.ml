@@ -68,15 +68,6 @@ type cause =
   | Profile_stale of { expected : string; found : string }
       (* a warm compile disagreed with the snapshot: recorded vs rebuilt
          IR fingerprint, or a recorded symbol that no longer resolves *)
-  | Deopt_storm of { tag : string; pc : int; strikes : int }
-      (* the governor's circuit breaker counted [strikes] deopts of the
-         same guard *)
-  | Watchdog_timeout of { ms : float; budget_ms : float }
-      (* an in-flight compile exceeded the governor's wall-time budget *)
-  | Queue_pressure of { dropped : int }
-      (* sustained queue drops observed over a governor tick *)
-  | Eviction_spike of { evictions : int }
-      (* code-cache eviction rate spiked over a governor tick *)
   | Shutdown_timeout of { ms : int }
       (* bounded shutdown expired before the queue drained *)
   | Chaos_fault of { site : string } (* injected by the chaos harness *)
@@ -167,23 +158,13 @@ type event =
       (* a late (re)definition of [name] killed the speculation on it *)
   | Ir_fingerprint of { meth : string; mid : int; phase : string; fp : string; cause : cause }
       (* structural fingerprint of the optimized graph ([Lms.Snapshot]) *)
-  | Demote of { meth : string; mid : int; strikes : int; backoff : int; cause : cause }
-      (* the governor sent the method back to the interpreter; it
-         re-promotes only once hotness reaches [backoff] *)
-  | Repromote of { meth : string; mid : int; level : int; calls : int; backedges : int }
-      (* a demoted method served its backoff and re-entered the pipeline *)
-  | Watchdog_kill of { meth : string; mid : int; ms : float; retry : bool; cause : cause }
-      (* the governor abandoned a stalled compile via a generation bump *)
-  | Throttle of { knob : string; was : int; now : int; cause : cause }
-      (* the governor moved a tiering knob (backpressure / hysteresis) *)
   | Abandon of { pending : int; cause : cause }
       (* bounded shutdown walked away from queued compile requests *)
 
 (* The cause an event carries: its [cause] field, or the trigger its own
    fields spell. *)
 let cause_of = function
-  | Tier_promote { calls; backedges; _ } | Repromote { calls; backedges; _ } ->
-    Hotness { calls; backedges }
+  | Tier_promote { calls; backedges; _ } -> Hotness { calls; backedges }
   | Deopt { tag; pc; line; _ } -> Guard { tag; pc; line }
   | Osr_entry { steps; pc; line; _ } -> Loop_steps { steps; pc; line }
   | Cache_evict { occ; cap; _ } ->
@@ -192,8 +173,8 @@ let cause_of = function
   | Compile_enqueue { cause; _ } | Compile_blacklist { cause; _ }
   | Compile_drop { cause; _ } | Compile_discard { cause; _ }
   | Cache_invalidate { cause; _ } | Ic_transition { cause; _ }
-  | Osr_decline { cause; _ } | Ir_fingerprint { cause; _ } | Demote { cause; _ }
-  | Watchdog_kill { cause; _ } | Throttle { cause; _ } | Abandon { cause; _ } ->
+  | Osr_decline { cause; _ } | Ir_fingerprint { cause; _ }
+  | Abandon { cause; _ } ->
     cause
   | _ -> Unattributed
 
@@ -210,8 +191,7 @@ let about = function
   | Devirt_guard_fail { mid; meth; _ } | Osr_entry { mid; meth; _ }
   | Osr_decline { mid; meth; _ } | Guard_plant { mid; meth; _ }
   | Devirt_install { mid; meth; _ } | Devirt_kill { mid; meth; _ }
-  | Ir_fingerprint { mid; meth; _ } | Demote { mid; meth; _ }
-  | Repromote { mid; meth; _ } | Watchdog_kill { mid; meth; _ } ->
+  | Ir_fingerprint { mid; meth; _ } ->
     (mid, meth)
   | Compile_end { ci_mid; ci_meth; _ } -> (
     (* a tiered or OSR compile's label names the method it compiles *)
@@ -222,8 +202,7 @@ let about = function
       match String.rindex_opt m '@' with
       | Some j -> (ci_mid, String.sub m 0 j)
       | None -> (ci_mid, m)))
-  | Macro_expand _ | Stack_sample _ | Span_begin _ | Span_end _ | Throttle _
-  | Abandon _ ->
+  | Macro_expand _ | Stack_sample _ | Span_begin _ | Span_end _ | Abandon _ ->
     (-1, "")
 
 let at_line pc line =
@@ -254,13 +233,6 @@ let cause_to_string = function
   | Profile_stale c ->
     Printf.sprintf "profile stale: recorded %s, got %s" (short_fp c.expected)
       (short_fp c.found)
-  | Deopt_storm c ->
-    Printf.sprintf "deopt storm: guard '%s' @pc %d missed x%d" c.tag c.pc
-      c.strikes
-  | Watchdog_timeout c ->
-    Printf.sprintf "compile ran %.0fms against a %.0fms budget" c.ms c.budget_ms
-  | Queue_pressure c -> Printf.sprintf "%d compile drops this tick" c.dropped
-  | Eviction_spike c -> Printf.sprintf "%d evictions this tick" c.evictions
   | Shutdown_timeout c -> Printf.sprintf "shutdown timed out after %dms" c.ms
   | Chaos_fault c -> Printf.sprintf "chaos fault '%s'" c.site
   | Loop_steps c ->
@@ -299,10 +271,6 @@ let kind_to_string = function
   | Devirt_install _ -> "devirt-install"
   | Devirt_kill _ -> "devirt-kill"
   | Ir_fingerprint _ -> "ir-fingerprint"
-  | Demote _ -> "demote"
-  | Repromote _ -> "repromote"
-  | Watchdog_kill _ -> "watchdog-kill"
-  | Throttle _ -> "throttle"
   | Abandon _ -> "abandon"
 
 (* What the engine decided, in words: the decision journal's phrasing,
@@ -337,14 +305,6 @@ let describe ev =
       e.to_state e.callee
   | Ir_fingerprint e ->
     Printf.sprintf "IR fingerprint %s (%s)" (short_fp e.fp) e.phase
-  | Demote e ->
-    Printf.sprintf "demoted to interpreter (strikes=%d, re-promote at %d)"
-      e.strikes e.backoff
-  | Repromote e -> Printf.sprintf "re-promoted after backoff (level %d)" e.level
-  | Watchdog_kill e ->
-    Printf.sprintf "stalled compile abandoned after %.0fms%s" e.ms
-      (if e.retry then " -> retry once" else " -> no more retries")
-  | Throttle e -> Printf.sprintf "%s throttled %d -> %d" e.knob e.was e.now
   | Abandon e ->
     Printf.sprintf "%d queued compile(s) abandoned at shutdown" e.pending
   | Osr_entry _ -> "entered OSR code mid-call"
@@ -418,8 +378,7 @@ let to_string ev =
       (if e.line > 0 then Printf.sprintf " line %d" e.line else "")
       e.steps
   | Compile_drop _ | Compile_discard _ | Osr_decline _ | Guard_plant _
-  | Devirt_install _ | Devirt_kill _ | Ir_fingerprint _ | Demote _
-  | Repromote _ | Watchdog_kill _ | Throttle _ | Abandon _ ->
+  | Devirt_install _ | Devirt_kill _ | Ir_fingerprint _ | Abandon _ ->
     let cause = cause_to_string (cause_of ev) in
     Printf.sprintf "%-16s %s%s%s" (kind_to_string ev)
       (match about ev with _, "" -> "" | _, m -> m ^ ": ")
@@ -776,8 +735,7 @@ module Chrome = struct
       record t ~ph:"i" ~name:("osr " ^ e.meth) ~cat:"jit" ~ts_us
         (tags @ [ int_ "pc" e.pc; int_ "steps" e.steps ])
     | Compile_drop _ | Compile_discard _ | Osr_decline _ | Guard_plant _
-    | Devirt_install _ | Devirt_kill _ | Ir_fingerprint _ | Demote _
-    | Repromote _ | Watchdog_kill _ | Throttle _ | Abandon _ ->
+    | Devirt_install _ | Devirt_kill _ | Ir_fingerprint _ | Abandon _ ->
       record t ~ph:"i"
         ~name:(kind_to_string ev ^ " " ^ snd (about ev))
         ~cat:"jit" ~ts_us

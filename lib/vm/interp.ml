@@ -204,16 +204,9 @@ let resume rt frame =
         let m = f.fmeth in
         match t.t_osr with
         | Some request when m.mtier <> Tier_blacklisted ->
-          if match t.t_promote_gate with None -> true | Some gate -> gate m
-          then begin
-            let cell = Atomic.make Osr_queued in
-            f.fosr <- Osr_waiting (h, cell);
-            request m h f.locals cell
-          end
-          else
-            (* held back by the governor: ask again after as many own
-               steps again *)
-            f.fbase <- rt.interp_steps
+          let cell = Atomic.make Osr_queued in
+          f.fosr <- Osr_waiting (h, cell);
+          request m h f.locals cell
         | _ -> f.fosr <- Osr_spent
       end
     | Osr_waiting (h', cell) when h' = h -> (

@@ -41,8 +41,6 @@ let create ?(tiering = false) ?(tier_threshold = 16) ?(tier_cache_size = 512)
         t_osr_failed = Hashtbl.create 4;
         t_hier_epoch = 0;
         t_devirt_deps = Hashtbl.create 16;
-        t_promote_gate = None;
-        t_on_deopt = None;
         t_compiles = 0;
         t_cache_hits = 0;
         t_cache_misses = 0;
@@ -411,10 +409,7 @@ let tiered_fn rt (m : meth) : (value array -> value) option =
     if not t.t_enabled then None
     else begin
       t.t_cache_misses <- t.t_cache_misses + 1;
-      if
-        m.mcalls + m.mbackedges >= t.t_threshold
-        && (match t.t_promote_gate with None -> true | Some gate -> gate m)
-      then tier_promote rt m
+      if m.mcalls + m.mbackedges >= t.t_threshold then tier_promote rt m
       else None
     end
 

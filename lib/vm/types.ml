@@ -257,7 +257,7 @@ and runtime = {
    reading only the word-sized [mtier] field. *)
 and tiering = {
   mutable t_enabled : bool;
-  mutable t_threshold : int; (* promote when mcalls + mbackedges reach this *)
+  t_threshold : int; (* promote when mcalls + mbackedges reach this *)
   mutable t_cache_size : int; (* max resident compiled methods *)
   t_cache : (int, cache_entry) Hashtbl.t; (* method id -> entry *)
   t_order : int Queue.t; (* FIFO installation order, drives eviction *)
@@ -289,15 +289,6 @@ and tiering = {
     (* method name -> compiled methods whose installed code speculates on
        dispatch of that name (IC feedback or CHA); [hierarchy_changed]
        invalidates the bucket.  Guarded by [t_lock]. *)
-  mutable t_promote_gate : (meth -> bool) option;
-    (* consulted after the hotness threshold and before [tier_promote],
-       and before an OSR request; the governor installs a gate to hold
-       demoted methods back until their exponential backoff is served *)
-  mutable t_on_deopt : (meth -> string -> int -> int -> bool) option;
-    (* [f m tag pc line] called on every guard deopt; the governor's
-       circuit breaker counts strikes here.  Returning [true] means the
-       governor took over remediation (demote/blacklist) and the normal
-       deopt handling (recompile, devirt reprofile) must be skipped *)
   mutable t_compiles : int;
   mutable t_cache_hits : int;
   mutable t_cache_misses : int;

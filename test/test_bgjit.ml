@@ -290,6 +290,41 @@ let test_compile_end_own_counts () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Bounded shutdown: a wedged worker cannot hang exit — the deadline
+   expires, pending requests are abandoned (counted + returned to the
+   interpreter) and the stuck domain is left behind for process exit.   *)
+
+let test_bounded_shutdown () =
+  let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:4 () in
+  let started = Atomic.make false in
+  let release = Atomic.make false in
+  let pool =
+    Bgjit.create ~threads:1 ?log:quiet
+      ~compile:(fun rt m ->
+        Atomic.set started true;
+        while not (Atomic.get release) do
+          Unix.sleepf 0.005
+        done;
+        Lancet.Tiering.compile rt m)
+      rt
+  in
+  let p = Mini.Front.load rt three_src in
+  let ma = Mini.Front.find_function p "a" in
+  let mb = Mini.Front.find_function p "b" in
+  check_bool "a queued" true (Bgjit.enqueue pool ma = `Queued);
+  await ~what:"worker to wedge on a" (fun () -> Atomic.get started);
+  check_bool "b queued behind the wedge" true (Bgjit.enqueue pool mb = `Queued);
+  let t0 = Unix.gettimeofday () in
+  Bgjit.shutdown ~timeout_ms:200 pool;
+  let dt = Unix.gettimeofday () -. t0 in
+  check_bool "shutdown returned within the deadline" true (dt < 5.0);
+  check_int "pending request abandoned" 1 (Bgjit.stats pool).Bgjit.s_abandoned;
+  check_bool "abandoned method back on the interpreter" true
+    (mb.mtier = Tier_cold);
+  (* unwedge the leaked worker so it exits instead of sleeping forever *)
+  Atomic.set release true
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -300,4 +335,5 @@ let suite =
     Alcotest.test_case "async-recompile" `Quick test_async_recompile;
     Alcotest.test_case "compile-end-own-counts" `Quick
       test_compile_end_own_counts;
+    Alcotest.test_case "bounded-shutdown" `Quick test_bounded_shutdown;
   ]

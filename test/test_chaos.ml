@@ -169,9 +169,9 @@ let test_queue_full_drops () =
 
 (* ------------------------------------------------------------------ *)
 (* Soak invariant: under a seeded schedule arming every fault site at
-   once, the tiered runtime (2 JIT workers, tiny code cache, governor
-   attached) computes the pure-interpreter checksum and exits through
-   the bounded drain/shutdown path.                                     *)
+   once, the tiered runtime (2 JIT workers, tiny code cache) computes
+   the pure-interpreter checksum and exits through the bounded
+   drain/shutdown path.                                                 *)
 
 let soak_src =
   {|
@@ -214,10 +214,8 @@ let test_soak_checksum () =
         Lancet.Api.boot_bg ~tiering:true ~tier_threshold:4 ~tier_cache_size:2
           ~jit_threads:2 ()
       in
-      let gov = Lancet.Governor.attach ?pool rt in
       let got = soak_drive (Mini.Front.load rt soak_src) ~calls in
       (match pool with Some b -> Bgjit.drain ~timeout_ms:2000 b | None -> ());
-      Lancet.Governor.detach gov;
       (match pool with
       | Some b -> Bgjit.shutdown ~timeout_ms:2000 b
       | None -> ());

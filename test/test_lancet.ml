@@ -442,12 +442,31 @@ let suite =
 
 let fresh_loop = ref 100
 
+(* Int operands for the properties: small ones, and a pair at the 32-bit
+   bounds, whose sums and products wrap. *)
+let int_operands = [ (0, 0); (3, -7); (11, 5); (2147483647, -2147483648) ]
+
 let gen_mini_stmts =
   QCheck.Gen.(
     let var = oneofl [ "c"; "r" ] in
+    (* constants near the 32-bit bounds, so sums wrap at 2^31, and
+       squares past 2^31 *)
+    let big =
+      oneof
+        [
+          map (fun d -> string_of_int (2147483647 - d)) (int_range 0 9);
+          map (fun d -> string_of_int (d - 2147483647)) (int_range 0 9);
+          oneofl [ "65536"; "46341"; "(-46341)" ];
+        ]
+    in
     let rec gen_exp k =
       if k <= 0 then
-        oneof [ map string_of_int (int_range (-9) 9); oneofl [ "a"; "b"; "c"; "r" ] ]
+        frequency
+          [
+            (3, map string_of_int (int_range (-9) 9));
+            (1, big);
+            (4, oneofl [ "a"; "b"; "c"; "r" ]);
+          ]
       else
         frequency
           [
@@ -511,7 +530,7 @@ let prop_compiled_equals_interpreted =
           Vm.Value.equal
             (Vm.Interp.call_closure rt clo [| Int a; Int b |])
             (Vm.Interp.call_closure rt compiled [| Int a; Int b |]))
-        [ (0, 0); (3, -7); (11, 5); (-2, 9) ])
+        ((-2, 9) :: int_operands))
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_compiled_equals_interpreted ]
 
@@ -649,7 +668,7 @@ let prop_typed_equals_boxed =
           let args = [| Int a; Int b |] in
           let interp = Vm.Interp.call rt m args in
           Vm.Value.equal interp (boxed args) && Vm.Value.equal interp (typed args))
-        [ (0, 0); (3, -7); (11, 5) ])
+        int_operands)
 
 (* The float variant: float arithmetic mixing float and int literals, int
    to float conversions, float compares in [if] and [while], and loads and
@@ -1044,7 +1063,7 @@ let test_native_ints () =
     "f"
     (List.map
        (fun (a, b) f -> value_or_error (fun () -> f [| Int a; Int b |]))
-       [ (0, 0); (3, -7); (11, 5) ])
+       int_operands)
 
 let test_native_floats () =
   native_arm ~n:80 gen_mini_float_stmts
@@ -1390,6 +1409,6 @@ let prop_deopt_stress =
           Vm.Value.equal
             (Vm.Interp.call_closure rt clo [| Int a; Int b |])
             (Vm.Interp.call_closure rt compiled [| Int a; Int b |]))
-        [ (0, 0); (9, 9); (3, -7); (100, 4); (-2, 63) ])
+        [ (0, 0); (9, 9); (3, -7); (100, 4); (-2, 63); (2147483647, -2147483648) ])
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_deopt_stress ]

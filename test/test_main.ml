@@ -18,7 +18,6 @@ let () =
       ("extras", Test_extras.suite);
       ("persist", Test_persist.suite);
       ("chaos", Test_chaos.suite);
-      ("governor", Test_governor.suite);
       ("osr", Test_osr.suite);
       ("native", Test_native.suite);
     ]

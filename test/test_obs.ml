@@ -243,6 +243,25 @@ let test_chrome_trace () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "escaping broke JSON: %s" e
 
+(* A k-means run, traced: its Chrome trace holds the guard plants and
+   clamp's speculation misses beside the compiles, and stays well-formed
+   JSON. *)
+let test_kmeans_trace () =
+  let rt = Lancet.Api.boot ~tiering:true () in
+  let src = Util.read_example "kmeans.mini" in
+  let p = Mini.Front.load ~file:"kmeans.mini" rt src in
+  let c = Obs.Chrome.create () in
+  Obs.with_sink (Obs.Chrome.sink c) (fun () ->
+      ignore (Mini.Front.call p "main" [||]));
+  let json = Obs.Chrome.dump c in
+  (match Obs.Json.validate json with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "k-means trace is not valid JSON: %s" e);
+  check_bool "trace shows a guard plant" true
+    (Vm.Strutil.contains json "\"ev\":\"guard-plant\"");
+  check_bool "trace shows clamp's speculation misses" true
+    (Vm.Strutil.contains json "\"name\":\"deopt speculate\"")
+
 let test_profile () =
   let profile = Profiler.create () in
   let rt = boot_tiered ~threshold:4 () in
@@ -405,6 +424,7 @@ let suite =
       test_deopt_recompile_sequence;
     Alcotest.test_case "eviction-events" `Quick test_eviction_events;
     Alcotest.test_case "chrome-trace" `Quick test_chrome_trace;
+    Alcotest.test_case "kmeans-trace" `Quick test_kmeans_trace;
     Alcotest.test_case "profile" `Quick test_profile;
     Alcotest.test_case "explicit-compile-deopts" `Quick
       test_explicit_compile_deopts;

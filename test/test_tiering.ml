@@ -215,6 +215,68 @@ let test_eviction () =
   check_bool "cache stays bounded" true
     (Hashtbl.length rt.tiering.t_cache <= 1)
 
+(* Eviction round trip under pressure: with a one-slot code cache two
+   alternating hot methods keep evicting each other, results stay equal
+   to the interpreter, the evict -> re-promote chain is visible in the
+   why report, and the health report's advice names the cache's size. *)
+let test_evict_repromote () =
+  Forensics.enable ();
+  let rt = boot_tiered ~threshold:4 ~cache:1 () in
+  let p = Mini.Front.load rt two_hot_src in
+  let plain = Vm.Natives.boot () in
+  let pp = Mini.Front.load plain two_hot_src in
+  for i = 1 to 30 do
+    List.iter
+      (fun f ->
+        check_value
+          (Printf.sprintf "%s(%d) survives eviction churn" f i)
+          (Mini.Front.call pp f [| Int (20 + i) |])
+          (Mini.Front.call p f [| Int (20 + i) |]))
+      [ "a"; "b" ]
+  done;
+  check_bool "cache pressure evicted" true (rt.tiering.t_evictions > 0);
+  check_bool "evicted methods recompiled" true (rt.tiering.t_compiles > 2);
+  let report = Lancet.Explain.why_report rt in
+  check_bool "why shows the eviction" true
+    (Vm.Strutil.contains report "evicted from code cache");
+  check_bool "why shows the re-promotion" true
+    (Vm.Strutil.contains report "promote");
+  let health = Lancet.Explain.health_report rt in
+  check_bool "health names the thrash" true
+    (Vm.Strutil.contains health "PATHOLOGY cache-thrash");
+  check_bool "health advice carries the cache size" true
+    (Vm.Strutil.contains health
+       "suggestion: the code cache holds 1 method(s), fewer than the hot \
+        working set; boot the runtime with a larger ~tier_cache_size");
+  Forensics.disable ()
+
+(* A call with too few arguments reads the missing ones as null in typed
+   code as in the interpreter, so both raise the same error. *)
+let test_short_call () =
+  let src = "def w(a: int, b: int): int = a * b + 7" in
+  let rt = boot_tiered ~threshold:2 () in
+  let p = Mini.Front.load rt src in
+  let pp = Mini.Front.load (Vm.Natives.boot ()) src in
+  let ring = Obs.Ring.create ~capacity:256 () in
+  Obs.with_sink (Obs.Ring.sink ring) (fun () ->
+      for i = 1 to 3 do
+        ignore (Mini.Front.call p "w" [| Int i; Int 2 |])
+      done);
+  check_bool "compiled in the typed mode" true
+    (List.exists
+       (function Obs.Compile_end c -> c.Obs.ci_backend = "typed" | _ -> false)
+       (Obs.Ring.events ring));
+  let outcome p =
+    match Mini.Front.call p "w" [| Int 1 |] with
+    | v -> Vm.Value.to_string v
+    | exception Vm_error e -> "error " ^ e
+  in
+  Alcotest.(check string) "the interpreter's error" (outcome pp) (outcome p);
+  check_bool "still compiled" true
+    (match (Mini.Front.find_function p "w").mtier with
+    | Tier_compiled _ -> true
+    | _ -> false)
+
 (* A jit hook that declines to compile blacklists the method; execution
    stays on the interpreter and stays correct. *)
 let test_blacklist () =
@@ -294,6 +356,8 @@ let suite =
     Alcotest.test_case "stable-recompile" `Quick test_stable_recompile;
     Alcotest.test_case "invalidation" `Quick test_invalidation;
     Alcotest.test_case "eviction" `Quick test_eviction;
+    Alcotest.test_case "evict-repromote" `Quick test_evict_repromote;
+    Alcotest.test_case "short-call" `Quick test_short_call;
     Alcotest.test_case "blacklist" `Quick test_blacklist;
     Alcotest.test_case "counters-monotone" `Quick test_counters_monotone;
   ]
