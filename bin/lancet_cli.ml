@@ -63,28 +63,50 @@ let print_deopt_sites rt prof =
 
 (* ---- metrics export shared by run/health ---- *)
 
-(* Fill the export-time gauges and write the registry; a .prom suffix
-   selects Prometheus text exposition, anything else JSON. *)
-let export_metrics rt (j : Metrics.jit) path =
+(* Write the run's [Profiler] with the readings no event carries; a .prom
+   suffix selects Prometheus text exposition, anything else JSON. *)
+let export_metrics rt prof path =
   let hits, misses, _, _, _ = Vm.Runtime.ic_stats rt in
-  if hits + misses > 0 then
-    Metrics.set j.Metrics.j_ic_hit_ratio
-      (float_of_int hits /. float_of_int (hits + misses));
-  Metrics.set j.Metrics.j_profile_replayed
-    (float_of_int (Persist.replayed_methods ()));
-  Metrics.set j.Metrics.j_profile_warm_ok
-    (float_of_int (Persist.warm_matches ()));
-  Metrics.set j.Metrics.j_profile_warm_stale
-    (float_of_int (Persist.warm_stale ()));
+  let series =
+    Profiler.metrics prof
+      ~ic_hit_ratio:
+        (if hits + misses = 0 then 0.0
+         else float_of_int hits /. float_of_int (hits + misses))
+      ~replayed:(Persist.replayed_methods ())
+      ~warm_matches:(Persist.warm_matches ()) ~warm_stale:(Persist.warm_stale ())
+  in
   let data =
-    if Filename.check_suffix path ".prom" then
-      Metrics.to_prometheus j.Metrics.j_reg
-    else Metrics.to_json j.Metrics.j_reg
+    if Filename.check_suffix path ".prom" then Metrics.to_prometheus series
+    else Metrics.to_json series
   in
   let oc = open_out path in
   output_string oc data;
   close_out oc;
   Format.eprintf "[metrics] -> %s@." path
+
+(* ---- the one start and finish of run and the report verbs ---- *)
+
+(* Boot the engine, tiered unless [tiered] is false, with [jit_threads]
+   background compile workers, and attach [sinks]. *)
+let start ?(tiered = true) ?(jit_threads = 0) ?(jit_queue = 32) ~threshold
+    sinks =
+  let rt, pool =
+    Lancet.Api.boot_bg ~tiering:tiered ~tier_threshold:threshold ~jit_threads
+      ~jit_queue ()
+  in
+  List.iter Obs.attach sinks;
+  (rt, pool)
+
+(* Stop the compile pool, then flush the bus.  The workers finish the
+   queued compiles and give queued native upgrades up, as the program has
+   returned.  Bounded when chaos is armed, so an injected stall cannot hang
+   the exit. *)
+let finish pool =
+  Option.iter
+    (fun b ->
+      if !Chaos.on then Bgjit.shutdown ~timeout_ms:2000 b else Bgjit.shutdown b)
+    pool;
+  Obs.flush ()
 
 (* ---- run ---- *)
 
@@ -97,9 +119,22 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
     Format.eprintf "%s@." e;
     2
   | Ok () ->
+  if health then Forensics.enable ();
+  let prof = Profiler.create () in
+  (* at_exit registration keeps the trace well-formed even when the
+     program traps out of the run *)
+  let chrome =
+    Option.map
+      (fun path ->
+        let c = Obs.Chrome.create () in
+        (c, path, Obs.Chrome.write_at_exit c path))
+      trace
+  in
   let rt, pool =
-    Lancet.Api.boot_bg ~tiering:tiered ~tier_threshold:threshold ~jit_threads
-      ~jit_queue ()
+    start ~tiered ~jit_threads ~jit_queue ~threshold
+      ((if stats || metrics <> None then [ Profiler.sink prof ] else [])
+      @ (match chrome with Some (c, _, _) -> [ Obs.Chrome.sink c ] | None -> [])
+      @ if print_compilation then [ compilation_sink () ] else [])
   in
   (* profile writer: start collecting compile fingerprints now and rewrite
      the snapshot on every [Obs.flush] and once more at exit, through the
@@ -109,22 +144,6 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
     Persist.collect ();
     Persist.register_writer rt path
   | None -> ());
-  let jm = if metrics <> None || health then Some (Metrics.jit ()) else None in
-  Option.iter (fun j -> Obs.attach (Metrics.jit_sink j)) jm;
-  if health then Forensics.enable ();
-  let chrome =
-    Option.map
-      (fun path ->
-        let c = Obs.Chrome.create () in
-        Obs.attach (Obs.Chrome.sink c);
-        (* at_exit registration keeps the JSON well-formed even when the
-           program traps out of the run *)
-        (c, path, Obs.Chrome.write_at_exit c path))
-      trace
-  in
-  if print_compilation then Obs.attach (compilation_sink ());
-  let profile = if stats then Some (Profiler.create ()) else None in
-  Option.iter (fun p -> Obs.attach (Profiler.sink p)) profile;
   let p = Mini.Front.load ~file rt (read_file file) in
   (* profile replay: seed hotness/IC/blacklist state from a prior run and
      batch-enqueue formerly-hot methods before the mutator starts.  A file
@@ -141,36 +160,26 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
         path st.Persist.rs_methods st.Persist.rs_sites st.Persist.rs_enqueued
         st.Persist.rs_dropped));
   let v = Mini.Front.call p fn (Array.of_list (List.map parse_arg args)) in
-  (* let in-flight background compiles finish before reporting — bounded
-     when chaos is armed, so an injected stall cannot hang the exit *)
-  (match pool with
-  | Some b ->
-    if !Chaos.on then Bgjit.drain ~timeout_ms:2000 b else Bgjit.drain b
-  | None -> ());
-  Obs.flush ();
+  finish pool;
   Format.printf "%a@." Vm.Value.pp v;
   (match chrome with
   | Some (c, path, write_now) ->
     write_now ();
     Format.eprintf "[obs] %d events -> %s@." (Obs.Chrome.event_count c) path
   | None -> ());
-  (match profile with
-  | Some p -> Format.eprintf "@[<v>per-method profile:@,%s@]@." (Profiler.table p)
-  | None -> ());
+  if stats then
+    Format.eprintf "@[<v>per-method profile:@,%s@]@." (Profiler.table prof);
   if stats && Hashtbl.length rt.Vm.Types.ic_sites > 0 then
     Format.eprintf "@[<v>ic sites:@,%s@]@." (Vm.Inlinecache.site_table rt);
   (match lprof_out with
   | Some path -> Format.eprintf "[profile] -> %s@." path
   | None -> ());
-  (match (jm, metrics) with
-  | Some j, Some path -> export_metrics rt j path
-  | _ -> ());
+  Option.iter (export_metrics rt prof) metrics;
   if health then print_string (Lancet.Explain.health_report rt);
   (match pool with
-  | Some b ->
-    if !Chaos.on then Bgjit.shutdown ~timeout_ms:2000 b else Bgjit.shutdown b;
-    if tiered || stats then Format.eprintf "[bgjit] %s@." (Bgjit.stats_string b)
-  | None -> ());
+  | Some b when tiered || stats ->
+    Format.eprintf "[bgjit] %s@." (Bgjit.stats_string b)
+  | _ -> ());
   if !Chaos.on then begin
     Format.eprintf "[chaos] seed=%d %s@." (Chaos.seed ()) (Chaos.stats_string ());
     Chaos.disable ()
@@ -181,18 +190,12 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
 
 (* ---- the report verbs' run ---- *)
 
-(* Boot the tiered engine (with [jit_threads] background compile
-   workers), attach [sinks], load FILE, call FUNCTION [repeat] times (under
-   the stack sampler when [sample] names a profiler), let queued compiles
-   finish, flush the bus and stop the pool.  Returns the runtime, the pool
-   (for its stats), the source and the last result. *)
-let drive ?(jit_threads = 0) ?(jit_queue = 32) ?(sinks = []) ?sample
-    ~threshold ~repeat file fn args =
-  let rt, pool =
-    Lancet.Api.boot_bg ~tiering:true ~tier_threshold:threshold ~jit_threads
-      ~jit_queue ()
-  in
-  List.iter Obs.attach sinks;
+(* [start] with [sinks], load FILE, call FUNCTION [repeat] times (under the
+   stack sampler when [sample] names a profiler) and [finish].  Returns the
+   runtime, the pool (for its stats), the source and the last result. *)
+let drive ?jit_threads ?jit_queue ?(sinks = []) ?sample ~threshold ~repeat
+    file fn args =
+  let rt, pool = start ?jit_threads ?jit_queue ~threshold sinks in
   let src = read_file file in
   let p = Mini.Front.load ~file rt src in
   let argv = Array.of_list (List.map parse_arg args) in
@@ -205,9 +208,7 @@ let drive ?(jit_threads = 0) ?(jit_queue = 32) ?(sinks = []) ?sample
   (match sample with
   | Some prof -> Profiler.sampled prof calls
   | None -> calls ());
-  (match pool with Some b -> Bgjit.drain b | None -> ());
-  Obs.flush ();
-  (match pool with Some b -> Bgjit.shutdown b | None -> ());
+  finish pool;
   (rt, pool, src, !v)
 
 (* ---- trace: run tiered, write a Chrome trace + profile table ---- *)
@@ -315,14 +316,14 @@ let why_cmd threshold jit_threads jit_queue repeat meth file fn args =
 let health_cmd threshold jit_threads jit_queue repeat metrics strict file fn
     args =
   Forensics.enable ();
-  let j = Metrics.jit () in
+  let prof = Profiler.create () in
   let rt, _, _, v =
-    drive ~jit_threads ~jit_queue ~sinks:[ Metrics.jit_sink j ] ~threshold
+    drive ~jit_threads ~jit_queue ~sinks:[ Profiler.sink prof ] ~threshold
       ~repeat file fn args
   in
   Format.printf "result: %a@.@." Vm.Value.pp v;
   print_string (Lancet.Explain.health_report rt);
-  Option.iter (export_metrics rt j) metrics;
+  Option.iter (export_metrics rt prof) metrics;
   (* --strict: CI and scripts gate on VM health through the exit code *)
   if strict && Forensics.detect () <> [] then 1 else 0
 
@@ -437,9 +438,9 @@ let metrics_opt =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Export the metrics registry (counters, gauges, latency \
-           histograms) to $(docv) on exit: Prometheus text exposition when \
-           $(docv) ends in .prom, JSON otherwise")
+          "Export the run's counters, gauges and latency histograms to \
+           $(docv) on exit: Prometheus text exposition when $(docv) ends in \
+           .prom, JSON otherwise")
 
 let health_flag =
   Arg.(

@@ -35,7 +35,9 @@
    process ([Lms.Native_tier]) and swaps it into the entry point's cell if
    the method's generation has not moved since the job was made.  A failure
    gives the upgrade up and leaves the typed code running: no blacklist.
-   A timed-out [shutdown] kills the compiler of a running native job.
+   [shutdown] gives queued native jobs up, as the program they would speed
+   up has finished; [drain] waits for them.  A timed-out [shutdown] kills
+   the compiler of a running native job.
 
    OSR requests (the runtime's [t_osr] hook, replaced by [install]) travel
    the same queue.  The worker runs the synchronous OSR hook [install]
@@ -46,7 +48,10 @@
    [Osr_failed] and the frame runs on in the interpreter.
 
    Observability: [Compile_enqueue]/[Compile_dequeue] events carry the queue
-   depth (the Chrome sink renders a queue-depth counter track), compiles run
+   depth (the Chrome sink renders a queue-depth counter track).  The
+   enqueue is emitted under the queue lock, before a worker can take the
+   request, and the dequeue carries the wait, timed from a stamp queued
+   with the request.  Compiles run
    with [Obs.set_worker] so Compile_start/Compile_end land on per-worker
    tracks, and [Compile_blacklist] records failures.  Coalesced, dropped,
    stale and blacklisted requests are counted in [stats]. *)
@@ -68,7 +73,7 @@ type stats = {
 }
 
 type job =
-  | Promote of meth
+  | Promote of { meth : meth; queued : float (* [Obs.now] at the enqueue *) }
   | Osr of { meth : meth; pc : int; locals : value array; cell : osr_state Atomic.t }
   | Native of { nj : native_job; cell : int Atomic.t }
       (* [cell] holds the compiler's pid while it runs; [kill_compiler] *)
@@ -163,14 +168,14 @@ let dropped (m : meth) cause =
    the enqueue's critical section, so its terminal [mtier] write can never
    be clobbered by the mutator's [Tier_compiling] mark racing it. *)
 let enqueue ?(why = Obs.Unattributed) t (m : meth) =
-  let r, depth =
+  let r =
     locked t (fun () ->
         if (not t.stop) && Hashtbl.mem t.pending m.mid then begin
           t.stats.s_coalesced <- t.stats.s_coalesced + 1;
           (* the already-pending request will compile the current
              generation (stamps are read at dequeue), so this one merges *)
           m.mtier <- Tier_compiling;
-          (`Coalesced, 0)
+          `Coalesced
         end
         else if full t then begin
           t.stats.s_dropped <- t.stats.s_dropped + 1;
@@ -178,32 +183,31 @@ let enqueue ?(why = Obs.Unattributed) t (m : meth) =
              so the method stays interpretable and a later promotion
              retries *)
           if m.mtier = Tier_compiling then m.mtier <- Tier_cold;
-          (`Dropped, 0)
+          `Dropped
         end
         else begin
           t.stats.s_enqueued <- t.stats.s_enqueued + 1;
           Hashtbl.replace t.pending m.mid ();
-          Queue.add (Promote m) t.queue;
+          Queue.add (Promote { meth = m; queued = Obs.now () }) t.queue;
           (* the queued request owns the tier state until it terminates *)
           m.mtier <- Tier_compiling;
+          (* under the lock: no worker can dequeue the request before its
+             enqueue is on the bus *)
+          if !Obs.enabled then
+            Obs.emit
+              (Obs.Compile_enqueue
+                 {
+                   meth = Vm.Runtime.meth_label m;
+                   mid = m.mid;
+                   gen = Vm.Runtime.tier_gen t.rt m.mid;
+                   depth = Queue.length t.queue;
+                   cause = why;
+                 });
           Condition.signal t.nonempty;
-          (`Queued, Queue.length t.queue)
+          `Queued
         end)
   in
-  (match r with
-  | `Queued ->
-    if !Obs.enabled then
-      Obs.emit
-        (Obs.Compile_enqueue
-           {
-             meth = Vm.Runtime.meth_label m;
-             mid = m.mid;
-             gen = Vm.Runtime.tier_gen t.rt m.mid;
-             depth;
-             cause = why;
-           })
-  | `Dropped -> dropped m (Obs.Queue_full { capacity = t.capacity })
-  | `Coalesced -> ());
+  if r = `Dropped then dropped m (Obs.Queue_full { capacity = t.capacity });
   r
 
 (* An OSR request: the frame's locals are copied, as the mutator goes on
@@ -377,7 +381,7 @@ let take t ~natives =
     else None
   in
   match next with
-  | Some (Promote m as job) ->
+  | Some (Promote { meth = m; _ } as job) ->
     Hashtbl.remove t.pending m.mid;
     (* [add], not [replace]: the same mid can be in flight on two
        workers at once (requeued while compiling), and each holds
@@ -395,11 +399,12 @@ let take t ~natives =
 let rec run t wid (job, depth) =
   match job with
   | Osr { meth; pc; locals; cell } -> process_osr t ~meth ~pc ~locals ~cell
-  | Promote m ->
+  | Promote { meth = m; queued } ->
     if !Obs.enabled then
       Obs.emit
         (Obs.Compile_dequeue
-           { meth = Vm.Runtime.meth_label m; mid = m.mid; worker = wid; depth });
+           { meth = Vm.Runtime.meth_label m; mid = m.mid; worker = wid; depth;
+             wait_ms = (Obs.now () -. queued) *. 1000. });
     process t wid m
   | Native { nj; cell } -> process_native t wid nj cell
 
@@ -576,17 +581,28 @@ let restore_hooks t =
     t.rt.tiering.t_osr <- t.saved_osr
   end
 
-(* Stop the pool.  Without [timeout_ms] this is the original unconditional
-   drain: workers finish everything queued and are joined.  With
-   [timeout_ms], wait at most that long for the workers to go quiet; on
-   expiry the remaining queue is abandoned — each leftover request is
-   counted in [s_abandoned], journaled, and its method returned to
-   [Tier_cold] — and stalled worker domains are leaked rather than joined,
-   so a wedged compile cannot hang process exit. *)
+(* Stop the pool.  Queued native upgrades are given up at once, each
+   journaled by its [nj_drop] and counted in [s_native_declined]: the code
+   they would speed up has run.  Without [timeout_ms], workers finish the
+   other queued requests and are joined.  With [timeout_ms], wait at most
+   that long for the workers to go quiet; on expiry the remaining queue is
+   abandoned — each leftover request is counted in [s_abandoned],
+   journaled, and its method returned to [Tier_cold] — and stalled worker
+   domains are leaked rather than joined, so a wedged compile cannot hang
+   process exit. *)
 let shutdown ?timeout_ms t =
-  locked t (fun () ->
-      t.stop <- true;
-      Condition.broadcast t.nonempty);
+  let natives =
+    locked t (fun () ->
+        t.stop <- true;
+        let jobs = List.of_seq (Queue.to_seq t.natives) in
+        Queue.clear t.natives;
+        t.stats.s_native_declined <- t.stats.s_native_declined + List.length jobs;
+        Condition.broadcast t.nonempty;
+        jobs)
+  in
+  List.iter
+    (function Native n -> n.nj.nj_drop "pool shut down" | Promote _ | Osr _ -> ())
+    natives;
   match timeout_ms with
   | None ->
     List.iter Domain.join t.domains;
@@ -606,26 +622,20 @@ let shutdown ?timeout_ms t =
          rest hostage, and the mutator must never wait on it *)
       let leftovers =
         locked t (fun () ->
-            let jobs =
-              List.of_seq (Seq.append (Queue.to_seq t.queue) (Queue.to_seq t.natives))
-            in
+            let jobs = List.of_seq (Queue.to_seq t.queue) in
             Queue.clear t.queue;
-            Queue.clear t.natives;
             List.filter_map
               (fun job ->
                 t.stats.s_abandoned <- t.stats.s_abandoned + 1;
                 match job with
-                | Promote m ->
+                | Promote { meth = m; _ } ->
                   Hashtbl.remove t.pending m.mid;
                   if m.mtier = Tier_compiling then m.mtier <- Tier_cold;
                   Some m
                 | Osr o ->
                   Atomic.set o.cell Osr_failed;
                   None
-                | Native n ->
-                  t.stats.s_native_declined <- t.stats.s_native_declined + 1;
-                  n.nj.nj_drop (Printf.sprintf "shutdown timed out after %dms" ms);
-                  None)
+                | Native _ -> None (* never in [queue] *))
               jobs)
       in
       (* a running native build is killed; its worker reaps the compiler

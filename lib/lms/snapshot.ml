@@ -193,8 +193,7 @@ let take ?(meta = []) ?(exclude = fun _ -> false) g (phase : Phases.t) =
           (body_in_order b))
       blocks;
     let text = if Irtrace.keep_text () then Some (Pretty.graph_to_string_src g) else None in
-    ignore
-      (Irtrace.record_snapshot ~phase:(Phases.name phase)
-         ~blocks:(List.length blocks) ~nodes:!nodes ~ops:(sorted_counts ops)
-         ~lines:(sorted_counts lines) ~fp:(fingerprint g) ?text ~meta ())
+    Irtrace.record_snapshot ~phase:(Phases.name phase)
+      ~blocks:(List.length blocks) ~nodes:!nodes ~ops:(sorted_counts ops)
+      ~lines:(sorted_counts lines) ~fp:(fingerprint g) ?text ~meta ()
   end

@@ -79,9 +79,6 @@ type store = {
   mutable miss_order : (int * int * string) list; (* newest-first keys *)
   miss_cap : int;
   keep_text : bool;
-  fps : (int * string * string, string) Hashtbl.t;
-      (* (mid, spec, phase) -> last fingerprint seen *)
-  mutable refits : int; (* snapshots that matched the previous fingerprint *)
   lock : Mutex.t;
 }
 
@@ -100,8 +97,6 @@ let enable ?(capacity = 1024) ?(keep_text = false) () =
         miss_order = [];
         miss_cap = 4096;
         keep_text;
-        fps = Hashtbl.create 64;
-        refits = 0;
         lock = Mutex.create ();
       };
   on := true
@@ -144,12 +139,10 @@ let current () = Domain.DLS.get ctx_key
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 
-(* Called by [Lms.Snapshot.take] with the summarized graph.  Returns whether
-   this fingerprint reproduced the previous one for the same
-   (mid, spec, phase) — the "byte-identical recompile" signal. *)
+(* Called by [Lms.Snapshot.take] with the summarized graph. *)
 let record_snapshot ~phase ~blocks ~nodes ~ops ~lines ~fp ?text ?(meta = []) () =
   match !store with
-  | None -> false
+  | None -> ()
   | Some s ->
     let cid, mid, meth, spec =
       match current () with
@@ -174,11 +167,7 @@ let record_snapshot ~phase ~blocks ~nodes ~ops ~lines ~fp ?text ?(meta = []) () 
     in
     Mutex.lock s.lock;
     Obs.Ring.push s.snaps sn;
-    let key = (mid, spec, phase) in
-    let same = Hashtbl.find_opt s.fps key = Some fp in
-    if same then s.refits <- s.refits + 1 else Hashtbl.replace s.fps key fp;
-    Mutex.unlock s.lock;
-    same
+    Mutex.unlock s.lock
 
 let reason_key = function
   | Cse_effect_barrier m -> "cse-effect-barrier:" ^ m.op
@@ -251,19 +240,6 @@ let misses () =
     let l = List.rev_map (fun k -> Hashtbl.find s.misses k) s.miss_order in
     Mutex.unlock s.lock;
     l
-
-(* Snapshots that reproduced the previous fingerprint of their
-   (mid, spec, phase) — recompiles that changed nothing. *)
-let identical_recompiles () = match !store with Some s -> s.refits | None -> 0
-
-let last_fp ~mid ~spec ~phase =
-  match !store with
-  | None -> None
-  | Some s ->
-    Mutex.lock s.lock;
-    let r = Hashtbl.find_opt s.fps (mid, spec, phase) in
-    Mutex.unlock s.lock;
-    r
 
 (* ------------------------------------------------------------------ *)
 (* Structural diffing                                                  *)

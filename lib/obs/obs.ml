@@ -12,8 +12,8 @@
       bytecode pcs.  The VM/JIT layers translate at the emit site.
    3. Sinks are synchronous and composable: here a ring buffer for tests
       and post-mortem dumps and a Chrome trace_event JSON writer for
-      chrome://tracing; elsewhere the run aggregate ([Profiler]), the
-      decision journal ([Forensics]) and the metrics bundle ([Metrics]).
+      chrome://tracing; elsewhere the run aggregate ([Profiler], which
+      the `--metrics` export reads) and the decision journal ([Forensics]).
       The engine emits each JIT decision once, with its [cause], and every
       sink sees the same stream.
    4. The bus is domain-safe: with background JIT compilation, events
@@ -83,9 +83,11 @@ type event =
   | Compile_end of compile_info
   | Compile_enqueue of { meth : string; mid : int; gen : int; depth : int; cause : cause }
       (* a compile request entered the background queue; [depth] is the
-         queue depth just after the enqueue *)
-  | Compile_dequeue of { meth : string; mid : int; worker : int; depth : int }
-      (* a JIT worker picked the request up; [depth] is what remains *)
+         queue depth just after the enqueue.  Emitted before a worker can
+         take the request, so it precedes the worker's events. *)
+  | Compile_dequeue of { meth : string; mid : int; worker : int; depth : int; wait_ms : float }
+      (* a JIT worker picked the request up; [depth] is what remains,
+         [wait_ms] the time since the request was queued *)
   | Compile_blacklist of {
       meth : string;
       mid : int;

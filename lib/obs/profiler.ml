@@ -1,6 +1,6 @@
 (* The one aggregate of a run over the event bus.  Every report that sums
-   events reads this sink: `run --stats`, `trace`, `profile`, `explain` and
-   `coach`.  It keeps
+   events reads this sink: `run --stats`, `trace`, `profile`, `explain`,
+   `coach` and the `--metrics` export.  It keeps
 
    - per method: the invocation, promotion, compile, deopt, cache and
      compiled-execution counters, the counters at the first promotion, the
@@ -10,7 +10,9 @@
    - folded stacks from the interpreter's [Stack_sample] events (timer-
      driven call-stack samples, innermost frame first), one
      "frame;frame;frame count" line per distinct stack for flamegraph
-     tools (`flamegraph.pl`, speedscope, inferno).
+     tools (`flamegraph.pl`, speedscope, inferno);
+   - run-wide: the counters, gauge readings and latency histograms of the
+     `--metrics` export that no per-method counter sums.
 
    The ordered, causal record of decisions is the journal ([Forensics]),
    not this module.  The sampling *driver* lives in the interpreter (it
@@ -67,6 +69,18 @@ type t = {
   mutable attributed : int; (* samples whose leaf frame had a line *)
   mutable exec_ms : float; (* total compiled execution time *)
   mutable exec_ms_attributed : float; (* ... with a known defining line *)
+  mutable invalidations : int;
+  mutable blacklists : int;
+  mutable enqueues : int;
+  mutable ic_misses : int; (* inline-cache transitions a miss caused *)
+  mutable devirt_fails : int;
+  mutable queue_depth : int; (* at the last enqueue or dequeue *)
+  mutable occupancy : int; (* resident compiled methods, at the last cache event *)
+  mutable first_ts : float; (* the first event's time; nan before it *)
+  mutable to_peak_ms : float; (* first event to the latest install *)
+  compile_ms : Metrics.histogram;
+  pause_ms : Metrics.histogram; (* compiles on the mutator *)
+  queue_wait_ms : Metrics.histogram;
 }
 
 let create ?(interval_ms = 1.0) () =
@@ -79,6 +93,18 @@ let create ?(interval_ms = 1.0) () =
     attributed = 0;
     exec_ms = 0.0;
     exec_ms_attributed = 0.0;
+    invalidations = 0;
+    blacklists = 0;
+    enqueues = 0;
+    ic_misses = 0;
+    devirt_fails = 0;
+    queue_depth = 0;
+    occupancy = 0;
+    first_ts = nan;
+    to_peak_ms = 0.0;
+    compile_ms = Metrics.histogram ();
+    pause_ms = Metrics.histogram ();
+    queue_wait_ms = Metrics.histogram ();
   }
 
 let meth_stat t mid label =
@@ -134,7 +160,8 @@ let meth_of t ev =
   let mid, label = Obs.about ev in
   meth_stat t mid label
 
-let on_event t (ev : Obs.event) =
+let on_event t ~ts (ev : Obs.event) =
+  if Float.is_nan t.first_ts then t.first_ts <- ts;
   match ev with
   | Obs.Stack_sample { stack } ->
     t.samples <- t.samples + 1;
@@ -160,7 +187,18 @@ let on_event t (ev : Obs.event) =
     let m = meth_of t ev in
     m.pm_compiles <- m.pm_compiles + 1;
     m.pm_last_compile <- Some c;
-    m.pm_compile_ms <- m.pm_compile_ms +. c.Obs.ci_ms
+    m.pm_compile_ms <- m.pm_compile_ms +. c.Obs.ci_ms;
+    Metrics.observe t.compile_ms c.Obs.ci_ms;
+    (* a compile on the mutator domain stalls the program for its full
+       duration: that IS the pause *)
+    if c.Obs.ci_worker = 0 then Metrics.observe t.pause_ms c.Obs.ci_ms
+  | Obs.Compile_enqueue { depth; _ } ->
+    t.enqueues <- t.enqueues + 1;
+    t.queue_depth <- depth
+  | Obs.Compile_dequeue { depth; wait_ms; _ } ->
+    t.queue_depth <- depth;
+    Metrics.observe t.queue_wait_ms wait_ms
+  | Obs.Compile_blacklist _ -> t.blacklists <- t.blacklists + 1
   | Obs.Deopt { meth = label; tag; kind; pc; line; _ } ->
     let m = meth_of t ev in
     m.pm_deopts <- m.pm_deopts + 1;
@@ -182,15 +220,24 @@ let on_event t (ev : Obs.event) =
       m.pm_osr_sites <-
         (pc, { os_line = line; os_steps = steps; os_count = 1 })
         :: m.pm_osr_sites)
-  | Obs.Cache_install _ ->
+  | Obs.Cache_install { occ; _ } ->
     let m = meth_of t ev in
-    m.pm_installs <- m.pm_installs + 1
-  | Obs.Cache_evict _ ->
+    m.pm_installs <- m.pm_installs + 1;
+    t.occupancy <- occ;
+    t.to_peak_ms <- (ts -. t.first_ts) *. 1000.
+  | Obs.Cache_evict { occ; _ } ->
     let m = meth_of t ev in
-    m.pm_evicts <- m.pm_evicts + 1
-  | Obs.Cache_invalidate _ ->
-    (* counted by no report, but the method gets its row *)
-    ignore (meth_of t ev)
+    m.pm_evicts <- m.pm_evicts + 1;
+    t.occupancy <- occ
+  | Obs.Cache_invalidate { occ; _ } ->
+    ignore (meth_of t ev);
+    t.invalidations <- t.invalidations + 1;
+    t.occupancy <- occ
+  (* a site's quickening and a profile-seeded state are not transitions
+     the interpreter observed *)
+  | Obs.Ic_transition { cause = Obs.Ic_miss _; _ } ->
+    t.ic_misses <- t.ic_misses + 1
+  | Obs.Devirt_guard_fail _ -> t.devirt_fails <- t.devirt_fails + 1
   | Obs.Exec_sample { meth = label; calls; ms; line; _ } ->
     let m = meth_of t ev in
     m.pm_exec_calls <- m.pm_exec_calls + calls;
@@ -206,7 +253,7 @@ let on_event t (ev : Obs.event) =
 let sink t =
   {
     Obs.sink_name = "profiler";
-    sink_emit = (fun ~ts:_ ev -> on_event t ev);
+    sink_emit = on_event t;
     sink_flush = ignore;
   }
 
@@ -332,3 +379,49 @@ let report t =
        t.samples t.attributed t.exec_ms t.exec_ms_attributed
        (100.0 *. coverage t));
   Buffer.contents b
+
+(* ---- the `--metrics` export ---- *)
+
+let total f t = Hashtbl.fold (fun _ m n -> n + f m) t.meths 0
+
+(* Every series `--metrics` writes, in the order earlier exports wrote
+   them.  The caller passes the readings no event carries: the
+   inline-cache hit ratio and the profile replay counts. *)
+let metrics ?(ic_hit_ratio = 0.0) ?(replayed = 0) ?(warm_matches = 0)
+    ?(warm_stale = 0) t : Metrics.series list =
+  let osr m = List.fold_left (fun n (_, o) -> n + o.os_count) 0 m.pm_osr_sites in
+  let gauge n = Metrics.Gauge (float_of_int n) in
+  Metrics.
+    [
+      ("osr_entries", "interpreter frames that entered OSR code", Counter (total osr t));
+      ("devirt_guard_fails", "devirtualization guard failures", Counter t.devirt_fails);
+      ("ic_transitions", "inline-cache state transitions", Counter t.ic_misses);
+      ("compile_enqueues", "background compile requests queued", Counter t.enqueues);
+      ("blacklists", "methods blacklisted", Counter t.blacklists);
+      ("cache_invalidations", "code-cache invalidations", Counter t.invalidations);
+      ("cache_evictions", "code-cache FIFO evictions", Counter (total (fun m -> m.pm_evicts) t));
+      ("cache_installs", "code-cache installs", Counter (total (fun m -> m.pm_installs) t));
+      ("deopts", "side exits taken from compiled code", Counter (total (fun m -> m.pm_deopts) t));
+      ("compiles", "JIT graph builds completed", Counter (total (fun m -> m.pm_compiles) t));
+      ("promotions", "methods promoted to tier 1", Counter (total (fun m -> m.pm_promotes) t));
+      ( "profile_warm_stale",
+        "warm compiles whose IR fingerprint differed from the snapshot",
+        gauge warm_stale );
+      ( "profile_warm_matches",
+        "warm compiles whose IR fingerprint matched the snapshot",
+        gauge warm_matches );
+      ( "profile_replayed_methods",
+        "method records replayed from a profile snapshot",
+        gauge replayed );
+      ( "time_to_peak_ms",
+        "first JIT event to latest code-cache install (ms)",
+        Gauge t.to_peak_ms );
+      ("ic_hit_ratio", "inline-cache hit ratio", Gauge ic_hit_ratio);
+      ("code_cache_occupancy", "resident compiled methods", gauge t.occupancy);
+      ("jit_queue_depth", "background compile queue depth", gauge t.queue_depth);
+      ("queue_wait_ms", "enqueue-to-dequeue wait (ms)", Histogram t.queue_wait_ms);
+      ( "mutator_pause_ms",
+        "mutator pauses for synchronous compiles (ms)",
+        Histogram t.pause_ms );
+      ("compile_ms", "compile latency (ms)", Histogram t.compile_ms);
+    ]

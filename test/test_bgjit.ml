@@ -325,6 +325,60 @@ let test_bounded_shutdown () =
   Atomic.set release true
 
 (* ------------------------------------------------------------------ *)
+(* A request's enqueue reaches the bus before the worker that takes it
+   reports anything, and each dequeue carries its own queue wait.       *)
+
+let many_src =
+  String.concat "\n"
+    (List.init 8 (fun k ->
+         Printf.sprintf
+           "def q%d(x: int): int = { var s = x; for (j <- 0 until 20) { s = \
+            (s * 31 + j + %d) %% 100003 }; s }"
+           k k))
+
+let test_enqueue_before_dequeue () =
+  let prof = Profiler.create () in
+  let dequeues = ref 0 and enqueues = ref 0 in
+  Obs.with_sink (Profiler.sink prof) (fun () ->
+      for _ = 1 to 40 do
+        let ring = Obs.Ring.create () in
+        Obs.with_sink (Obs.Ring.sink ring) (fun () ->
+            let rt, pool =
+              Lancet.Api.boot_bg ~tiering:true ~tier_threshold:2 ~jit_threads:2 ()
+            in
+            (* promotions only: no native upgrades *)
+            rt.tiering.t_native <- None;
+            let p = Mini.Front.load rt many_src in
+            for r = 0 to 3 do
+              for k = 0 to 7 do
+                ignore (Mini.Front.call p (Printf.sprintf "q%d" k) [| Int r |])
+              done
+            done;
+            Option.iter (fun b -> Bgjit.shutdown b) pool);
+        (* requests queued and not yet taken, per method id *)
+        let queued = Hashtbl.create 8 in
+        let n mid = Option.value ~default:0 (Hashtbl.find_opt queued mid) in
+        List.iter
+          (function
+            | Obs.Compile_enqueue { mid; _ } ->
+              incr enqueues;
+              Hashtbl.replace queued mid (n mid + 1)
+            | Obs.Compile_dequeue { mid; meth; _ } ->
+              incr dequeues;
+              if n mid = 0 then Alcotest.failf "%s dequeued before its enqueue" meth;
+              Hashtbl.replace queued mid (n mid - 1)
+            | _ -> ())
+          (Obs.Ring.events ring)
+      done);
+  check_bool "requests went through the queue" true (!dequeues > 0);
+  check_int "every enqueue dequeued" !enqueues !dequeues;
+  check_int "one queue wait per dequeue" !dequeues
+    (Metrics.histo_count prof.Profiler.queue_wait_ms);
+  match List.find_opt (fun (n, _, _) -> n = "compile_enqueues") (Profiler.metrics prof) with
+  | Some (_, _, Metrics.Counter c) -> check_int "enqueues exported" !enqueues c
+  | _ -> Alcotest.fail "no compile_enqueues series"
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -336,4 +390,5 @@ let suite =
     Alcotest.test_case "compile-end-own-counts" `Quick
       test_compile_end_own_counts;
     Alcotest.test_case "bounded-shutdown" `Quick test_bounded_shutdown;
+    Alcotest.test_case "enqueue-before-dequeue" `Quick test_enqueue_before_dequeue;
   ]

@@ -1,10 +1,10 @@
-(* Tests for the decision-forensics journal and the metrics registry:
-   the journal must stay bounded under churn, record walkable causal
-   chains for deopt loops, and attribute decisions to the worker domain
-   that made them; the pathology detector and the why/health reports must
-   name the method, source line and cause for a forced late-override
-   hierarchy change; histogram percentiles and both export formats are
-   checked directly. *)
+(* Tests for the decision-forensics journal and the metrics export: the
+   journal must stay bounded under churn, record walkable causal chains
+   for deopt loops, and attribute decisions to the worker domain that made
+   them; the pathology detector and the why/health reports must name the
+   method, source line and cause for a forced late-override hierarchy
+   change; histogram percentiles and both export formats are checked
+   directly, and every exported counter is fed by a run. *)
 
 open Vm
 open Vm.Types
@@ -212,8 +212,7 @@ let test_health_late_override () =
 (* Metrics: log-scale histogram percentiles are upper-bound estimates.  *)
 
 let test_histogram_percentiles () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg "lat_ms" in
+  let h = Metrics.histogram () in
   check_int "empty count" 0 (Metrics.histo_count h);
   check_bool "empty percentile" true (Metrics.percentile h 0.5 = 0.0);
   for i = 1 to 100 do
@@ -228,29 +227,21 @@ let test_histogram_percentiles () =
   check_bool "quantiles are monotone" true (p50 <= p90 && p90 <= p99)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: sharded counters, find-or-create, and both export formats.  *)
+(* Metrics: both export formats over a list of series.                  *)
 
 let test_counters_and_export () =
-  let reg = Metrics.create () in
-  let c = Metrics.counter reg ~help:"test counter" "widgets" in
-  for _ = 1 to 10 do
-    Metrics.inc c
-  done;
-  Metrics.add c 5;
-  check_int "counter folds its shards" 15 (Metrics.value c);
-  Metrics.inc (Metrics.counter reg "widgets");
-  check_int "find-or-create shares the cells" 16 (Metrics.value c);
-  let g = Metrics.gauge reg "level" in
-  Metrics.set g 3.5;
-  check_bool "gauge holds the last set" true (Metrics.gauge_value g = 3.5);
-  let h = Metrics.histogram reg "lat_ms" in
+  let h = Metrics.histogram () in
   Metrics.observe h 0.25;
-  let json = Metrics.to_json reg in
+  let series =
+    Metrics.[ ("widgets", "test counter", Counter 16); ("level", "", Gauge 3.5);
+              ("lat_ms", "", Histogram h) ]
+  in
+  let json = Metrics.to_json series in
   (match Obs.Json.validate json with
   | Ok () -> ()
   | Error e -> Alcotest.failf "metrics JSON invalid: %s" e);
   check_bool "json carries the counter" true (contains json "\"widgets\": 16");
-  let prom = Metrics.to_prometheus reg in
+  let prom = Metrics.to_prometheus series in
   check_bool "prometheus counter" true (contains prom "lancet_widgets_total 16");
   check_bool "prometheus gauge" true (contains prom "lancet_level 3.5");
   check_bool "prometheus histogram buckets" true
@@ -259,7 +250,7 @@ let test_counters_and_export () =
     (contains prom "lancet_lat_ms_count 1")
 
 (* ------------------------------------------------------------------ *)
-(* The stock JIT bundle fed from the event bus by a real tiered run.    *)
+(* The export of a real tiered run's [Profiler].                         *)
 
 let hot_src =
   {|
@@ -274,25 +265,32 @@ def hot(n: int, seed: int): int = {
 }
 |}
 
-let test_jit_sink_metrics () =
-  let j = Metrics.jit () in
+let test_profiler_metrics () =
+  let prof = Profiler.create () in
   let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:4 () in
   let p = Mini.Front.load rt hot_src in
-  Obs.with_sink (Metrics.jit_sink j) (fun () ->
+  Obs.with_sink (Profiler.sink prof) (fun () ->
       for k = 0 to 19 do
         ignore (Mini.Front.call p "hot" [| Int 50; Int k |])
       done);
-  check_bool "promotions counted" true
-    (Metrics.value j.Metrics.j_promotions >= 1);
-  check_bool "compiles counted" true (Metrics.value j.Metrics.j_compiles >= 1);
-  check_bool "installs counted" true (Metrics.value j.Metrics.j_installs >= 1);
+  let l = Profiler.metrics prof in
+  (* a count, a gauge's value or a histogram's count of at least 1 *)
+  let positive name =
+    match List.find_map (fun (n, _, v) -> if n = name then Some v else None) l with
+    | Some (Metrics.Counter n) -> n >= 1
+    | Some (Gauge g) -> g >= 1.0
+    | Some (Histogram h) -> Metrics.histo_count h >= 1
+    | None -> false
+  in
+  check_bool "promotions counted" true (positive "promotions");
+  check_bool "compiles counted" true (positive "compiles");
+  check_bool "installs counted" true (positive "cache_installs");
   check_bool "occupancy gauge tracks the cache" true
-    (Metrics.gauge_value j.Metrics.j_cache_occupancy >= 1.0);
+    (positive "code_cache_occupancy");
   check_bool "synchronous compile observed as a mutator pause" true
-    (Metrics.histo_count j.Metrics.j_mutator_pause_ms >= 1);
-  check_bool "compile latency observed" true
-    (Metrics.histo_count j.Metrics.j_compile_ms >= 1);
-  let prom = Metrics.to_prometheus j.Metrics.j_reg in
+    (positive "mutator_pause_ms");
+  check_bool "compile latency observed" true (positive "compile_ms");
+  let prom = Metrics.to_prometheus l in
   check_bool "bundle exports under the lancet prefix" true
     (contains prom "lancet_compiles_total")
 
@@ -441,7 +439,7 @@ let suite =
     Alcotest.test_case "histogram-percentiles" `Quick
       test_histogram_percentiles;
     Alcotest.test_case "counters-and-export" `Quick test_counters_and_export;
-    Alcotest.test_case "jit-sink-metrics" `Quick test_jit_sink_metrics;
+    Alcotest.test_case "jit-sink-metrics" `Quick test_profiler_metrics;
     Alcotest.test_case "why-report" `Quick test_why_report;
     Alcotest.test_case "why-two-runtimes" `Quick test_why_two_runtimes;
     Alcotest.test_case "worker-attribution" `Quick test_worker_attribution;

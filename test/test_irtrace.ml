@@ -198,56 +198,70 @@ let test_coach_reasons () =
 (* ------------------------------------------------------------------ *)
 (* Fingerprint stability                                                *)
 
+(* The newest [dce] snapshot of method [mid] specialized as "d". *)
+let last_dce mid =
+  List.fold_left
+    (fun last (sn : Irtrace.snapshot) ->
+      if sn.sn_mid = mid && sn.sn_spec = "d" && sn.sn_phase = "dce" then Some sn
+      else last)
+    None (Irtrace.snapshots ())
+
 (* The same method compiled in two fresh runtimes (fresh sym allocation
    order) must fingerprint identically: the canonical form renumbers
    symbols densely, so allocation noise cannot leak in. *)
 let test_fingerprint_stable_across_recompile () =
   with_irtrace (fun () ->
-      let fp_of () =
+      let snap () =
         let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:4 () in
         let p = Mini.Front.load rt loop_src in
         ignore (Mini.Front.call p "main" [||]);
         let m = Mini.Front.find_function p "work" in
-        match Irtrace.last_fp ~mid:m.mid ~spec:"d" ~phase:"dce" with
-        | Some fp -> fp
+        match last_dce m.mid with
+        | Some sn -> sn
         | None -> Alcotest.fail "no dce fingerprint recorded"
       in
-      let fp1 = fp_of () in
-      let fp2 = fp_of () in
-      check_string "recompile reproduces the fingerprint" fp1 fp2;
-      (* the second compile registered as byte-identical *)
-      check_bool "identical recompile counted" true
-        (Irtrace.identical_recompiles () >= 1))
+      let s1 = snap () in
+      let s2 = snap () in
+      check_string "recompile reproduces the fingerprint" s1.sn_fp s2.sn_fp;
+      (* two compiles, one byte-identical graph *)
+      check_bool "identical recompile" true
+        (s1.sn_cid <> s2.sn_cid && s1.sn_fp = s2.sn_fp))
 
 (* Background workers allocate syms on their own domain: the fingerprint
    must not depend on which domain compiled the method. *)
 let test_fingerprint_stable_bg () =
   with_irtrace (fun () ->
-      let sync_fp =
+      let sync =
         let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:4 () in
         let p = Mini.Front.load rt loop_src in
         ignore (Mini.Front.call p "main" [||]);
         let m = Mini.Front.find_function p "work" in
-        Irtrace.last_fp ~mid:m.mid ~spec:"d" ~phase:"dce"
+        last_dce m.mid
       in
       let rt, pool =
         Lancet.Api.boot_bg ~tiering:true ~tier_threshold:4 ~jit_threads:2 ()
       in
       let p = Mini.Front.load rt loop_src in
       let m = Mini.Front.find_function p "work" in
+      (* both runtimes number [work] alike: the worker's snapshot is the
+         one newer than the synchronous compile's *)
+      let bg () =
+        match (last_dce m.mid, sync) with
+        | Some sn, Some s when sn.sn_cid > s.sn_cid -> Some sn
+        | _ -> None
+      in
       ignore (Mini.Front.call p "main" [||]);
       (match pool with
       | Some b ->
         await ~what:"background compile of work" (fun () ->
             ignore (Mini.Front.call p "main" [||]);
-            Irtrace.last_fp ~mid:m.mid ~spec:"d" ~phase:"dce" <> None);
+            bg () <> None);
         Bgjit.shutdown b
       | None -> Alcotest.fail "no background pool");
-      let bg_fp = Irtrace.last_fp ~mid:m.mid ~spec:"d" ~phase:"dce" in
-      check_bool "both runs fingerprinted" true
-        (sync_fp <> None && bg_fp <> None);
+      let fp = Option.map (fun sn -> sn.Irtrace.sn_fp) in
+      check_bool "both runs fingerprinted" true (sync <> None && bg () <> None);
       check_bool "worker domain does not change the fingerprint" true
-        (sync_fp = bg_fp))
+        (fp sync = fp (bg ())))
 
 (* ------------------------------------------------------------------ *)
 (* Journal integration: the installed method's fingerprint reaches

@@ -357,6 +357,74 @@ let test_shutdown_kills_compiler () =
       check_value "typed code runs" (Int (7841 + 9)) (Mini.Front.call p "sd" [| Int 1 |]))
 
 (* ------------------------------------------------------------------ *)
+(* Finishing a pool gives queued upgrades up: only the build already
+   running when the pool stops runs the compiler.                       *)
+
+let test_shutdown_drops_queued () =
+  let script = Filename.temp_file "slow" ".sh" in
+  Out_channel.with_open_bin script (fun oc ->
+      output_string oc "#!/bin/sh\nsleep 0.5\nexit 1\n");
+  Unix.chmod script 0o755;
+  Lms.Native_tier.use_compiler (Some script);
+  Fun.protect
+    ~finally:(fun () ->
+      Lms.Native_tier.use_compiler None;
+      Lms.Native_tier.forget_failures ();
+      Sys.remove script)
+    (fun () ->
+      let ks = [ 7933; 7937; 7949; 7951 ] in
+      let src =
+        String.concat "\n"
+          (List.map (fun k -> Printf.sprintf "def q%d(x: int): int = x * %d + 1" k k) ks)
+      in
+      let rt, pool =
+        Lancet.Api.boot_bg ~tiering:true ~tier_threshold:2 ~jit_threads:1 ()
+      in
+      let pool = Option.get pool in
+      let p = Mini.Front.load rt src in
+      let call_all () =
+        List.iter
+          (fun k ->
+            check_value "right meanwhile" (Int ((3 * k) + 1))
+              (Mini.Front.call p (Printf.sprintf "q%d" k) [| Int 3 |]))
+          ks
+      in
+      let compiled () =
+        List.for_all
+          (fun k ->
+            match (Mini.Front.find_function p (Printf.sprintf "q%d" k)).mtier with
+            | Tier_compiled _ -> true
+            | _ -> false)
+          ks
+      in
+      let runs0 = runs () in
+      let (), why =
+        declines (fun () ->
+            let deadline = Unix.gettimeofday () +. 10. in
+            while not (compiled ()) && Unix.gettimeofday () < deadline do
+              call_all ()
+            done;
+            (* every method's typed code reaches its upgrade call; the
+               first build stalls the worker, the other upgrades queue *)
+            call_all ();
+            call_all ();
+            while
+              Lms.Native_tier.live_children () = []
+              && Unix.gettimeofday () < deadline
+            do
+              Unix.sleepf 0.001
+            done;
+            check_bool "a build is running" true
+              (Lms.Native_tier.live_children () <> []);
+            Bgjit.shutdown pool)
+      in
+      check_int "only the running build ran the compiler" 1 (runs () - runs0);
+      check_int "the queued upgrades given up at shutdown" 3
+        (List.length (List.filter (String.equal "pool shut down") why));
+      check_int "every upgrade declined" 4 (Bgjit.stats pool).Bgjit.s_native_declined;
+      call_all ())
+
+(* ------------------------------------------------------------------ *)
 (* A background pool upgrades hot code.                                  *)
 
 let test_background_upgrade () =
@@ -434,6 +502,7 @@ let suite =
     Alcotest.test_case "stale-job-discarded" `Quick test_stale_job_discarded;
     Alcotest.test_case "missing-toolchain" `Quick test_missing_toolchain;
     Alcotest.test_case "shutdown-kills-compiler" `Quick test_shutdown_kills_compiler;
+    Alcotest.test_case "shutdown-drops-queued" `Quick test_shutdown_drops_queued;
     Alcotest.test_case "background-upgrade" `Quick test_background_upgrade;
     Alcotest.test_case "alloc-gate" `Quick test_alloc_gate;
     (* last: it fills the table, then frees what it filled *)

@@ -285,6 +285,68 @@ let test_profile () =
   let table = Profiler.table profile in
   check_bool "table lists the method" true (Vm.Strutil.contains table ".hot")
 
+(* Every counter of the `--metrics` export is fed: a stable exit that
+   recompiles, a devirtualization guard that keeps missing, a loop entered
+   through OSR, a one-entry code cache and a pool whose compiles fail. *)
+
+let devirt_src =
+  {|
+class A2 {
+  var x: int
+  def init(x: int): unit = { this.x = x }
+  def m(): int = 1
+}
+class B2 extends A2 {
+  def m(): int = 2
+}
+def driver2(a: A2, n: int): int = {
+  var acc = 0;
+  var i = 0;
+  while (i < n) { acc = acc + a.m(); i = i + 1 };
+  acc
+}
+def mkA(): A2 = new A2(0)
+def mkB(): A2 = new B2(0)
+|}
+
+let test_every_counter_exported () =
+  let prof = Profiler.create () in
+  let call p f args = ignore (Mini.Front.call p f args) in
+  Obs.with_sink (Profiler.sink prof) (fun () ->
+      let p = Mini.Front.load (boot_tiered ~threshold:1 ()) stable_src in
+      call p "f" [| Int 3 |];
+      call p "set_fast" [| Vm.Value.of_bool false |];
+      call p "f" [| Int 3 |];
+      let p = Mini.Front.load (boot_tiered ()) devirt_src in
+      let a = Mini.Front.call p "mkA" [||] and b = Mini.Front.call p "mkB" [||] in
+      for i = 1 to 10 do
+        call p "driver2" [| (if i > 4 then b else a); Int 10 |]
+      done;
+      let p = Mini.Front.load (boot_tiered ~threshold:2 ~cache:1 ()) two_hot_src in
+      call p "a" [| Int 20_000 |];
+      for _ = 1 to 4 do
+        call p "a" [| Int 20 |];
+        call p "b" [| Int 20 |]
+      done;
+      let rt = boot_tiered () in
+      let pool =
+        Bgjit.create ~threads:1 ~log:ignore
+          ~compile:(fun _ _ -> failwith "injected compile failure")
+          rt
+      in
+      Bgjit.install pool;
+      let p = Mini.Front.load rt hot_src in
+      for k = 0 to 9 do
+        call p "hot" [| Int 50; Int k |]
+      done;
+      Bgjit.shutdown pool);
+  List.iter
+    (fun (name, _, v) ->
+      match v with
+      | Metrics.Counter n -> check_bool (name ^ " counted") true (n > 0)
+      | _ -> ())
+    (Profiler.metrics prof)
+
 (* Side exits of an explicitly compiled closure are reported like tier-1
    ones: a `speculate` that fails for half of 200 calls leaves 100 Deopt
    events at the guard's pc and line, all about the closure's method. *)
@@ -426,6 +488,8 @@ let suite =
     Alcotest.test_case "chrome-trace" `Quick test_chrome_trace;
     Alcotest.test_case "kmeans-trace" `Quick test_kmeans_trace;
     Alcotest.test_case "profile" `Quick test_profile;
+    Alcotest.test_case "every-counter-exported" `Quick
+      test_every_counter_exported;
     Alcotest.test_case "explicit-compile-deopts" `Quick
       test_explicit_compile_deopts;
     Alcotest.test_case "spans" `Quick test_spans;
