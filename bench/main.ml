@@ -971,19 +971,19 @@ let bgjit_check () =
   | Some s ->
     pr
       "check bgjit             ok  (enqueued=%d installed=%d stale=%d \
-       blacklisted=%d)\n"
-      s.Bgjit.s_enqueued s.Bgjit.s_installed s.Bgjit.s_stale s.Bgjit.s_blacklisted;
+       failed=%d)\n"
+      s.Bgjit.s_enqueued s.Bgjit.s_installed s.Bgjit.s_stale s.Bgjit.s_failed;
     if s.Bgjit.s_enqueued = 0 then
       failwith "bgjit check: nothing was enqueued (promotion not routed)";
     if s.Bgjit.s_installed = 0 then
       failwith "bgjit check: nothing was installed";
-    if s.Bgjit.s_installed + s.Bgjit.s_stale + s.Bgjit.s_blacklisted
+    if s.Bgjit.s_installed + s.Bgjit.s_stale + s.Bgjit.s_failed
        <> s.Bgjit.s_enqueued
     then
       failwith
         (Printf.sprintf "bgjit check: lost requests (%d enqueued, %d resolved)"
            s.Bgjit.s_enqueued
-           (s.Bgjit.s_installed + s.Bgjit.s_stale + s.Bgjit.s_blacklisted))
+           (s.Bgjit.s_installed + s.Bgjit.s_stale + s.Bgjit.s_failed))
 
 (* Trace smoke test for the runtest gate: a small tiered kmeans run with a
    Chrome sink attached must produce well-formed JSON containing at least
@@ -1050,7 +1050,7 @@ let warmup_leg ?profile_in ?profile_out ~iters ~rows () =
   Obs.attach sink;
   let p = Mini.Front.load rt tiered_kmeans_src in
   (match profile_in with
-  | Some path -> ignore (Persist.replay_file ?pool rt path)
+  | Some path -> ignore (Persist.replay_file rt path)
   | None -> ());
   let assign = kmeans_assign p ~rows in
   let checksum = ref 0 in
@@ -1108,8 +1108,9 @@ let chaos_gate () =
       done)
 
 (* The soak workload mixes several methods so faults land on different
-   mids: a hot loop, a speculation that deopts periodically, and a cheap
-   mixer, all folded into one checksum. *)
+   mids: a hot loop, a speculation that deopts periodically, a cheap
+   mixer, and a loop called once a round that runs past the OSR trigger
+   (2^17 own steps at threshold 8), all folded into one checksum. *)
 let chaos_soak_src =
   {|
 def soak_calc(n: int, seed: int): int = {
@@ -1124,6 +1125,11 @@ def soak_calc(n: int, seed: int): int = {
 def soak_spec(x: int): int =
   if (Lancet.speculate(x < 100000)) x * 3 + 1 else x - 7
 def soak_mix(a: int, b: int): int = (a * 17 + b * 29) % 1000003
+def soak_long(n: int): int = {
+  var acc = 0;
+  for (i <- 0 until n) { acc = (acc * 31 + i) % 1000003 };
+  acc
+}
 |}
 
 let chaos_soak_drive p ~calls =
@@ -1137,6 +1143,7 @@ let chaos_soak_drive p ~calls =
     put (Mini.Front.call p "soak_spec" [| Int x |]);
     put (Mini.Front.call p "soak_mix" [| Int i; Int !acc |])
   done;
+  put (Mini.Front.call p "soak_long" [| Int 200_000 |]);
   !acc
 
 (* Two rounds, the pool drained between them ([settle]), so the second
@@ -1182,31 +1189,38 @@ let chaos_soak_leg ~seed ~calls =
   (match pool with Some b -> Bgjit.shutdown ~timeout_ms:2000 b | None -> ());
   let fires = Chaos.stats_string () in
   Chaos.disable ();
-  (checksum, ms, fires, bg, native)
+  let osr =
+    Printf.sprintf "osr_compiles=%d osr_entries=%d" rt.tiering.t_osr_compiles
+      rt.tiering.t_osr_entries
+  in
+  (checksum, ms, fires, bg, native, osr)
 
 (* THE soak invariant (gated in [check] and in CI): under any seeded
    fault schedule the program computes the pure-interpreter checksum, and
    the process neither crashes nor wedges — every leg exits through the
-   bounded drain/shutdown path above. *)
+   bounded drain/shutdown path above.  OSR counts are reported, not
+   gated: an injected crash or a forced saturation may give an OSR job
+   up. *)
 let chaos_soak ?(quiet = false) ~seeds ~calls () =
   let expect = chaos_soak_interp ~calls in
   List.iter
     (fun seed ->
-      let sum, ms, fires, bg, native = chaos_soak_leg ~seed ~calls in
+      let sum, ms, fires, bg, native, osr = chaos_soak_leg ~seed ~calls in
       if sum <> expect then
         failwith
           (Printf.sprintf
              "chaos soak: seed %d checksum mismatch (interp %d, chaos %d)" seed
              expect sum);
-      (* the CI soak covers native code: its second round runs what the
-         first round's upgrades installed *)
-      if (not quiet) && native = 0 then
-        failwith (Printf.sprintf "chaos soak: seed %d installed no native code" seed);
       if not quiet then begin
         pr "seed %-6d ok %8.1f ms  checksum=%d\n" seed ms sum;
         pr "            fires: %s\n" fires;
+        pr "            tier: %s\n" osr;
         if bg <> "" then pr "            bgjit: %s\n" bg
-      end)
+      end;
+      (* the CI soak covers native code: its second round runs what the
+         first round's upgrades installed *)
+      if (not quiet) && native = 0 then
+        failwith (Printf.sprintf "chaos soak: seed %d installed no native code" seed))
     seeds
 
 (* CI entry point (`bench/main.exe chaos-soak [seeds...]`): soak each

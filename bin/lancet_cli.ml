@@ -151,7 +151,7 @@ let run_cmd tiered threshold jit_threads jit_queue trace print_compilation
   (match lprof_in with
   | None -> ()
   | Some path -> (
-    match Persist.replay_file ?pool rt path with
+    match Persist.replay_file rt path with
     | None -> ()
     | Some st ->
       Format.eprintf

@@ -21,12 +21,16 @@
    compiles' exits do, and the installed entry point samples its own
    execution time into [Exec_sample] events when a sink is attached.
 
-   OSR-in: [osr], the runtime's [t_osr] hook, builds the rest of a method
-   from a loop header for one interpreter activation through the same
-   [compile_method_dyn], staged from the header ([Compiler.entry]).  The
-   code belongs to that activation: it is never installed, so nothing has
-   to invalidate it, and its side exits resume the interpreter as any tier-1
-   exit does. *)
+   OSR-in: [osr], the runtime's [t_osr] hook, makes the job that builds
+   the rest of a method from a loop header for one interpreter activation
+   through the same [compile_method_dyn], staged from the header
+   ([Compiler.entry]).  The code belongs to that activation: it is never
+   installed, so nothing has to invalidate it, and its side exits resume
+   the interpreter as any tier-1 exit does.
+
+   OSR and native jobs go to the background JIT's [t_submit] hook when a
+   pool is installed; without one, an OSR job runs at once ([run_now]) and
+   no native job is made. *)
 
 open Vm.Types
 module C = Compiler
@@ -34,15 +38,25 @@ module C = Compiler
 (* a native build gave up; the typed code keeps running *)
 exception Native_declined of string
 
+let () =
+  Printexc.register_printer (function Native_declined why -> Some why | _ -> None)
+
+(* Run [job] at once on the calling domain, as the mutator does without a
+   compile pool: no queue and no chaos sites. *)
+let run_now (job : job) =
+  match job.job_build (Atomic.make 0) (fun () -> false) with
+  | code, publish -> ignore (publish code)
+  | exception e -> job.job_give_up (Obs.Compile_failure { err = Printexc.to_string e })
+
 (* Hot methods are compiled fully dynamically: every parameter (receiver
    included) becomes a graph parameter, so one compilation serves every call
    site.  Specialization still happens inside: constants, virtual objects
    and JIT macros in the method body all fold as usual.  With [entry] the
    graph starts at a loop header and takes the frame's locals (OSR).
    Returns the entry point, the devirtualization dependencies and the
-   hierarchy epoch the compile started from, or the compile error. *)
+   hierarchy epoch the compile started from; raises the compile's error. *)
 let compile_method_dyn ?entry rt (m : meth) :
-    ((value array -> value) * string list * int, string) result =
+    (value array -> value) * string list * int =
   let nslots = m.mnargs + if m.mstatic then 0 else 1 in
   let spec = Array.make (max nslots 0) C.Dyn in
   let label = Vm.Runtime.meth_label m in
@@ -80,21 +94,17 @@ let compile_method_dyn ?entry rt (m : meth) :
     end
   in
   (* The native tier: once its typed code has run [t_threshold] calls, a
-     method-entry point hands a native upgrade of itself to the request
-     hook the background JIT installs ([t_native]); without one, nothing
-     is counted or built.  A job given up for a passing reason (killed,
-     queue full) re-arms the count. *)
-  let native_calls = ref 0 and native_armed = ref (entry = None) in
+     method-entry point hands a native upgrade of itself to the job hook
+     the background JIT installs ([t_submit]); without one, nothing is
+     counted or built.  Each build arms one upgrade: a job given up is not
+     asked for again until the code is rebuilt. *)
+  let native_calls = ref 0 and native_armed = ref false in
   (* the graph the typed code was lowered from, kept for its upgrade while
      a worker may build one: staging it again would cost the worker as
      much again, in time and in garbage *)
   let staged = ref None in
-  let rearm () =
-    native_calls := 0;
-    native_armed := entry = None
-  in
   let rec entry_point args =
-    (match rt.tiering.t_native with
+    (match rt.tiering.t_submit with
     | Some _ when !native_armed -> native_due ()
     | _ -> ());
     if not !Obs.enabled then !cell args
@@ -115,23 +125,18 @@ let compile_method_dyn ?entry rt (m : meth) :
     incr native_calls;
     if !native_calls >= rt.tiering.t_threshold then begin
       native_armed := false;
-      Option.iter (fun request -> request (native_job ())) rt.tiering.t_native
+      Option.iter (fun submit -> submit (native_job ())) rt.tiering.t_submit
     end
+  (* Builds native code for the graph the typed code came from and swaps
+     it into [cell] if the method's generation has not moved since the job
+     was made. *)
   and native_job () =
     let gen = Vm.Runtime.tier_gen rt m.mid in
-    let built = ref ([], 0) in
-    let declined ~transient why =
-      if !Obs.enabled then
-        Obs.emit
-          (Obs.Compile_drop
-             { meth = label; mid = m.mid; cause = Obs.Native_decline { why } });
-      if transient then rearm ()
-    in
-    let nj_build (w : native_worker) =
-      let deps = ref [] and epoch0 = Vm.Runtime.hier_epoch rt in
+    let job_build pid meanwhile =
+      let deps = ref [] and epoch = Vm.Runtime.hier_epoch rt in
       let typed = !cell and kept = !staged in
       staged := None;
-      match
+      let fn =
         C.with_compile_events ~tier:1 ~label:name m (fun () ->
             let g =
               match kept with
@@ -141,29 +146,25 @@ let compile_method_dyn ?entry rt (m : meth) :
               | None -> C.stage ~opts ~deps rt m spec
             in
             let hooks = { (Lms.Hooks.default_hooks rt) with on_exit } in
-            match
-              Lms.Native_tier.compile ~pid:w.nw_pid ~meanwhile:w.nw_meanwhile
-                ~hooks ~typed g
-            with
+            match Lms.Native_tier.compile ~pid ~meanwhile ~hooks ~typed g with
             | Ok fn -> (fn, "native", None)
             | Error why -> raise (Native_declined why))
-      with
-      | fn ->
-        built := (!deps, epoch0);
-        Ok fn
-      | exception e ->
-        let why =
-          match e with Native_declined why -> why | e -> Printexc.to_string e
-        in
-        declined ~transient:(String.starts_with ~prefix:"cancelled" why) why;
-        Error why
+      in
+      ( fn,
+        fun fn ->
+          Vm.Runtime.tier_upgrade_if_current rt m ~gen ~epoch ~deps:!deps (fun () ->
+              cell := fn) )
     in
-    let nj_install fn =
-      let deps, epoch = !built in
-      Vm.Runtime.tier_upgrade_if_current rt m ~gen ~epoch ~deps (fun () ->
-          cell := fn)
+    let job_give_up cause =
+      let why =
+        match cause with Obs.Compile_failure { err } -> err | c -> Obs.cause_to_string c
+      in
+      if !Obs.enabled then
+        Obs.emit
+          (Obs.Compile_drop
+             { meth = label; mid = m.mid; cause = Obs.Native_decline { why } })
     in
-    { nj_meth = m; nj_build; nj_install; nj_drop = declined ~transient:true }
+    { job_meth = m; job_kind = Native_upgrade; job_build; job_give_up }
   (* side exits of the compiled code: deopt accounting and the
      [`Recompile] / failed-devirt remediation.  OSR code runs once, for one
      activation, so a recompile exit invalidates the method's installed
@@ -189,7 +190,8 @@ let compile_method_dyn ?entry rt (m : meth) :
            under it: register deps and install *)
         match build () with
         | deps', _ -> Vm.Runtime.tier_install ~deps:deps' rt m entry_point
-        | exception _ -> m.mtier <- Tier_blacklisted))
+        | exception e ->
+          ignore (Vm.Runtime.tier_blacklist m ~err:(Printexc.to_string e))))
     | `Interpret ->
       let tag = se.Lms.Ir.se_tag in
       if String.length tag > 7 && String.equal (String.sub tag 0 7) "devirt:"
@@ -239,14 +241,15 @@ let compile_method_dyn ?entry rt (m : meth) :
           end;
           let compiled = C.compile_graph rt g ~on_exit in
           staged :=
-            if entry = None && rt.tiering.t_native <> None then
+            if entry = None && rt.tiering.t_submit <> None then
               Some (g, Domain.DLS.get C.node_counts_key)
             else None;
           compiled)
     in
     cell := fn;
     devirt_fails := 0;
-    rearm ();
+    native_calls := 0;
+    native_armed := entry = None;
     (* the one place compiles are counted: initial promotions and on-exit
        recompiles share this path *)
     rt.tiering.t_compiles <- rt.tiering.t_compiles + 1;
@@ -254,9 +257,8 @@ let compile_method_dyn ?entry rt (m : meth) :
       rt.tiering.t_osr_compiles <- rt.tiering.t_osr_compiles + 1;
     (!deps, epoch0)
   in
-  match build () with
-  | deps, epoch0 -> Ok (entry_point, deps, epoch0)
-  | exception e -> Error (Printexc.to_string e)
+  let deps, epoch0 = build () in
+  (entry_point, deps, epoch0)
 
 (* The raw compile step, shared by the synchronous hook below and the
    background JIT workers ([Bgjit] injects it as the pool's compile
@@ -265,54 +267,59 @@ let compile_method_dyn ?entry rt (m : meth) :
    dependencies (method names the code speculates on) and the hierarchy
    epoch the compile started from, so installers can reject code built
    against a hierarchy that changed mid-compile.  [None] means the method
-   cannot be compiled. *)
+   has no bytecode; a compile that fails raises its error. *)
 let compile rt (m : meth) :
     ((value array -> value) * string list * int) option =
   match m.mcode with
   | Native _ -> None
-  | Bytecode _ -> Result.to_option (compile_method_dyn rt m)
+  | Bytecode _ -> Some (compile_method_dyn rt m)
 
-(* The [t_osr] hook: compile [m] from the loop header at [pc] for a frame
-   holding [locals] and publish the outcome into [cell].  The code admits a
-   frame whose locals still have the kinds it was built for, and, when it
+(* The [t_osr] hook: make the job that compiles [m] from the loop header at
+   [pc] for a frame holding [locals] and publishes the outcome into [cell],
+   and hand it to the pool or run it at once.  The code admits a frame
+   whose locals still have the kinds it was built for, and, when it
    speculated on receiver types, only while the class hierarchy stands
-   where the compile found it.  A header whose compile failed is journaled
-   and never tried again. *)
+   where the compile found it; it is published only if the method's
+   generation has not moved since the build started.  A header whose
+   compile failed is journaled and never tried again. *)
 let osr rt (m : meth) pc locals cell =
   let key = (m.mid, pc) in
-  let failed_before () =
-    Vm.Runtime.with_tier_lock rt (fun () ->
-        Hashtbl.mem rt.tiering.t_osr_failed key)
-  in
-  let outcome =
-    if failed_before () then Osr_failed
-    else
-      let e = C.entry_at ~pc locals in
-      match compile_method_dyn ~entry:e rt m with
-      | Ok (fn, deps, epoch0) ->
-        Osr_ready
-          {
-            osr_admits =
-              (fun ls ->
-                C.admits e ls && (deps = [] || Vm.Runtime.hier_epoch rt = epoch0));
-            osr_run = fn;
-          }
-      | Error err ->
+  let label = Vm.Runtime.meth_label m in
+  if Vm.Runtime.with_tier_lock rt (fun () -> Hashtbl.mem rt.tiering.t_osr_failed key)
+  then Atomic.set cell Osr_failed
+  else begin
+    let e = C.entry_at ~pc locals in
+    let job_build _ _ =
+      let gen = Vm.Runtime.tier_gen rt m.mid in
+      let fn, deps, epoch0 = compile_method_dyn ~entry:e rt m in
+      ( fn,
+        fun run ->
+          let admits ls =
+            C.admits e ls && (deps = [] || Vm.Runtime.hier_epoch rt = epoch0)
+          in
+          let current = Vm.Runtime.tier_gen rt m.mid = gen in
+          Atomic.set cell
+            (if current then Osr_ready { osr_admits = admits; osr_run = run }
+             else Osr_failed);
+          current )
+    in
+    let job_give_up cause =
+      Atomic.set cell Osr_failed;
+      match cause with
+      | Obs.Compile_failure { err } ->
         Vm.Runtime.with_tier_lock rt (fun () ->
             Hashtbl.replace rt.tiering.t_osr_failed key ());
         if !Obs.enabled then
           Obs.emit
             (Obs.Osr_decline
-               {
-                 meth = Vm.Runtime.meth_label m;
-                 mid = m.mid;
-                 pc;
-                 why = err;
-                 cause = Obs.Unattributed;
-               });
-        Osr_failed
-  in
-  Atomic.set cell outcome
+               { meth = label; mid = m.mid; pc; why = err; cause = Obs.Unattributed })
+      | cause ->
+        if !Obs.enabled then
+          Obs.emit (Obs.Compile_drop { meth = label; mid = m.mid; cause })
+    in
+    let job = { job_meth = m; job_kind = Osr_compile; job_build; job_give_up } in
+    match rt.tiering.t_submit with Some submit -> submit job | None -> run_now job
+  end
 
 let jit_hook rt (m : meth) : jit_result =
   (* speculative code built across a hierarchy change must not be
@@ -350,15 +357,7 @@ let install rt =
   rt.tiering.t_osr <- Some (osr rt)
 
 (* Upgrade tier-1 code to native code on the mutator, at the call that
-   makes the upgrade due, instead of queueing it for a background worker.
-   For tests, which need the native code in place at a known call; no
-   user option reaches it. *)
-let native_sync rt =
-  rt.tiering.t_native <-
-    Some
-      (fun job ->
-        match
-          job.nj_build { nw_pid = Atomic.make 0; nw_meanwhile = (fun () -> false) }
-        with
-        | Ok fn -> ignore (job.nj_install fn)
-        | Error _ -> ())
+   makes the upgrade due, instead of queueing it for a background worker:
+   every job runs at once.  For tests, which need the native code in place
+   at a known call; no user option reaches it. *)
+let native_sync rt = rt.tiering.t_submit <- Some run_now

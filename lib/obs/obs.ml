@@ -57,7 +57,7 @@ type cause =
   | Queue_full of { capacity : int } (* background queue saturated *)
   | Eviction_pressure of { occupancy : int; capacity : int }
       (* code cache at capacity; FIFO victim chosen *)
-  | Worker_failure of { err : string } (* compile raised on a worker *)
+  | Compile_failure of { err : string } (* the compile raised *)
   | Devirt_miss of { target : string; fails : int }
       (* repeated devirt guard misses crossed the reprofile threshold *)
   | Ic_miss of { seen : string } (* receiver class not in the inline cache *)
@@ -70,6 +70,7 @@ type cause =
          IR fingerprint, or a recorded symbol that no longer resolves *)
   | Shutdown_timeout of { ms : int }
       (* bounded shutdown expired before the queue drained *)
+  | Pool_stopped (* the compile pool stopped before the job ran *)
   | Chaos_fault of { site : string } (* injected by the chaos harness *)
   | Loop_steps of { steps : int; pc : int; line : int }
       (* an interpreter frame ran [steps] bytecodes of its own and was at
@@ -226,7 +227,7 @@ let cause_to_string = function
   | Queue_full c -> Printf.sprintf "compile queue full (capacity %d)" c.capacity
   | Eviction_pressure c ->
     Printf.sprintf "cache pressure (%d/%d resident)" c.occupancy c.capacity
-  | Worker_failure c -> Printf.sprintf "worker failure: %s" c.err
+  | Compile_failure c -> Printf.sprintf "compile failed: %s" c.err
   | Devirt_miss c ->
     Printf.sprintf "devirt guard on '%s' missed x%d" c.target c.fails
   | Ic_miss c -> Printf.sprintf "receiver %s not cached" c.seen
@@ -236,6 +237,7 @@ let cause_to_string = function
     Printf.sprintf "profile stale: recorded %s, got %s" (short_fp c.expected)
       (short_fp c.found)
   | Shutdown_timeout c -> Printf.sprintf "shutdown timed out after %dms" c.ms
+  | Pool_stopped -> "pool shut down"
   | Chaos_fault c -> Printf.sprintf "chaos fault '%s'" c.site
   | Loop_steps c ->
     Printf.sprintf "loop: %d own steps, back edge to %s" c.steps

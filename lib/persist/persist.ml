@@ -536,7 +536,7 @@ type replay_stats = {
   mutable rs_dropped : int;
 }
 
-let replay ?pool rt (p : profile) =
+let replay rt (p : profile) =
   let st =
     {
       rs_methods = 0;
@@ -689,35 +689,25 @@ let replay ?pool rt (p : profile) =
               | Invoke (Virtual_ic _) -> () (* already quickened *)
               | _ -> st.rs_dropped <- st.rs_dropped + 1)))
       p.p_sites;
-  (* pass 3: batch-enqueue formerly-compiled methods before the mutator
-     starts — through the background queue when there is one, otherwise
-     synchronously through the promotion hook *)
-  if rt.tiering.t_enabled then
+  (* pass 3: promote formerly-compiled methods before the mutator starts,
+     through the promotion hook: it compiles at once, or enqueues for the
+     background pool when one is installed *)
+  if rt.tiering.t_enabled && rt.jit_hook <> None then
     List.iter
       (fun (m : meth) ->
-        match m.mtier with
-        | Tier_cold -> (
-          match pool with
-          | Some b -> (
-            match
-              Bgjit.enqueue ~why:(Obs.Profile_replay { src = p.p_src })
-                b m
-            with
-            | `Queued | `Coalesced -> st.rs_enqueued <- st.rs_enqueued + 1
-            | `Dropped -> ())
-          | None ->
-            if rt.jit_hook <> None then (
-              match Vm.Runtime.tier_promote rt m with
-              | Some _ -> st.rs_enqueued <- st.rs_enqueued + 1
-              | None -> ()))
-        | Tier_compiling | Tier_compiled _ | Tier_blacklisted -> ())
+        if m.mtier = Tier_cold then begin
+          ignore (Vm.Runtime.tier_promote rt m);
+          match m.mtier with
+          | Tier_compiling | Tier_compiled _ -> st.rs_enqueued <- st.rs_enqueued + 1
+          | Tier_cold | Tier_blacklisted -> ()
+        end)
       (List.rev !warm);
   st
 
-let replay_file ?pool rt path =
+let replay_file rt path =
   match load path with
   | None -> None
-  | Some p -> Some (replay ?pool rt p)
+  | Some p -> Some (replay rt p)
 
 (* ------------------------------------------------------------------ *)
 (* Exit-time writer                                                    *)

@@ -52,16 +52,18 @@ type replay_stats = {
   mutable rs_dropped : int;  (** stale records dropped *)
 }
 
-val replay : ?pool:Bgjit.t -> Vm.Types.runtime -> profile -> replay_stats
+val replay : Vm.Types.runtime -> profile -> replay_stats
 (** Seed a freshly booted runtime from a snapshot: resolve method symbols
     (dropping renamed/vanished/re-signatured ones), seed hotness
     counters, restore the blacklist, pre-quicken IC sites whose bytecode
-    still matches, then batch-enqueue formerly-compiled methods — through
-    [pool] when background compilation is on, synchronously through the
-    tier-promotion hook otherwise.  Each warm compile's IR fingerprint is
-    checked against the recorded one via {!on_fingerprint}. *)
+    still matches, then promote formerly-compiled methods through the
+    tier-promotion hook ([Runtime.tier_promote]), which compiles at once
+    or, with a background pool installed, enqueues.  [rs_enqueued] counts
+    the methods left compiling or compiled.  Each warm compile's IR
+    fingerprint is checked against the recorded one via
+    {!on_fingerprint}. *)
 
-val replay_file : ?pool:Bgjit.t -> Vm.Types.runtime -> string -> replay_stats option
+val replay_file : Vm.Types.runtime -> string -> replay_stats option
 (** [load] + [replay]; [None] (cold start) when the file does not load. *)
 
 (** {1 Collection and validation hooks} *)

@@ -37,7 +37,7 @@ let create ?(tiering = false) ?(tier_threshold = 16) ?(tier_cache_size = 512)
         t_jit_queue = max 1 jit_queue;
         t_bg_recompile = None;
         t_osr = None;
-        t_native = None;
+        t_submit = None;
         t_osr_failed = Hashtbl.create 4;
         t_hier_epoch = 0;
         t_devirt_deps = Hashtbl.create 16;
@@ -360,6 +360,27 @@ let hierarchy_changed rt ~name =
             tier_invalidate_unlocked ~why rt m)
           ms)
 
+(* Retire [m] to the interpreter for good: its compile failed with [err].
+   Journaled in either mode, with the method's source location and the
+   domain that hit the failure; returns the location. *)
+let tier_blacklist (m : meth) ~err =
+  m.mtier <- Tier_blacklisted;
+  let n = Array.length m.mlines in
+  let rec first i = if i >= n then 0 else if m.mlines.(i) > 0 then i else first (i + 1) in
+  let loc = meth_loc m (first 0) in
+  if !Obs.enabled then
+    Obs.emit
+      (Obs.Compile_blacklist
+         {
+           meth = meth_label m;
+           mid = m.mid;
+           worker = Obs.worker_id ();
+           loc;
+           err;
+           cause = Obs.Compile_failure { err };
+         });
+  loc
+
 (* Promote a hot method through the installed [jit_hook]; a hook failure
    (or absence of a result) blacklists the method so we never retry. *)
 let tier_promote rt (m : meth) : (value array -> value) option =
@@ -389,10 +410,10 @@ let tier_promote rt (m : meth) : (value array -> value) option =
          method at tier 0 (the hook owns [mtier] from here) *)
       None
     | Jit_declined ->
-      m.mtier <- Tier_blacklisted;
+      ignore (tier_blacklist m ~err:"compiler declined");
       None
-    | exception _ ->
-      m.mtier <- Tier_blacklisted;
+    | exception e ->
+      ignore (tier_blacklist m ~err:(Printexc.to_string e));
       None)
 
 (* The per-call tier dispatch used by the interpreter: return the compiled

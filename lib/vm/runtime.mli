@@ -144,6 +144,12 @@ val ic_stats : runtime -> int * int * int * int * int
 (** Aggregate inline-cache counters over all quickened sites:
     [(hits, misses, mono_sites, poly_sites, mega_sites)]. *)
 
+val tier_blacklist : meth -> err:string -> string
+(** Retire [m] to the interpreter for good, its compile having failed with
+    [err]: journals [Compile_blacklist] with the method's source location,
+    the domain that hit the failure and [err], and returns the location
+    ("Cls.meth @pc k (file.mini:12)"). *)
+
 val tier_promote : runtime -> meth -> (value array -> value) option
 (** Compile [m] through the installed [jit_hook] and install the result;
     [Jit_declined] (or a raising hook) blacklists the method, [Jit_pending]

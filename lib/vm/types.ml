@@ -107,25 +107,29 @@ and osr_state =
   | Osr_ready of osr_code
   | Osr_failed (* compile failed or the request was dropped *)
 
-(* A native upgrade of a method's installed tier-1 code, made by its entry
-   point once the code has been called [t_threshold] times and run by a
-   background JIT worker.  [nj_build] builds and loads native code for the
-   graph the typed code was lowered from.  [nj_install] swaps the code into the entry point's cell if
-   the method's generation has not moved since the job was made.
-   [nj_drop] gives the job up unbuilt (queue full, shutdown, injected
-   crash).  Each journals what it did. *)
-and native_job = {
-  nj_meth : meth;
-  nj_build : native_worker -> (value array -> value, string) result;
-  nj_install : (value array -> value) -> bool;
-  nj_drop : string -> unit;
+(* A request the background JIT runs: a promotion or recompile of a
+   method, an OSR compile for one interpreter activation, or a native
+   upgrade of installed tier-1 code.  [job_build pid meanwhile] builds the
+   code with what the worker lends it: the cell that holds a compiler
+   child's pid while it runs (-1 once the job is cancelled), and
+   [meanwhile], which runs one other waiting job, if there is one, and
+   says whether it did.  It returns the code and the step that publishes
+   it, which answers [false] when the method's generation moved (the
+   code is stale), and raises when the build fails.  [job_give_up cause]
+   gives the job up: with [Compile_failure], the way its kind fails (a
+   promotion blacklists, an OSR header is marked failed, an upgrade is
+   declined); with any other cause, the pool turned it away. *)
+and job = {
+  job_meth : meth;
+  job_kind : job_kind;
+  job_build :
+    int Atomic.t ->
+    (unit -> bool) ->
+    (value array -> value) * ((value array -> value) -> bool);
+  job_give_up : Obs.cause -> unit;
 }
 
-(* What a worker lends a native build: the cell that holds the compiler's
-   pid while it runs (-1 once the job is cancelled), and [nw_meanwhile],
-   which runs one other waiting job, if there is one, while the compiler
-   runs, and says whether it did. *)
-and native_worker = { nw_pid : int Atomic.t; nw_meanwhile : unit -> bool }
+and job_kind = Promotion | Osr_compile | Native_upgrade
 
 and code =
   | Bytecode of instr array
@@ -269,14 +273,14 @@ and tiering = {
     (* installed by the background JIT: route deopt-triggered recompiles
        through the compile queue instead of rebuilding on the mutator *)
   mutable t_osr : (meth -> int -> value array -> osr_state Atomic.t -> unit) option;
-    (* installed by Lancet: [f m pc locals cell] compiles the rest of [m]
-       from the loop header at [pc] for a frame holding [locals] and
-       publishes the outcome into [cell], synchronously or (when the
-       background JIT replaced it) from a worker *)
-  mutable t_native : (native_job -> unit) option;
-    (* installed by the background JIT: queue a native upgrade (a job the
-       queue turns away is dropped).  Without a worker there is none, and
-       no code is upgraded. *)
+    (* installed by Lancet: [f m pc locals cell] makes the job that
+       compiles the rest of [m] from the loop header at [pc] for a frame
+       holding [locals] and publishes the outcome into [cell]; it runs at
+       once, or on a worker when [t_submit] is set *)
+  mutable t_submit : (job -> unit) option;
+    (* installed by the background JIT: queue an OSR or native job (one
+       the queue turns away is given up).  Without a pool there is none:
+       OSR jobs run at once and no native job is made. *)
   t_osr_failed : (int * int, unit) Hashtbl.t;
     (* (method id, header pc) pairs whose OSR compile failed: never
        retried.  Guarded by [t_lock]. *)

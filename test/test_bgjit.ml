@@ -71,7 +71,7 @@ let test_async_matches_sync () =
   | Some s ->
     check_bool "installed through the queue" true (s.Bgjit.s_installed >= 1);
     check_int "no stale installs" 0 s.Bgjit.s_stale;
-    check_int "no blacklists" 0 s.Bgjit.s_blacklisted
+    check_int "no blacklists" 0 s.Bgjit.s_failed
 
 (* ------------------------------------------------------------------ *)
 (* A worker compile failure blacklists the method (with a file:line
@@ -99,7 +99,7 @@ let test_failure_blacklists () =
   Bgjit.shutdown pool;
   let m = Mini.Front.find_function p "hot" in
   check_bool "blacklisted" true (m.mtier = Tier_blacklisted);
-  check_bool "failure counted" true ((Bgjit.stats pool).Bgjit.s_blacklisted >= 1);
+  check_bool "failure counted" true ((Bgjit.stats pool).Bgjit.s_failed >= 1);
   let diag = String.concat "\n" !logs in
   check_bool "diagnostic names the method" true
     (Vm.Strutil.contains diag "hot");
@@ -246,7 +246,7 @@ let test_async_recompile () =
   check_value "recompiled entry" (Int 6) (Mini.Front.call p "f" [| Int 5 |]);
   Bgjit.shutdown pool;
   check_bool "no blacklist on the recompile path" true
-    ((Bgjit.stats pool).Bgjit.s_blacklisted = 0)
+    ((Bgjit.stats pool).Bgjit.s_failed = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Each Compile_end carries the node counts of its own compile, not those
@@ -346,8 +346,8 @@ let test_enqueue_before_dequeue () =
             let rt, pool =
               Lancet.Api.boot_bg ~tiering:true ~tier_threshold:2 ~jit_threads:2 ()
             in
-            (* promotions only: no native upgrades *)
-            rt.tiering.t_native <- None;
+            (* promotions only: no native jobs, OSR jobs run at once *)
+            rt.tiering.t_submit <- None;
             let p = Mini.Front.load rt many_src in
             for r = 0 to 3 do
               for k = 0 to 7 do

@@ -426,10 +426,42 @@ let test_worker_attribution () =
         (List.exists
            (fun d ->
              match (d.Forensics.d_event, d.Forensics.d_cause) with
-             | Obs.Compile_blacklist _, Obs.Worker_failure f ->
+             | Obs.Compile_blacklist _, Obs.Compile_failure f ->
                d.Forensics.d_worker >= 1 && contains f.err "injected"
              | _ -> false)
            (Forensics.for_mid m2.mid)))
+
+(* ------------------------------------------------------------------ *)
+(* A failed tier-1 compile is journaled with its own error, whether it
+   ran on the mutator or on a worker.                                   *)
+
+let test_blacklist_journaled () =
+  let src =
+    {|
+def bad(x: int): int = { val a = Lancet.check_no_alloc(fun () => new array[int](x)); a.length }
+def main(): int = { var s = 0; for (i <- 0 until 50) { s = s + bad(i % 5 + 1) }; s }
+|}
+  in
+  List.iter
+    (fun jit_threads ->
+      with_journal (fun () ->
+          let rt, pool =
+            Lancet.Api.boot_bg ~tiering:true ~tier_threshold:4 ~jit_threads ()
+          in
+          let p = Mini.Front.load rt src in
+          let v = Mini.Front.call p "main" [||] in
+          Option.iter (fun b -> Bgjit.drain b; Bgjit.shutdown b) pool;
+          Alcotest.(check int) "result" 150 (Vm.Value.to_int v);
+          check_bool
+            (Printf.sprintf "blacklist of bad reported with its error (%d threads)"
+               jit_threads)
+            true
+            (List.exists
+               (fun (x : Forensics.pathology) ->
+                 x.p_kind = "blacklisted" && contains x.p_meth "bad"
+                 && contains x.p_what "checkNoAlloc")
+               (Forensics.detect ()))))
+    [ 0; 1 ]
 
 let suite =
   [
@@ -443,4 +475,5 @@ let suite =
     Alcotest.test_case "why-report" `Quick test_why_report;
     Alcotest.test_case "why-two-runtimes" `Quick test_why_two_runtimes;
     Alcotest.test_case "worker-attribution" `Quick test_worker_attribution;
+    Alcotest.test_case "blacklist-journaled" `Quick test_blacklist_journaled;
   ]

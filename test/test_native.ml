@@ -241,7 +241,7 @@ let test_stale_job_discarded () =
   let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:2 () in
   let p = Mini.Front.load rt src in
   let queued = ref [] in
-  rt.tiering.t_native <- Some (fun job -> queued := job :: !queued);
+  rt.tiering.t_submit <- Some (fun job -> queued := job :: !queued);
   for x = 1 to 3 do ignore (Mini.Front.call p "st" [| Int x |]) done;
   let job =
     match !queued with [ j ] -> j | _ -> Alcotest.fail "expected one job"
@@ -249,11 +249,9 @@ let test_stale_job_discarded () =
   Vm.Runtime.tier_invalidate rt (Mini.Front.find_function p "st");
   let (), _ =
     declines (fun () ->
-        match
-          job.nj_build { nw_pid = Atomic.make 0; nw_meanwhile = (fun () -> false) }
-        with
-        | Ok fn -> check_bool "install refused" false (job.nj_install fn)
-        | Error why -> Alcotest.failf "build declined: %s" why)
+        match job.job_build (Atomic.make 0) (fun () -> false) with
+        | code, publish -> check_bool "install refused" false (publish code)
+        | exception e -> Alcotest.failf "build declined: %s" (Printexc.to_string e))
   in
   check_int "nothing installed" 0 rt.tiering.t_native_installs;
   check_value "still right" (Int (4 * 7817 - 1)) (Mini.Front.call p "st" [| Int 4 |])
@@ -425,6 +423,70 @@ let test_shutdown_drops_queued () =
       call_all ())
 
 (* ------------------------------------------------------------------ *)
+(* An upgrade the pool turns away is not asked for again: with one worker
+   held by a stalled compiler and one queue slot, each method's upgrade
+   is declined at most once.                                            *)
+
+let test_refused_once () =
+  let script = Filename.temp_file "stall" ".sh" in
+  Out_channel.with_open_bin script (fun oc ->
+      output_string oc "#!/bin/sh\nexec sleep 30\n");
+  Unix.chmod script 0o755;
+  Lms.Native_tier.use_compiler (Some script);
+  Fun.protect
+    ~finally:(fun () ->
+      Lms.Native_tier.use_compiler None;
+      Sys.remove script)
+    (fun () ->
+      let ks = [ 8101; 8111; 8117; 8123; 8147 ] in
+      let src =
+        String.concat "\n"
+          (List.map (fun k -> Printf.sprintf "def r%d(x: int): int = x * %d + 3" k k) ks)
+      in
+      let rt, pool =
+        Lancet.Api.boot_bg ~tiering:true ~tier_threshold:2 ~jit_threads:1
+          ~jit_queue:1 ()
+      in
+      let pool = Option.get pool in
+      let p = Mini.Front.load rt src in
+      let call_all () =
+        List.iter
+          (fun k ->
+            check_value "right meanwhile" (Int ((5 * k) + 3))
+              (Mini.Front.call p (Printf.sprintf "r%d" k) [| Int 5 |]))
+          ks
+      in
+      let ring = Obs.Ring.create ~capacity:4096 () in
+      Obs.with_sink (Obs.Ring.sink ring) (fun () ->
+          let deadline = Unix.gettimeofday () +. 10. in
+          while
+            List.exists
+              (fun k ->
+                match (Mini.Front.find_function p (Printf.sprintf "r%d" k)).mtier with
+                | Tier_compiled _ -> false
+                | _ -> true)
+              ks
+            && Unix.gettimeofday () < deadline
+          do
+            call_all ()
+          done;
+          for _ = 1 to 20 do call_all () done);
+      Bgjit.shutdown ~timeout_ms:50 pool;
+      let declined = Hashtbl.create 8 in
+      List.iter
+        (function
+          | Obs.Compile_drop { mid; cause = Obs.Native_decline _; _ } ->
+            Hashtbl.replace declined mid
+              (1 + Option.value ~default:0 (Hashtbl.find_opt declined mid))
+          | _ -> ())
+        (Obs.Ring.events ring);
+      check_bool "some upgrade was turned away" true (Hashtbl.length declined > 0);
+      Hashtbl.iter
+        (fun _ n -> check_bool "declined at most once" true (n <= 1))
+        declined;
+      check_int "no native code" 0 rt.tiering.t_native_installs)
+
+(* ------------------------------------------------------------------ *)
 (* A background pool upgrades hot code.                                  *)
 
 let test_background_upgrade () =
@@ -503,6 +565,7 @@ let suite =
     Alcotest.test_case "missing-toolchain" `Quick test_missing_toolchain;
     Alcotest.test_case "shutdown-kills-compiler" `Quick test_shutdown_kills_compiler;
     Alcotest.test_case "shutdown-drops-queued" `Quick test_shutdown_drops_queued;
+    Alcotest.test_case "refused-once" `Quick test_refused_once;
     Alcotest.test_case "background-upgrade" `Quick test_background_upgrade;
     Alcotest.test_case "alloc-gate" `Quick test_alloc_gate;
     (* last: it fills the table, then frees what it filled *)

@@ -263,7 +263,7 @@ let test_bgjit () =
     (fun (src, fn, args) ->
       let want, _ = plain_call src fn (args ()) in
       let ring = Obs.Ring.create ~capacity:65536 () in
-      let rt, got =
+      let rt, got, s =
         Obs.with_sink (Obs.Ring.sink ring) (fun () ->
             let rt, pool =
               Lancet.Api.boot_bg ~tiering:true ~tier_threshold:1 ~jit_threads:2
@@ -272,10 +272,31 @@ let test_bgjit () =
             let pool = Option.get pool in
             let got = Mini.Front.call (Mini.Front.load rt src) fn (args ()) in
             Bgjit.drain pool;
+            let s = { (Bgjit.stats pool) with Bgjit.s_enqueued = (Bgjit.stats pool).s_enqueued } in
             Bgjit.shutdown pool;
-            (rt, got))
+            (rt, got, s))
       in
       check_value (fn ^ ": background OSR = interpreter") want got;
+      (* every job, OSR compiles included, is journaled and accounted:
+         each dequeue follows its enqueue, and a drained pool's jobs all
+         ended installed, stale or failed *)
+      let queued = Hashtbl.create 8 and enqueues = ref 0 and dequeues = ref 0 in
+      let n mid = Option.value ~default:0 (Hashtbl.find_opt queued mid) in
+      List.iter
+        (function
+          | Obs.Compile_enqueue { mid; _ } ->
+            incr enqueues;
+            Hashtbl.replace queued mid (n mid + 1)
+          | Obs.Compile_dequeue { mid; meth; _ } ->
+            incr dequeues;
+            if n mid = 0 then Alcotest.failf "%s dequeued before its enqueue" meth;
+            Hashtbl.replace queued mid (n mid - 1)
+          | _ -> ())
+        (Obs.Ring.events ring);
+      check_int (fn ^ ": every job's enqueue journaled") s.s_enqueued !enqueues;
+      check_int (fn ^ ": every enqueue dequeued") !enqueues !dequeues;
+      check_int (fn ^ ": enqueued = installed + stale + failed") s.s_enqueued
+        (s.s_installed + s.s_stale + s.s_failed);
       let compiles = rt.tiering.t_osr_compiles in
       if src == devirt_src then
         check_bool (fn ^ ": OSR compiled") true (compiles >= 1)

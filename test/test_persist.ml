@@ -289,7 +289,7 @@ let test_warm_jit2 () =
   let p2 = Mini.Front.load rt2 hot_src in
   Forensics.enable ();
   let st =
-    match Persist.replay_file ~pool rt2 path with
+    match Persist.replay_file rt2 path with
     | Some st -> st
     | None -> Alcotest.fail "profile did not load"
   in
