@@ -129,11 +129,14 @@ let meth_label (m : meth) = m.mowner.cname ^ "." ^ m.mname
 let line_at (m : meth) pc =
   if pc >= 0 && pc < Array.length m.mlines then m.mlines.(pc) else 0
 
-(* The method's defining source line: the first attributed pc. *)
-let meth_def_line (m : meth) =
+(* The first pc with an attributed source line, or 0. *)
+let meth_def_pc (m : meth) =
   let n = Array.length m.mlines in
-  let rec go i = if i >= n then 0 else if m.mlines.(i) > 0 then m.mlines.(i) else go (i + 1) in
+  let rec go i = if i >= n then 0 else if m.mlines.(i) > 0 then i else go (i + 1) in
   go 0
+
+(* The method's defining source line: the first attributed pc's. *)
+let meth_def_line (m : meth) = line_at m (meth_def_pc m)
 
 (* "Cls.meth @pc 5 (file.mini:12)" — pc always, file:line when known. *)
 let meth_loc (m : meth) pc =
@@ -365,9 +368,7 @@ let hierarchy_changed rt ~name =
    domain that hit the failure; returns the location. *)
 let tier_blacklist (m : meth) ~err =
   m.mtier <- Tier_blacklisted;
-  let n = Array.length m.mlines in
-  let rec first i = if i >= n then 0 else if m.mlines.(i) > 0 then i else first (i + 1) in
-  let loc = meth_loc m (first 0) in
+  let loc = meth_loc m (meth_def_pc m) in
   if !Obs.enabled then
     Obs.emit
       (Obs.Compile_blacklist
